@@ -22,7 +22,7 @@ from .bm25 import BM25Index, Query
 from .corpus import Document, model_input
 from .errors import DataError
 from .evaluation import keyphrase_set, split_present_absent, stem_phrase
-from .miner import MAX_NGRAM, SalientSpan, _length_distribution
+from .miner import MAX_NGRAM, SalientSpan, length_distribution
 
 logger = logging.getLogger(__name__)
 
@@ -219,5 +219,5 @@ def span_characteristics(spans_by_id: Mapping[str, list[SalientSpan]]) -> SpanSt
         documents=n_docs,
         total_spans=total,
         avg_spans_per_doc=total / n_docs if n_docs else 0.0,
-        length_distribution=_length_distribution(length_counts),
+        length_distribution=length_distribution(length_counts),
     )

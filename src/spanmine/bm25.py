@@ -20,6 +20,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .corpus import TokenizedDoc
@@ -67,6 +68,9 @@ class BM25Index:
     b: float
     _slot_by_id: dict[str, int] = field(default_factory=dict, repr=False)
     _norms: list[float] = field(default_factory=list, repr=False)
+    # Per-term posting weights, parallel to the postings; filled on first use
+    # so that building or loading an index does no scoring work.
+    _weights: dict[str, list[float]] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not self._slot_by_id:
@@ -113,24 +117,37 @@ class BM25Index:
                 total += self.idf(term) * tf * k1p1 / (tf + self._norms[doc_ref])
         return total
 
+    def _term_weights(self, term: str, plist: list[Posting]) -> list[float]:
+        """Each posting's score contribution, by the same expression as score()."""
+        weights = self._weights.get(term)
+        if weights is None:
+            idf = self.idf(term)
+            norms = self._norms
+            k1p1 = self.k1 + 1.0
+            weights = [idf * tf * k1p1 / (tf + norms[doc_ref]) for doc_ref, tf in plist]
+            self._weights[term] = weights
+        return weights
+
     def scores(self, query: Query | Sequence[str]) -> dict[int, float]:
         """Sparse scores over the union of the query terms' postings.
 
         Documents absent from the result score exactly 0.0. Per-document
-        contributions accumulate in query-term order through the same
-        weight expression as score(), so totals match it bitwise.
+        contributions accumulate in query-term order and each weight is
+        score()'s expression, so totals match it bitwise.
         """
         query = _as_query(query)
         acc: dict[int, float] = {}
-        norms = self._norms
-        k1p1 = self.k1 + 1.0
+        get = acc.get
         for term in query.terms:
             plist = self.postings.get(term)
             if not plist:
                 continue
-            idf = self.idf(term)
-            for doc_ref, tf in plist:
-                acc[doc_ref] = acc.get(doc_ref, 0.0) + idf * tf * k1p1 / (tf + norms[doc_ref])
+            weights = self._term_weights(term, plist)
+            if acc:
+                for (doc_ref, _), weight in zip(plist, weights):
+                    acc[doc_ref] = get(doc_ref, 0.0) + weight
+            else:  # 0.0 + weight == weight, so the first term seeds the sums
+                acc.update(zip(map(itemgetter(0), plist), weights))
         return acc
 
     def rank(self, query: Query | Sequence[str], source: int) -> int:

@@ -56,7 +56,7 @@ def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker processes for per-document stages (default: cores)",
+        help="worker processes; mining shards distinct n-grams, corruption shards documents (default: cores)",
     )
 
 

@@ -8,11 +8,15 @@ queries.
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
+import zlib
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import neg
 
 from .bm25 import BM25Index, Query
 from .corpus import DIGIT_TOKEN, SEP_TOKEN, TokenizedDoc
@@ -137,16 +141,92 @@ def mine(
     Ties order longer spans first, then lexicographically. ``max_spans``
     optionally caps the list after sorting.
     """
-    slot = index.slot_of(doc.doc_id)
+    return _mine_docs([doc], index, thresholds, stoplist, max_spans)[0]
+
+
+def _mine_shard(
+    doc_list: list[TokenizedDoc],
+    slots: list[int],
+    index: BM25Index,
+    thresholds: ThresholdFn,
+    stoplist: frozenset[str] | set[str],
+    shard: int = 0,
+    n_shards: int = 1,
+) -> list[tuple[int, tuple[str, ...], int]]:
+    """Rank one shard of the distinct candidate queries of ``doc_list``.
+
+    Candidates are grouped by distinct query across all documents, so a
+    query shared by many documents is scored once. A query belongs to
+    shard crc32(text) % n_shards, which every process computes alike.
+    Returns (position, query, rank) for every source document, by input
+    position, whose rank clears the threshold. A rank counts the
+    documents scoring strictly higher; only the best ``threshold + 1``
+    scores are ordered, so a rank past the threshold reads as
+    threshold + 1 and is dropped.
+    """
+    sources: dict[tuple[str, ...], list[int]] = {}
+    for pos, doc in enumerate(doc_list):
+        for cand in candidates(doc, stoplist):
+            if n_shards == 1 or zlib.crc32(" ".join(cand.tokens).encode()) % n_shards == shard:
+                sources.setdefault(cand.tokens, []).append(pos)
     kept = []
-    for cand in candidates(doc, stoplist):
-        rank = index.rank(Query(cand.tokens), slot)
-        if rank <= thresholds(len(cand.tokens)):
-            kept.append(SalientSpan(tokens=cand.tokens, rank=rank))
-    kept.sort(key=lambda s: (s.rank, -s.length, s.tokens))
-    if max_spans is not None:
-        kept = kept[:max_spans]
+    for query, positions in sources.items():
+        limit = thresholds(len(query))
+        scores = index.scores(Query(query))
+        top = heapq.nlargest(limit + 1, scores.values())  # descending
+        for pos in positions:
+            rank = bisect_left(top, -scores.get(slots[pos], 0.0), key=neg)
+            if rank <= limit:
+                kept.append((pos, query, rank))
     return kept
+
+
+_WORKER_STATE: dict = {}
+
+
+def _init_shard_worker(*args):
+    _WORKER_STATE["args"] = args
+
+
+def _mine_worker_shard(shard: int):
+    *args, n_shards = _WORKER_STATE["args"]
+    return _mine_shard(*args, shard, n_shards)
+
+
+def _mine_docs(
+    doc_list: list[TokenizedDoc],
+    index: BM25Index,
+    thresholds: ThresholdFn,
+    stoplist: frozenset[str] | set[str],
+    max_spans: int | None,
+    workers: int = 1,
+) -> list[list[SalientSpan]]:
+    """Salient spans of each input document, in input order.
+
+    Results map back by input position, not slot, so a document passed
+    twice gets two lists.
+    """
+    slots = [index.slot_of(doc.doc_id) for doc in doc_list]
+    args = (doc_list, slots, index, thresholds, stoplist)
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_shard_worker,
+            initargs=(*args, workers),
+        ) as pool:
+            shards = list(pool.map(_mine_worker_shard, range(workers)))
+    else:
+        shards = [_mine_shard(*args)]
+
+    span_lists: list[list[SalientSpan]] = [[] for _ in doc_list]
+    for kept in shards:
+        for pos, query, rank in kept:
+            span_lists[pos].append(SalientSpan(tokens=query, rank=rank))
+    for spans in span_lists:
+        spans.sort(key=lambda s: (s.rank, -s.length, s.tokens))
+        if max_spans is not None:
+            del spans[max_spans:]
+    return span_lists
 
 
 @dataclass(frozen=True)
@@ -157,23 +237,12 @@ class MiningSummary:
     length_distribution: dict[int, float]
 
 
-def _length_distribution(length_counts: Mapping[int, int]) -> dict[int, float]:
+def length_distribution(length_counts: Mapping[int, int]) -> dict[int, float]:
+    """Share of each span length 1..MAX_NGRAM in a length -> count map."""
     total = sum(length_counts.values())
     if total == 0:
         return {n: 0.0 for n in range(1, MAX_NGRAM + 1)}
     return {n: length_counts.get(n, 0) / total for n in range(1, MAX_NGRAM + 1)}
-
-
-_WORKER_STATE: dict = {}
-
-
-def _init_mine_worker(index, thresholds, stoplist, max_spans):
-    _WORKER_STATE["args"] = (index, thresholds, stoplist, max_spans)
-
-
-def _mine_one(doc: TokenizedDoc) -> list[SalientSpan]:
-    index, thresholds, stoplist, max_spans = _WORKER_STATE["args"]
-    return mine(doc, index, thresholds, stoplist, max_spans)
 
 
 def mine_corpus(
@@ -189,18 +258,11 @@ def mine_corpus(
 
     Record schema: {"id": ..., "spans": [{"text", "rank", "len"}, ...]};
     documents with no passing spans still get a record. Output is byte
-    identical for identical inputs regardless of ``workers``.
+    identical for identical inputs regardless of ``workers``, which shard
+    the distinct queries.
     """
     doc_list = list(docs)
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_mine_worker,
-            initargs=(index, thresholds, stoplist, max_spans),
-        ) as pool:
-            span_lists = list(pool.map(_mine_one, doc_list, chunksize=32))
-    else:
-        span_lists = [mine(doc, index, thresholds, stoplist, max_spans) for doc in doc_list]
+    span_lists = _mine_docs(doc_list, index, thresholds, stoplist, max_spans, workers)
 
     total_spans = 0
     length_counts: dict[int, int] = {}
@@ -219,7 +281,7 @@ def mine_corpus(
         docs_processed=n_docs,
         total_spans=total_spans,
         avg_spans_per_doc=total_spans / n_docs if n_docs else 0.0,
-        length_distribution=_length_distribution(length_counts),
+        length_distribution=length_distribution(length_counts),
     )
 
 
@@ -230,14 +292,36 @@ def load_spans(path) -> dict[str, list[SalientSpan]]:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}: line {line_no}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {line_no}: malformed JSON ({exc.msg})") from exc
-            if record["id"] in spans_by_id:
-                raise DataError(f"{path}: duplicate id {record['id']!r}")
-            spans_by_id[record["id"]] = [
-                SalientSpan(tokens=tuple(item["text"].split()), rank=int(item["rank"]))
-                for item in record.get("spans", [])
-            ]
+                raise DataError(f"{where}: malformed JSON ({exc.msg})") from exc
+            doc_id, spans = _parse_spans_record(record, where)
+            if doc_id in spans_by_id:
+                raise DataError(f"{where}: duplicate id {doc_id!r}")
+            spans_by_id[doc_id] = spans
     return spans_by_id
+
+
+def _parse_spans_record(record, where: str) -> tuple[str, list[SalientSpan]]:
+    if not isinstance(record, dict):
+        raise DataError(f"{where}: expected a JSON object, got {type(record).__name__}")
+    doc_id = record.get("id")
+    if not doc_id or not isinstance(doc_id, str):
+        raise DataError(f"{where}: missing or non-string 'id'")
+    items = record.get("spans", [])
+    if not isinstance(items, list):
+        raise DataError(f"{where}: 'spans' must be a list")
+    spans = []
+    for item in items:
+        if not isinstance(item, dict):
+            raise DataError(f"{where}: span {item!r} is not an object")
+        text, rank = item.get("text"), item.get("rank")
+        tokens = tuple(text.split()) if isinstance(text, str) else ()
+        if not tokens:
+            raise DataError(f"{where}: span {item!r} needs a non-empty 'text'")
+        if type(rank) is not int or rank < 0:
+            raise DataError(f"{where}: span {item!r} needs a non-negative integer 'rank'")
+        spans.append(SalientSpan(tokens=tokens, rank=rank))
+    return doc_id, spans

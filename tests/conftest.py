@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from spanmine import Document, TokenizedDoc, build_index, model_input
+from spanmine import Document, SalientSpan, TokenizedDoc, build_index, candidates, model_input
 
 
 class BruteBM25:
@@ -51,6 +51,18 @@ class BruteBM25:
         scored = [item for item in scored if item[1] > 0]
         scored.sort(key=lambda item: (-item[1], item[0]))
         return scored[:k]
+
+
+def oracle_mine(doc, index, thresholds, stoplist, max_spans=None):
+    """Reference miner: one BM25Index.rank call per (document, candidate)."""
+    slot = index.slot_of(doc.doc_id)
+    kept = []
+    for cand in candidates(doc, stoplist):
+        rank = index.rank(cand.tokens, slot)
+        if rank <= thresholds(len(cand.tokens)):
+            kept.append(SalientSpan(tokens=cand.tokens, rank=rank))
+    kept.sort(key=lambda s: (s.rank, -s.length, s.tokens))
+    return kept if max_spans is None else kept[:max_spans]
 
 
 def random_token_corpus(rng: random.Random, min_docs=5, max_docs=50, max_vocab=30, max_len=40):

@@ -191,6 +191,9 @@ class TestPersistence:
             query = [rng.choice(vocab) for _ in range(rng.randint(1, 3))]
             slot = rng.randrange(index.num_docs)
             assert loaded.score(query, slot) == index.score(query, slot)
+            assert loaded.scores(query) == index.scores(query)
+            assert loaded.scores(query).get(slot, 0.0) == index.score(query, slot)
+            assert loaded.rank(query, slot) == index.rank(query, slot)
 
     def test_truncated_file_checksum_error(self, tmp_path, toy_index):
         path = tmp_path / "idx.spmi"

@@ -84,6 +84,16 @@ class TestSubcommands:
         preds.write_text("one\ntwo\n", encoding="utf-8")  # 2 preds vs 3 gold
         assert run(["-q", "eval", "--preds", str(preds), "--gold", str(corpus)]) == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "record",
+        [{"spans": []}, [1, 2], {"id": "b", "spans": [{"rank": 0}]}, {"id": "b", "spans": [{"text": "x"}]}],
+        ids=["missing-id", "non-object-line", "item-missing-text", "item-missing-rank"],
+    )
+    def test_analyze_malformed_spans_is_data_error(self, tmp_path, record):
+        spans = tmp_path / "spans.jsonl"
+        spans.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert run(["-q", "analyze", "spans", "--spans", str(spans)]) == EXIT_DATA
+
     def test_io_error_exit_code(self, tmp_path):
         assert run(["-q", "stats", "--corpus", str(tmp_path / "nope.jsonl")]) == EXIT_IO
 

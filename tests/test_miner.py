@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 import random
 
@@ -10,12 +12,16 @@ from spanmine import (
     TokenizedDoc,
     build_index,
     candidates,
+    load_index,
     load_spans,
     mine,
     mine_corpus,
+    model_input,
+    save_index,
 )
+from spanmine.demo import generate_demo_corpus
 from spanmine.miner import DEFAULT_THRESHOLDS, parse_thresholds
-from tests.conftest import BruteBM25, as_tokenized
+from tests.conftest import BruteBM25, as_tokenized, oracle_mine, random_token_corpus
 
 
 def doc_of(tokens, doc_id="d", title_len=0):
@@ -247,3 +253,121 @@ class TestMineCorpus:
         spans_by_id = load_spans(out)
         assert set(spans_by_id) == {d.doc_id for d in docs}
         assert SalientSpan(tokens=("zq", "qx"), rank=0) in spans_by_id["d7"]
+
+
+def _records(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def _as_items(spans):
+    return [{"text": s.text, "rank": s.rank, "len": s.length} for s in spans]
+
+
+def _random_mining_case(rng):
+    """A small random corpus with tied scores, its index, and what to mine.
+
+    A few documents are duplicated under new ids, so their scores tie; a
+    random subset is mined against the full index, and one of its
+    documents is passed twice.
+    """
+    corpus = random_token_corpus(rng, min_docs=3, max_docs=12, max_vocab=10, max_len=10)
+    corpus += [list(corpus[i]) for i in rng.sample(range(len(corpus)), 2)]
+    docs = as_tokenized(corpus)
+    n = len(docs)
+    thresholds = ThresholdFn({k: rng.choice([0, 1, rng.randrange(n), n, n + 3]) for k in (1, 2, 3)})
+    subset = rng.sample(docs, rng.randint(1, n))
+    subset.append(subset[0])
+    return corpus, docs, thresholds, subset, rng.choice([None, 0, 1, 3])
+
+
+class TestQueryMajorOracle:
+    def test_random_corpora_match_rank_oracles(self, tmp_path):
+        rng = random.Random(606)
+        out = tmp_path / "spans.jsonl"
+        for _ in range(150):
+            corpus, docs, thresholds, subset, max_spans = _random_mining_case(rng)
+            index = build_index(docs)
+            brute = BruteBM25(corpus)
+            brute.idf = functools.cache(brute.idf)
+            mine_corpus(subset, index, out, thresholds, stoplist=frozenset(), max_spans=max_spans)
+            records = _records(out)
+            assert [r["id"] for r in records] == [d.doc_id for d in subset]
+            for doc, record in zip(subset, records):
+                expected = oracle_mine(doc, index, thresholds, frozenset(), max_spans)
+                assert record["spans"] == _as_items(expected)
+                slot = index.slot_of(doc.doc_id)
+                by_brute = [
+                    SalientSpan(tokens=c.tokens, rank=brute.rank(list(c.tokens), slot))
+                    for c in candidates(doc, frozenset())
+                ]
+                by_brute = sorted(
+                    (s for s in by_brute if s.rank <= thresholds(s.length)),
+                    key=lambda s: (s.rank, -s.length, s.tokens),
+                )
+                assert record["spans"] == _as_items(by_brute[:max_spans] if max_spans is not None else by_brute)
+            assert mine(subset[0], index, thresholds, frozenset(), max_spans) == oracle_mine(
+                subset[0], index, thresholds, frozenset(), max_spans
+            )
+
+    def test_workers_give_identical_bytes(self, tmp_path):
+        rng = random.Random(4242)
+        for _ in range(3):
+            _, docs, thresholds, subset, max_spans = _random_mining_case(rng)
+            index = build_index(docs)
+            serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+            mine_corpus(subset, index, serial, thresholds, frozenset(), max_spans, workers=1)
+            mine_corpus(subset, index, parallel, thresholds, frozenset(), max_spans, workers=3)
+            assert serial.read_bytes() == parallel.read_bytes()
+
+
+# sha256 of spans.jsonl for the 200-document demo corpus, mined against a
+# saved and reloaded index. Pins the miner's output bytes.
+@pytest.mark.parametrize(
+    "thresholds, subset_step, max_spans, workers, digest",
+    [
+        (None, 1, None, 1, "08baabdf77f82da7cf0689a2dc47de92123ebf08fd0f48e4c6f41ae2eeccc282"),
+        ("1:20,2:10,3:5", 1, None, 1, "aca8ff3ae9bb3d672a2ac4f950ece759ca659030c57218bde5b90db72c8cbf53"),
+        ("1:20,2:10,3:5", 1, None, 2, "aca8ff3ae9bb3d672a2ac4f950ece759ca659030c57218bde5b90db72c8cbf53"),
+        ("1:20,2:10,3:5", 3, 4, 1, "459572df76a2ed115942f10654030c86b7c6af0b5ec857bdaf43009b8f0b44cd"),
+    ],
+    ids=["demo-default", "demo-thresholds", "demo-thresholds-2-workers", "demo-subset-max-spans"],
+)
+def test_demo_spans_golden_digest(tmp_path, thresholds, subset_step, max_spans, workers, digest):
+    docs = [model_input(doc) for doc in generate_demo_corpus()]
+    save_index(build_index(docs), tmp_path / "index.spmi")
+    index = load_index(tmp_path / "index.spmi")
+    fn = parse_thresholds(thresholds) if thresholds else DEFAULT_THRESHOLDS.scaled_to(len(docs))
+    out = tmp_path / "spans.jsonl"
+    mine_corpus(docs[::subset_step], index, out, thresholds=fn, max_spans=max_spans, workers=workers)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+MALFORMED_SPANS = {
+    "missing-id": {"spans": []},
+    "duplicate-id": {"id": "a", "spans": []},
+    "empty-id": {"id": "", "spans": []},
+    "non-string-id": {"id": 7, "spans": []},
+    "non-object-line": [1, 2],
+    "spans-not-a-list": {"id": "b", "spans": "x y"},
+    "item-not-an-object": {"id": "b", "spans": ["x y"]},
+    "item-missing-text": {"id": "b", "spans": [{"rank": 0, "len": 1}]},
+    "item-empty-text": {"id": "b", "spans": [{"text": " ", "rank": 0, "len": 1}]},
+    "item-missing-rank": {"id": "b", "spans": [{"text": "x", "len": 1}]},
+    "non-integer-rank": {"id": "b", "spans": [{"text": "x", "rank": 1.5, "len": 1}]},
+    "string-rank": {"id": "b", "spans": [{"text": "x", "rank": "1", "len": 1}]},
+    "boolean-rank": {"id": "b", "spans": [{"text": "x", "rank": True, "len": 1}]},
+    "negative-rank": {"id": "b", "spans": [{"text": "x", "rank": -1, "len": 1}]},
+}
+
+
+def write_spans_with_bad_line(path, bad_record):
+    good = {"id": "a", "spans": [{"text": "x y", "rank": 0, "len": 2}]}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad_record) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPANS))
+def test_load_spans_rejects_malformed_record(tmp_path, case):
+    path = write_spans_with_bad_line(tmp_path / "spans.jsonl", MALFORMED_SPANS[case])
+    with pytest.raises(DataError, match=r"spans\.jsonl: line 2"):
+        load_spans(path)
