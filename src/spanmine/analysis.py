@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .bm25 import BM25Index, Query
 from .corpus import Document, model_input
 from .errors import DataError
-from .evaluation import keyphrase_set, split_present_absent, stem_phrase
+from .evaluation import StemMemo, keyphrase_set, split_present_absent
 from .miner import MAX_NGRAM, SalientSpan, length_distribution
 
 logger = logging.getLogger(__name__)
@@ -106,12 +106,13 @@ def retrieval_success(
     counts: dict[int, int] = {n: 0 for n in range(1, MAX_NGRAM + 1)}
     total = 0
     total_hits = 0
+    stems = StemMemo()
     for doc in gold_docs:
         if not doc.keyphrases:
             raise DataError(f"document {doc.id!r} has no keyphrases")
         slot = index.slot_of(doc.id)
-        tokenized = model_input(doc, max_tokens=None)
-        present, _ = split_present_absent(keyphrase_set(doc.keyphrases), tokenized)
+        doc_stemmed = stems.phrase(model_input(doc, max_tokens=None).tokens)
+        present, _ = split_present_absent(keyphrase_set(doc.keyphrases, stems), doc_stemmed)
         for phrase in present.phrases:
             total += 1
             retrieved = {ref for ref, _ in index.top_k(Query(tuple(phrase)), k)}
@@ -179,17 +180,18 @@ def overlap_metrics(
     """
     overall_rows: list[tuple] = []
     length_rows: dict[int, list[tuple]] = {n: [] for n in range(1, MAX_NGRAM + 1)}
+    stems = StemMemo()
     for doc in gold_docs:
         if not doc.keyphrases:
             raise DataError(f"document {doc.id!r} has no keyphrases")
         if doc.id not in spans_by_id:
             raise DataError(f"spans file has no entry for document {doc.id!r}")
-        tokenized = model_input(doc, max_tokens=None)
-        gold = keyphrase_set(doc.keyphrases)
-        present, _ = split_present_absent(gold, tokenized)
+        doc_stemmed = stems.phrase(model_input(doc, max_tokens=None).tokens)
+        gold = keyphrase_set(doc.keyphrases, stems)
+        present, _ = split_present_absent(gold, doc_stemmed)
         present_stemmed = list(present.stemmed)
         all_gold_stemmed = list(gold.stemmed)
-        span_stemmed = [stem_phrase(s.tokens) for s in spans_by_id[doc.id]]
+        span_stemmed = [stems.phrase(s.tokens) for s in spans_by_id[doc.id]]
         overall_rows.append(_doc_overlap(present_stemmed, all_gold_stemmed, span_stemmed))
         for n in length_rows:
             length_rows[n].append(

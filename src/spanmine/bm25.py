@@ -239,6 +239,14 @@ class _Reader:
         self.pos += n
         return chunk
 
+    def text(self, what: str) -> str:
+        """A varint-length-prefixed UTF-8 string."""
+        raw = self.take(self.varint())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(f"index file corrupt (invalid UTF-8 in a {what})") from exc
+
 
 def save_index(index: BM25Index, path) -> None:
     """Serialize to the single-file binary format described above."""
@@ -295,13 +303,13 @@ def load_index(path) -> BM25Index:
     doc_ids = []
     doc_lens = []
     for _ in range(num_docs):
-        doc_ids.append(reader.take(reader.varint()).decode("utf-8"))
+        doc_ids.append(reader.text("document id"))
         doc_lens.append(reader.varint())
     postings: dict[str, list[Posting]] = {}
     prev = ""
     for _ in range(reader.varint()):
         shared = reader.varint()
-        term = prev[:shared] + reader.take(reader.varint()).decode("utf-8")
+        term = prev[:shared] + reader.text("term")
         plist = []
         doc_ref = 0
         for _ in range(reader.varint()):

@@ -69,6 +69,57 @@ _DIGIT_RUN = re.compile(r"[0-9]+")
 _TOKEN = re.compile(r"<digit>|<sep>|\w+(?:-\w+)*|[^\w\s]")
 
 
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` from a UTF-8 text file.
+
+    Bytes that are not valid UTF-8 raise DataError naming the file, the
+    line and the first bad byte.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise DataError(_where_utf8_fails(path)) from exc
+
+
+# Undecodable bytes read with errors="surrogateescape" become U+DC80..U+DCFF,
+# which strict UTF-8 never produces.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _where_utf8_fails(path) -> str:
+    """Locate the first undecodable byte, splitting lines as the strict read does."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            bad = _ESCAPED_BYTE.search(line)
+            if bad:
+                return f"{path}: line {line_no}: invalid UTF-8 (byte 0x{ord(bad.group()) - 0xDC00:02X})"
+    return f"{path}: invalid UTF-8"
+
+
+def contains(hay: tuple[str, ...], needle: tuple[str, ...]) -> bool:
+    """True when ``needle`` occurs contiguously in ``hay``; never for an empty needle.
+
+    Jumps between occurrences of the needle's first token and compares one
+    slice at each.
+    """
+    n = len(needle)
+    if not n or n > len(hay):
+        return False
+    first = needle[0]
+    stop = len(hay) - n + 1
+    find = hay.index
+    i = 0
+    try:
+        while True:
+            i = find(first, i, stop)
+            if hay[i : i + n] == needle:
+                return True
+            i += 1
+    except ValueError:
+        return False
+
+
 def normalize(text: str) -> str:
     """Lowercase and collapse every maximal ASCII digit run to ``<digit>``."""
     return _DIGIT_RUN.sub(DIGIT_TOKEN, text.lower())
@@ -128,37 +179,36 @@ def load_corpus(
     schema = dict(DEFAULT_SCHEMA, **(schema or {}))
     report = on_issue or (lambda n, msg: logger.warning("%s: line %d: %s", path, n, msg))
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"malformed JSON ({exc.msg})", line_no) from exc
-            if not isinstance(record, dict):
-                raise CorpusFormatError("line is not a JSON object", line_no)
-            doc_id = record.get(schema["id"])
-            if not doc_id or not isinstance(doc_id, str):
-                report(line_no, f"missing or empty {schema['id']!r} field; record skipped")
-                continue
-            if doc_id in seen:
-                raise DuplicateIdError(f"duplicate document id {doc_id!r} (line {line_no})")
-            seen.add(doc_id)
-            missing = [name for name in ("title", "body") if schema[name] not in record]
-            if missing:
-                report(line_no, f"id {doc_id!r}: missing field(s) {', '.join(schema[m] for m in missing)}")
-            title = str(record.get(schema["title"], "") or "")
-            body = str(record.get(schema["body"], "") or "")
-            if not title and not body:
-                report(line_no, f"id {doc_id!r}: both title and body empty; record skipped")
-                continue
-            yield Document(
-                id=doc_id,
-                title=title,
-                body=body,
-                keyphrases=_parse_keyphrases(record.get(schema["keyphrases"])),
-            )
+    for line_no, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"malformed JSON ({exc.msg})", line_no) from exc
+        if not isinstance(record, dict):
+            raise CorpusFormatError("line is not a JSON object", line_no)
+        doc_id = record.get(schema["id"])
+        if not doc_id or not isinstance(doc_id, str):
+            report(line_no, f"missing or empty {schema['id']!r} field; record skipped")
+            continue
+        if doc_id in seen:
+            raise DuplicateIdError(f"duplicate document id {doc_id!r} (line {line_no})")
+        seen.add(doc_id)
+        missing = [name for name in ("title", "body") if schema[name] not in record]
+        if missing:
+            report(line_no, f"id {doc_id!r}: missing field(s) {', '.join(schema[m] for m in missing)}")
+        title = str(record.get(schema["title"], "") or "")
+        body = str(record.get(schema["body"], "") or "")
+        if not title and not body:
+            report(line_no, f"id {doc_id!r}: both title and body empty; record skipped")
+            continue
+        yield Document(
+            id=doc_id,
+            title=title,
+            body=body,
+            keyphrases=_parse_keyphrases(record.get(schema["keyphrases"])),
+        )
 
 
 def write_corpus(docs: Iterable[Document], path, schema: Mapping[str, str] | None = None) -> int:
@@ -185,8 +235,9 @@ def dataset_stats(corpus: Iterable[Document]) -> CorpusStats:
     Requires every document to carry keyphrases; absence is decided by the
     same stemmed-containment test the evaluator uses.
     """
-    from .evaluation import keyphrase_set, split_present_absent
+    from .evaluation import StemMemo, keyphrase_set, split_present_absent
 
+    stems = StemMemo()
     num_docs = 0
     total_kp = 0
     total_kp_tokens = 0
@@ -198,10 +249,10 @@ def dataset_stats(corpus: Iterable[Document]) -> CorpusStats:
         num_docs += 1
         tokenized = model_input(doc, max_tokens=None)
         total_doc_tokens += len(tokenized.tokens)
-        gold = keyphrase_set(doc.keyphrases)
+        gold = keyphrase_set(doc.keyphrases, stems)
         total_kp += len(gold.phrases)
         total_kp_tokens += sum(len(p) for p in gold.phrases)
-        _, absent = split_present_absent(gold, tokenized)
+        _, absent = split_present_absent(gold, stems.phrase(tokenized.tokens))
         total_absent += len(absent.phrases)
     if num_docs == 0:
         raise DataError("corpus contains no labeled documents")

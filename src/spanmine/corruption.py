@@ -21,7 +21,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .corpus import TokenizedDoc
+from .corpus import TokenizedDoc, contains
 from .errors import DataError, SkipDocument
 from .miner import SalientSpan
 
@@ -191,7 +191,7 @@ def build_ssp_target(spans: Sequence[SalientSpan], sep: str = ";") -> list[str]:
     kept = [
         span
         for span in unique
-        if not any(other.length > span.length and _contains(other.tokens, span.tokens) for other in unique)
+        if not any(other.length > span.length and contains(other.tokens, span.tokens) for other in unique)
     ]
     if not kept:
         raise SkipDocument("no salient spans to predict")
@@ -201,11 +201,6 @@ def build_ssp_target(spans: Sequence[SalientSpan], sep: str = ";") -> list[str]:
             out.append(sep)
         out.extend(span.tokens)
     return out
-
-
-def _contains(hay: tuple[str, ...], needle: tuple[str, ...]) -> bool:
-    n = len(needle)
-    return any(hay[i : i + n] == needle for i in range(len(hay) - n + 1))
 
 
 def _ti_plan(doc: TokenizedDoc, cfg: CorruptionConfig) -> tuple[Interval, ...]:

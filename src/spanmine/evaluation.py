@@ -5,6 +5,9 @@ contiguously in the stemmed document tokens. Predictions and gold are
 both split this way, then present predictions score against present gold
 and absent against absent. Matching is exact stemmed-sequence equality.
 
+Each top-level call that stems owns one StemMemo, so a distinct token is
+stemmed once per call and each document once for both of its splits.
+
 F1@M scores all (deduplicated) predictions; F1@k keeps the first k and
 divides precision by k even when fewer predictions exist, mirroring the
 convention of the evaluation scripts this protocol follows.
@@ -17,7 +20,7 @@ import logging
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .corpus import Document, TokenizedDoc, model_input, normalize, tokenize
+from .corpus import Document, contains, model_input, normalize, read_lines, tokenize
 from .errors import AlignmentError, DataError
 from .porter import stem
 
@@ -27,8 +30,24 @@ REPORT_SCHEMA_VERSION = 1
 
 
 def stem_phrase(phrase: Sequence[str]) -> tuple[str, ...]:
-    """Porter-stem every token of a phrase."""
+    """Porter-stem every token of a phrase (uncached)."""
     return tuple(stem(token) for token in phrase)
+
+
+class StemMemo(dict):
+    """Token -> Porter stem, computed on first lookup.
+
+    Make one per top-level call and let it go when the call returns: it
+    grows with the call's distinct tokens and is never shared.
+    """
+
+    def __missing__(self, token: str) -> str:
+        stemmed = self[token] = stem(token)
+        return stemmed
+
+    def phrase(self, tokens: Iterable[str]) -> tuple[str, ...]:
+        """The stems of ``tokens``, in order."""
+        return tuple(map(self.__getitem__, tokens))
 
 
 @dataclass(frozen=True)
@@ -56,8 +75,9 @@ class KeyphraseSet:
         return out
 
 
-def keyphrase_set(raw_phrases: Iterable[str]) -> KeyphraseSet:
+def keyphrase_set(raw_phrases: Iterable[str], stems: StemMemo | None = None) -> KeyphraseSet:
     """Tokenize and stem raw phrase strings, dropping empties."""
+    stems = StemMemo() if stems is None else stems
     phrases = []
     for raw in raw_phrases:
         tokens = tuple(tokenize(normalize(raw)))
@@ -65,38 +85,28 @@ def keyphrase_set(raw_phrases: Iterable[str]) -> KeyphraseSet:
             phrases.append(tokens)
     return KeyphraseSet(
         phrases=tuple(phrases),
-        stemmed=tuple(stem_phrase(p) for p in phrases),
+        stemmed=tuple(stems.phrase(p) for p in phrases),
     )
 
 
-def parse_predictions(line: str, sep: str = ";") -> KeyphraseSet:
+def parse_predictions(line: str, sep: str = ";", stems: StemMemo | None = None) -> KeyphraseSet:
     """Split one generated line on the separator into a KeyphraseSet."""
-    return keyphrase_set(part for part in line.split(sep) if part.strip())
-
-
-def _contains(hay: Sequence[str], needle: Sequence[str]) -> bool:
-    n = len(needle)
-    if n == 0 or n > len(hay):
-        return False
-    needle = tuple(needle)
-    return any(tuple(hay[i : i + n]) == needle for i in range(len(hay) - n + 1))
+    return keyphrase_set((part for part in line.split(sep) if part.strip()), stems)
 
 
 def split_present_absent(
-    phrases: KeyphraseSet, doc: TokenizedDoc
+    phrases: KeyphraseSet, doc_stemmed: tuple[str, ...]
 ) -> tuple[KeyphraseSet, KeyphraseSet]:
-    """Partition phrases by stemmed contiguous occurrence in the document."""
-    doc_stemmed = stem_phrase(doc.tokens)
-    present_idx = [i for i, p in enumerate(phrases.stemmed) if _contains(doc_stemmed, p)]
-    absent_idx = [i for i in range(len(phrases)) if i not in set(present_idx)]
+    """Partition phrases by contiguous occurrence in the stemmed document tokens."""
+    present = [contains(doc_stemmed, p) for p in phrases.stemmed]
 
-    def pick(indexes):
+    def pick(keep: bool) -> KeyphraseSet:
         return KeyphraseSet(
-            phrases=tuple(phrases.phrases[i] for i in indexes),
-            stemmed=tuple(phrases.stemmed[i] for i in indexes),
+            phrases=tuple(p for p, hit in zip(phrases.phrases, present) if hit is keep),
+            stemmed=tuple(p for p, hit in zip(phrases.stemmed, present) if hit is keep),
         )
 
-    return pick(present_idx), pick(absent_idx)
+    return pick(True), pick(False)
 
 
 @dataclass(frozen=True)
@@ -239,14 +249,15 @@ def evaluate(
         )
     present_report = CategoryReport()
     absent_report = CategoryReport()
+    stems = StemMemo()
     for line, doc in zip(predictions, gold_docs):
         if doc.keyphrases is None:
             raise DataError(f"gold document {doc.id!r} has no keyphrases")
-        tokenized = model_input(doc, max_tokens=None)
-        preds = parse_predictions(line, sep)
-        gold = keyphrase_set(doc.keyphrases)
-        pred_present, pred_absent = split_present_absent(preds, tokenized)
-        gold_present, gold_absent = split_present_absent(gold, tokenized)
+        doc_stemmed = stems.phrase(model_input(doc, max_tokens=None).tokens)
+        preds = parse_predictions(line, sep, stems)
+        gold = keyphrase_set(doc.keyphrases, stems)
+        pred_present, pred_absent = split_present_absent(preds, doc_stemmed)
+        gold_present, gold_absent = split_present_absent(gold, doc_stemmed)
         for report, pred_cat, gold_cat in (
             (present_report, pred_present, gold_present),
             (absent_report, pred_absent, gold_absent),
@@ -273,8 +284,7 @@ def evaluate_file(
     report_path=None,
 ) -> EvalReport:
     """Evaluate a one-line-per-document predictions file; optionally write JSON."""
-    with open(preds_path, encoding="utf-8") as fh:
-        predictions = [line.rstrip("\n") for line in fh]
+    predictions = [line.rstrip("\n") for _, line in read_lines(preds_path)]
     while predictions and not predictions[-1].strip():
         predictions.pop()
     report = evaluate(predictions, gold_docs, sep=sep, k=k)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import neg
 
 from .bm25 import BM25Index, Query
-from .corpus import DIGIT_TOKEN, SEP_TOKEN, TokenizedDoc
+from .corpus import DIGIT_TOKEN, SEP_TOKEN, TokenizedDoc, read_lines
 from .errors import DataError
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -288,19 +288,18 @@ def mine_corpus(
 def load_spans(path) -> dict[str, list[SalientSpan]]:
     """Read a spans file back into a doc-id keyed map."""
     spans_by_id: dict[str, list[SalientSpan]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {line_no}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: malformed JSON ({exc.msg})") from exc
-            doc_id, spans = _parse_spans_record(record, where)
-            if doc_id in spans_by_id:
-                raise DataError(f"{where}: duplicate id {doc_id!r}")
-            spans_by_id[doc_id] = spans
+    for line_no, line in read_lines(path):
+        if not line.strip():
+            continue
+        where = f"{path}: line {line_no}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{where}: malformed JSON ({exc.msg})") from exc
+        doc_id, spans = _parse_spans_record(record, where)
+        if doc_id in spans_by_id:
+            raise DataError(f"{where}: duplicate id {doc_id!r}")
+        spans_by_id[doc_id] = spans
     return spans_by_id
 
 

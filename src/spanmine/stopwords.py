@@ -5,6 +5,8 @@ tokenizer isolates apostrophes. Override with --stoplist FILE (one word
 per line, '#' comments allowed).
 """
 
+from .corpus import read_lines
+
 DEFAULT_STOPWORDS = frozenset("""
 a about above after again against ain all also am an and any are aren as at
 be because been before being below between both but by can cannot could
@@ -23,9 +25,8 @@ you your yours yourself yourselves
 def load_stoplist(path) -> frozenset[str]:
     """Read a custom stop word list: one word per line, '#' starts a comment."""
     words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.split("#", 1)[0].strip().lower()
-            if word:
-                words.add(word)
+    for _, line in read_lines(path):
+        word = line.split("#", 1)[0].strip().lower()
+        if word:
+            words.add(word)
     return frozenset(words)

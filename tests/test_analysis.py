@@ -50,11 +50,11 @@ class TestRetrievalSuccess:
         hits = {1: 0, 2: 0}
         counts = {1: 0, 2: 0}
         total = total_hits = 0
-        from spanmine import keyphrase_set, split_present_absent
+        from spanmine import keyphrase_set, split_present_absent, stem_phrase
 
         for slot, doc in enumerate(docs):
             present, _ = split_present_absent(
-                keyphrase_set(doc.keyphrases), model_input(doc, max_tokens=None)
+                keyphrase_set(doc.keyphrases), stem_phrase(model_input(doc, max_tokens=None).tokens)
             )
             for phrase in present.phrases:
                 total += 1

@@ -234,6 +234,23 @@ class TestPersistence:
         with pytest.raises(IndexFormatError, match="version"):
             load_index(path)
 
+    @pytest.mark.parametrize("field", ["doc-id", "term"])
+    def test_invalid_utf8_is_index_format_error(self, tmp_path, field):
+        import struct
+        import zlib
+
+        from spanmine import TokenizedDoc
+
+        # "é" is two bytes (c3 a9); overwrite them with an invalid pair.
+        doc_id, term = ("dé", "x") if field == "doc-id" else ("d", "é")
+        path = tmp_path / "idx.spmi"
+        save_index(build_index([TokenizedDoc(doc_id, (term,), 0)]), path)
+        data = path.read_bytes()[:-4]
+        data = data.replace("é".encode("utf-8"), b"\xe9\x41")
+        path.write_bytes(data + struct.pack("<I", zlib.crc32(data)))
+        with pytest.raises(IndexFormatError, match="invalid UTF-8"):
+            load_index(path)
+
 
 def test_expected_idf_formula(toy_index):
     # df("a") = 2 of 3 docs.

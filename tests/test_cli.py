@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spanmine
 from spanmine.cli import EXIT_DATA, EXIT_IO, EXIT_OK, run
 
 
@@ -94,6 +99,24 @@ class TestSubcommands:
         spans.write_text(json.dumps(record) + "\n", encoding="utf-8")
         assert run(["-q", "analyze", "spans", "--spans", str(spans)]) == EXIT_DATA
 
+    def test_bad_utf8_corpus_is_data_error(self, corpus, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(corpus.read_bytes() + b'{"id": "c9", "title": "caf\xe9", "abstract": "x"}\n')
+        assert run(["-q", "stats", "--corpus", str(bad)]) == EXIT_DATA
+
+    def test_bad_utf8_spans_is_data_error(self, tmp_path):
+        spans = tmp_path / "spans.jsonl"
+        spans.write_bytes(b'{"id": "a", "spans": [{"text": "caf\xe9", "rank": 0}]}\n')
+        assert run(["-q", "analyze", "spans", "--spans", str(spans)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("bad_file", ["preds", "gold"])
+    def test_bad_utf8_eval_is_data_error(self, corpus, tmp_path, bad_file):
+        preds = tmp_path / "preds.txt"
+        preds.write_text("sparse solvers\ngraph pruning\ncodec design\n", encoding="utf-8")
+        bad = preds if bad_file == "preds" else corpus
+        bad.write_bytes(bad.read_bytes().replace(b"pruning", b"pr\xe9ning", 1))
+        assert run(["-q", "eval", "--preds", str(preds), "--gold", str(corpus)]) == EXIT_DATA
+
     def test_io_error_exit_code(self, tmp_path):
         assert run(["-q", "stats", "--corpus", str(tmp_path / "nope.jsonl")]) == EXIT_IO
 
@@ -125,3 +148,14 @@ class TestDemoDeterminism:
         assert run(["-q", "demo", "--out", str(b), "--threads", "1"]) == EXIT_OK
         capsys.readouterr()
         assert self._hashes(a) == self._hashes(b)
+
+
+def test_python_m_spanmine_version():
+    src = str(Path(spanmine.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spanmine", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"spanmine {spanmine.__version__}"

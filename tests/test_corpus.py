@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spanmine import (
@@ -8,12 +8,16 @@ from spanmine import (
     Document,
     DuplicateIdError,
     dataset_stats,
+    evaluate_file,
     load_corpus,
+    load_spans,
+    load_stoplist,
     model_input,
     normalize,
     tokenize,
     write_corpus,
 )
+from spanmine.corpus import contains
 
 
 class TestNormalize:
@@ -182,3 +186,87 @@ class TestDatasetStats:
         doc = Document("d", "t", "b", ("one", "two words", "three word phrase"))
         stats = dataset_stats([doc])
         assert stats.avg_kp_len == pytest.approx(2.0)
+
+
+def naive_contains(hay, needle):
+    """Reference: compare the needle with the slice at every position."""
+    n = len(needle)
+    return n > 0 and any(hay[i : i + n] == needle for i in range(len(hay) - n + 1))
+
+
+# A three-token alphabet makes repeated first tokens and near misses common.
+_TOKENS = st.lists(st.sampled_from(["a", "b", "c"]), max_size=12).map(tuple)
+
+
+class TestContains:
+    @given(hay=_TOKENS, needle=_TOKENS)
+    @example(hay=(), needle=())
+    @example(hay=("a",), needle=())
+    @example(hay=("a", "b"), needle=("a", "b", "c"))
+    @example(hay=("a", "a", "a", "b"), needle=("a", "a", "b"))
+    @example(hay=("a", "b", "a", "c"), needle=("a", "c"))
+    @example(hay=("b", "c", "a"), needle=("a",))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_naive_scan(self, hay, needle):
+        assert contains(hay, needle) == naive_contains(hay, needle)
+
+    @given(prefix=_TOKENS, needle=_TOKENS.filter(bool))
+    @settings(max_examples=200, deadline=None)
+    def test_match_at_last_position(self, prefix, needle):
+        assert contains(prefix + needle, needle)
+
+    @given(hay=_TOKENS, needle=_TOKENS)
+    @settings(max_examples=200, deadline=None)
+    def test_needle_longer_than_hay_never_matches(self, hay, needle):
+        assert not contains(hay, hay + needle + ("a",))
+
+    def test_empty_needle_never_matches(self):
+        assert not contains((), ())
+        assert not contains(("a",), ())
+
+
+def _write_with_bad_byte(path, good_lines, bad_line: bytes):
+    path.write_bytes("".join(line + "\n" for line in good_lines).encode("utf-8") + bad_line + b"\n")
+    return path
+
+
+_GOOD_RECORD = '{"id": "a", "title": "t", "abstract": "b", "keywords": ["k"]}'
+
+
+class TestBadUtf8:
+    """Every text loader turns undecodable bytes into DataError naming the line."""
+
+    @pytest.mark.parametrize(
+        "name, good, bad, load",
+        [
+            ("corpus.jsonl", [_GOOD_RECORD], b'{"id": "b", "title": "caf\xe9", "abstract": "x"}',
+             lambda p: list(load_corpus(p))),
+            ("spans.jsonl", ['{"id": "a", "spans": []}'], b'{"id": "b", "spans": [{"text": "\xe9", "rank": 0}]}',
+             load_spans),
+            ("stop.txt", ["the"], b"caf\xe9", load_stoplist),
+            ("preds.txt", ["k"], b"k ; caf\xe9",
+             lambda p: evaluate_file(p, [Document("a", "t", "b", ("k",)), Document("b", "t", "b", ("k",))])),
+        ],
+        ids=["corpus", "spans", "stoplist", "predictions"],
+    )
+    def test_loader_names_file_and_line(self, tmp_path, name, good, bad, load):
+        path = _write_with_bad_byte(tmp_path / name, good, bad)
+        with pytest.raises(DataError, match=rf"{name.replace('.', '[.]')}: line 2: invalid UTF-8 \(byte 0xE9\)"):
+            load(path)
+
+    def test_line_number_exact_past_first_read_chunk(self, tmp_path):
+        good = [_GOOD_RECORD.replace('"a"', f'"d{i}"', 1) for i in range(3000)]
+        path = _write_with_bad_byte(tmp_path / "corpus.jsonl", good, b'{"id": "x", "title": "\xff"}')
+        with pytest.raises(DataError, match=r"line 3001: invalid UTF-8 \(byte 0xFF\)"):
+            list(load_corpus(path))
+
+    def test_truncated_sequence_at_end_of_file(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_bytes(b"the\ncaf\xc3")
+        with pytest.raises(DataError, match=r"line 2: invalid UTF-8 \(byte 0xC3\)"):
+            load_stoplist(path)
+
+    def test_escaped_surrogate_in_json_is_not_bad_utf8(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "a", "title": "x\\udce9", "abstract": "b"}\n', encoding="utf-8")
+        assert [d.title for d in load_corpus(path)] == ["x\udce9"]

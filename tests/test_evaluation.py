@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from spanmine import (
     keyphrase_set,
     parse_predictions,
     split_present_absent,
+    stem_phrase,
 )
 
 
@@ -43,7 +45,7 @@ class TestParsePredictions:
 class TestPresentAbsentSplit:
     def test_structural_mechanics_document(self, labeled_doc, labeled_tokenized):
         gold = keyphrase_set(labeled_doc.keyphrases)
-        present, absent = split_present_absent(gold, labeled_tokenized)
+        present, absent = split_present_absent(gold, stem_phrase(labeled_tokenized.tokens))
         present_texts = {" ".join(p) for p in present.phrases}
         absent_texts = {" ".join(p) for p in absent.phrases}
         assert "mixed finite elements" in present_texts
@@ -56,7 +58,7 @@ class TestPresentAbsentSplit:
         from spanmine import model_input
 
         doc = model_input(Document("d", "", "graph networks at scale"), max_tokens=None)
-        present, absent = split_present_absent(keyphrase_set(["network"]), doc)
+        present, absent = split_present_absent(keyphrase_set(["network"]), stem_phrase(doc.tokens))
         assert len(present) == 1
         assert len(absent) == 0
 
@@ -64,7 +66,7 @@ class TestPresentAbsentSplit:
         from spanmine import model_input
 
         doc = model_input(Document("d", "", "alpha beta gamma"), max_tokens=None)
-        present, absent = split_present_absent(keyphrase_set(["alpha gamma"]), doc)
+        present, absent = split_present_absent(keyphrase_set(["alpha gamma"]), stem_phrase(doc.tokens))
         assert len(present) == 0
         assert len(absent) == 1
 
@@ -210,3 +212,49 @@ class TestEvaluate:
     def test_gold_without_keyphrases_rejected(self):
         with pytest.raises(DataError):
             evaluate(["x"], [Document("d", "t", "b", None)])
+
+
+@pytest.fixture(scope="module")
+def demo_scores(tmp_path_factory):
+    """Every stemming call's output on the 200-document demo corpus."""
+    from spanmine import build_index, dataset_stats, load_index, load_spans, mine_corpus, model_input, save_index
+    from spanmine.analysis import overlap_metrics, retrieval_success
+    from spanmine.demo import generate_demo_corpus, generate_demo_predictions
+    from spanmine.miner import DEFAULT_THRESHOLDS
+
+    tmp = tmp_path_factory.mktemp("demo")
+    docs = generate_demo_corpus()
+    preds = tmp / "predictions.txt"
+    preds.write_text("\n".join(generate_demo_predictions(docs)) + "\n", encoding="utf-8")
+    evaluate_file(preds, docs, report_path=tmp / "eval_report.json")
+    tokenized = [model_input(doc) for doc in docs]
+    save_index(build_index(tokenized), tmp / "index.spmi")
+    index = load_index(tmp / "index.spmi")
+    thresholds = DEFAULT_THRESHOLDS.scaled_to(len(docs))
+    mine_corpus(tokenized, index, tmp / "spans.jsonl", thresholds=thresholds, workers=1)
+    spans = load_spans(tmp / "spans.jsonl")
+
+    def digest(obj) -> bytes:
+        return json.dumps(obj, sort_keys=True).encode("utf-8")
+
+    return {
+        "eval-report": (tmp / "eval_report.json").read_bytes(),
+        "dataset-stats": digest(vars(dataset_stats(docs))),
+        "retrieval-success": digest(retrieval_success(docs, index, k=20).to_dict()),
+        "overlap": digest(overlap_metrics(docs, spans).to_dict()),
+    }
+
+
+# sha256 of the demo's eval_report.json bytes and of the sorted-key JSON of
+# dataset_stats and the two analysis reports. Pins scoring output bytes.
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("eval-report", "f1b3fcf0f3937bc892ec305c97b5ae206dbf11f784ea61e57e880789c7a2611e"),
+        ("dataset-stats", "dfb362851667591903c284b891a0586868b3aaa109e7e1bd8042aa3605753e4a"),
+        ("retrieval-success", "342df961f9f848a95215fcdfe10ae7ef1c12d831dd883aa5092ac8a023501dd7"),
+        ("overlap", "6108bfbc3e6024544ccecba035933f4375e636bf0611924c8bf80e34f0a9b335"),
+    ],
+)
+def test_demo_scores_golden_digest(demo_scores, name, digest):
+    assert hashlib.sha256(demo_scores[name]).hexdigest() == digest
