@@ -153,7 +153,7 @@ def model_input(doc: Document, max_tokens: int | None = DEFAULT_MAX_TOKENS) -> T
     return TokenizedDoc(doc_id=doc.id, tokens=tuple(tokens), title_len=title_len)
 
 
-def _parse_keyphrases(raw) -> tuple[str, ...] | None:
+def _parse_keyphrases(raw, path, line_no: int) -> tuple[str, ...] | None:
     if raw is None:
         return None
     if isinstance(raw, str):
@@ -161,7 +161,9 @@ def _parse_keyphrases(raw) -> tuple[str, ...] | None:
     elif isinstance(raw, list):
         parts = [str(p) for p in raw]
     else:
-        raise CorpusFormatError(f"keyphrase field must be a list or string, got {type(raw).__name__}")
+        raise CorpusFormatError(
+            f"{path}: line {line_no}: keyphrase field must be a list or string, got {type(raw).__name__}"
+        )
     return tuple(p.strip() for p in parts if p.strip())
 
 
@@ -185,15 +187,15 @@ def load_corpus(
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"malformed JSON ({exc.msg})", line_no) from exc
+            raise CorpusFormatError(f"{path}: line {line_no}: malformed JSON ({exc.msg})") from exc
         if not isinstance(record, dict):
-            raise CorpusFormatError("line is not a JSON object", line_no)
+            raise CorpusFormatError(f"{path}: line {line_no}: line is not a JSON object")
         doc_id = record.get(schema["id"])
         if not doc_id or not isinstance(doc_id, str):
             report(line_no, f"missing or empty {schema['id']!r} field; record skipped")
             continue
         if doc_id in seen:
-            raise DuplicateIdError(f"duplicate document id {doc_id!r} (line {line_no})")
+            raise DuplicateIdError(f"{path}: line {line_no}: duplicate document id {doc_id!r}")
         seen.add(doc_id)
         missing = [name for name in ("title", "body") if schema[name] not in record]
         if missing:
@@ -207,7 +209,7 @@ def load_corpus(
             id=doc_id,
             title=title,
             body=body,
-            keyphrases=_parse_keyphrases(record.get(schema["keyphrases"])),
+            keyphrases=_parse_keyphrases(record.get(schema["keyphrases"]), path, line_no),
         )
 
 

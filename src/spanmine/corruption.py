@@ -17,13 +17,14 @@ import json
 import logging
 import math
 import random
+from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .corpus import TokenizedDoc, contains
+from .corpus import TokenizedDoc
 from .errors import DataError, SkipDocument
 from .miner import SalientSpan
+from .pool import map_shared
 
 logger = logging.getLogger(__name__)
 
@@ -86,25 +87,36 @@ def locate_occurrences(
 ) -> list[tuple[Interval, SalientSpan]]:
     """Find non-overlapping span occurrences, longest spans first.
 
-    A region claimed by a longer span is never re-matched by a shorter
-    one. Returned in ascending start order.
+    A position index built per call, one pass over the document for each
+    distinct span length, maps every n-gram that is a span to its ascending
+    start positions; each distinct span then visits only its own starts,
+    so the cost follows the document length times the number of lengths
+    plus the occurrences, not spans times tokens. Claim rule, unchanged
+    from a left-to-right window scan: spans go by (longer, lower rank,
+    tokens), and each span claims, in ascending order, every start none of
+    whose positions is claimed yet. A start inside the same span's
+    previous claim always fails that test, and a region claimed by a
+    longer span is never re-matched by a shorter one. Returned in
+    ascending start order.
     """
-    claimed = [False] * len(tokens)
-    found: list[tuple[Interval, SalientSpan]] = []
+    tokens = tuple(tokens)
     unique: dict[tuple[str, ...], SalientSpan] = {}
     for span in sorted(spans, key=lambda s: (-s.length, s.rank, s.tokens)):
         unique.setdefault(span.tokens, span)
-    for span in unique.values():
-        n = span.length
-        i = 0
-        while i + n <= len(tokens):
-            if tuple(tokens[i : i + n]) == span.tokens and not any(claimed[i : i + n]):
-                for j in range(i, i + n):
-                    claimed[j] = True
+    starts: defaultdict[tuple[str, ...], list[int]] = defaultdict(list)
+    for n in {len(gram) for gram in unique}:
+        for i in range(len(tokens) - n + 1):
+            gram = tokens[i : i + n]
+            if gram in unique:
+                starts[gram].append(i)
+    claimed = [False] * len(tokens)
+    found: list[tuple[Interval, SalientSpan]] = []
+    for gram, span in unique.items():
+        n = len(gram)
+        for i in starts.get(gram, ()):
+            if not any(claimed[i : i + n]):
+                claimed[i : i + n] = [True] * n
                 found.append(((i, i + n), span))
-                i += n
-            else:
-                i += 1
     found.sort(key=lambda item: item[0])
     return found
 
@@ -179,7 +191,8 @@ def build_ssp_target(spans: Sequence[SalientSpan], sep: str = ";") -> list[str]:
 
     Pruning drops exact duplicates and any span whose token sequence
     appears contiguously inside a strictly longer span of the same
-    document.
+    document: one set holds every shorter contiguous sub-sequence of each
+    span, so the test is one lookup per span, not one scan per pair.
     """
     ordered = sorted(spans, key=lambda s: s.rank)
     unique: list[SalientSpan] = []
@@ -188,11 +201,13 @@ def build_ssp_target(spans: Sequence[SalientSpan], sep: str = ";") -> list[str]:
         if span.tokens not in seen:
             seen.add(span.tokens)
             unique.append(span)
-    kept = [
-        span
+    inside_longer = {
+        span.tokens[i : i + n]
         for span in unique
-        if not any(other.length > span.length and contains(other.tokens, span.tokens) for other in unique)
-    ]
+        for n in range(1, span.length)
+        for i in range(span.length - n + 1)
+    }
+    kept = [span for span in unique if span.tokens not in inside_longer]
     if not kept:
         raise SkipDocument("no salient spans to predict")
     out: list[str] = []
@@ -339,19 +354,7 @@ class GenSummary:
         }
 
 
-_GEN_STATE: dict = {}
-
-
-def _init_gen_worker(spans_by_id, cfg):
-    _GEN_STATE["args"] = (spans_by_id, cfg)
-
-
-def _gen_one(doc: TokenizedDoc):
-    spans_by_id, cfg = _GEN_STATE["args"]
-    return _build_record(doc, spans_by_id, cfg)
-
-
-def _build_record(doc: TokenizedDoc, spans_by_id, cfg: CorruptionConfig):
+def _build_record(spans_by_id, cfg: CorruptionConfig, doc: TokenizedDoc):
     spans = None
     if cfg.objective in ("ssr-m", "ssr-d", "ssp-m", "ssp-d"):
         if spans_by_id is None or doc.doc_id not in spans_by_id:
@@ -383,16 +386,8 @@ def gen_corpus(
     Output depends only on (docs, spans, cfg); same seed means byte
     identical files across runs and worker counts.
     """
-    doc_list = list(docs)
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_gen_worker,
-            initargs=(dict(spans_by_id) if spans_by_id is not None else None, cfg),
-        ) as pool:
-            results = list(pool.map(_gen_one, doc_list, chunksize=64))
-    else:
-        results = [_build_record(doc, spans_by_id, cfg) for doc in doc_list]
+    shared = (dict(spans_by_id) if spans_by_id is not None else None, cfg)
+    results = map_shared(_build_record, shared, list(docs), workers, chunksize=64)
 
     summary = GenSummary(objective=cfg.objective)
     with open(out_path, "w", encoding="utf-8") as fh:

@@ -16,12 +16,6 @@ class DataError(SpanmineError):
 class CorpusFormatError(DataError):
     """A corpus line violates the expected JSONL schema."""
 
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
-
 
 class DuplicateIdError(DataError):
     """The same document id appeared twice in one corpus."""

@@ -14,13 +14,13 @@ import logging
 import zlib
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import neg
 
 from .bm25 import BM25Index, Query
 from .corpus import DIGIT_TOKEN, SEP_TOKEN, TokenizedDoc, read_lines
 from .errors import DataError
+from .pool import map_shared
 from .stopwords import DEFAULT_STOPWORDS
 
 logger = logging.getLogger(__name__)
@@ -150,8 +150,8 @@ def _mine_shard(
     index: BM25Index,
     thresholds: ThresholdFn,
     stoplist: frozenset[str] | set[str],
-    shard: int = 0,
-    n_shards: int = 1,
+    n_shards: int,
+    shard: int,
 ) -> list[tuple[int, tuple[str, ...], int]]:
     """Rank one shard of the distinct candidate queries of ``doc_list``.
 
@@ -181,18 +181,6 @@ def _mine_shard(
     return kept
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_shard_worker(*args):
-    _WORKER_STATE["args"] = args
-
-
-def _mine_worker_shard(shard: int):
-    *args, n_shards = _WORKER_STATE["args"]
-    return _mine_shard(*args, shard, n_shards)
-
-
 def _mine_docs(
     doc_list: list[TokenizedDoc],
     index: BM25Index,
@@ -207,16 +195,9 @@ def _mine_docs(
     twice gets two lists.
     """
     slots = [index.slot_of(doc.doc_id) for doc in doc_list]
-    args = (doc_list, slots, index, thresholds, stoplist)
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_shard_worker,
-            initargs=(*args, workers),
-        ) as pool:
-            shards = list(pool.map(_mine_worker_shard, range(workers)))
-    else:
-        shards = [_mine_shard(*args)]
+    n_shards = max(workers, 1)
+    shared = (doc_list, slots, index, thresholds, stoplist, n_shards)
+    shards = map_shared(_mine_shard, shared, range(n_shards), n_shards)
 
     span_lists: list[list[SalientSpan]] = [[] for _ in doc_list]
     for kept in shards:

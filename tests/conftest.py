@@ -8,7 +8,16 @@ from collections import Counter
 
 import pytest
 
-from spanmine import Document, SalientSpan, TokenizedDoc, build_index, candidates, model_input
+from spanmine import (
+    Document,
+    SalientSpan,
+    SkipDocument,
+    TokenizedDoc,
+    build_index,
+    candidates,
+    model_input,
+)
+from spanmine.corpus import contains
 
 
 class BruteBM25:
@@ -63,6 +72,51 @@ def oracle_mine(doc, index, thresholds, stoplist, max_spans=None):
             kept.append(SalientSpan(tokens=cand.tokens, rank=rank))
     kept.sort(key=lambda s: (s.rank, -s.length, s.tokens))
     return kept if max_spans is None else kept[:max_spans]
+
+
+def oracle_locate_occurrences(tokens, spans):
+    """Reference span locator: slide a window over the document once per distinct span."""
+    claimed = [False] * len(tokens)
+    found = []
+    unique = {}
+    for span in sorted(spans, key=lambda s: (-s.length, s.rank, s.tokens)):
+        unique.setdefault(span.tokens, span)
+    for span in unique.values():
+        n = span.length
+        i = 0
+        while i + n <= len(tokens):
+            if tuple(tokens[i : i + n]) == span.tokens and not any(claimed[i : i + n]):
+                for j in range(i, i + n):
+                    claimed[j] = True
+                found.append(((i, i + n), span))
+                i += n
+            else:
+                i += 1
+    found.sort(key=lambda item: item[0])
+    return found
+
+
+def oracle_ssp_target(spans, sep=";"):
+    """Reference ssp target: prune by a pairwise containment test of every two spans."""
+    unique = []
+    seen = set()
+    for span in sorted(spans, key=lambda s: s.rank):
+        if span.tokens not in seen:
+            seen.add(span.tokens)
+            unique.append(span)
+    kept = [
+        span
+        for span in unique
+        if not any(other.length > span.length and contains(other.tokens, span.tokens) for other in unique)
+    ]
+    if not kept:
+        raise SkipDocument("no salient spans to predict")
+    out = []
+    for i, span in enumerate(kept):
+        if i:
+            out.append(sep)
+        out.extend(span.tokens)
+    return out
 
 
 def random_token_corpus(rng: random.Random, min_docs=5, max_docs=50, max_vocab=30, max_len=40):

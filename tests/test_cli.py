@@ -117,6 +117,18 @@ class TestSubcommands:
         bad.write_bytes(bad.read_bytes().replace(b"pruning", b"pr\xe9ning", 1))
         assert run(["-q", "eval", "--preds", str(preds), "--gold", str(corpus)]) == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "bad_line",
+        ["{broken", '{"id": "c0", "title": "again", "abstract": "x"}'],
+        ids=["malformed-json", "duplicate-id"],
+    )
+    def test_eval_malformed_gold_names_the_file(self, corpus, tmp_path, caplog, bad_line):
+        preds = tmp_path / "preds.txt"
+        preds.write_text("sparse solvers\ngraph pruning\ncodec design\n", encoding="utf-8")
+        corpus.write_text(corpus.read_text(encoding="utf-8") + bad_line + "\n", encoding="utf-8")
+        assert run(["-q", "eval", "--preds", str(preds), "--gold", str(corpus)]) == EXIT_DATA
+        assert f"{corpus}: line 4:" in caplog.text
+
     def test_io_error_exit_code(self, tmp_path):
         assert run(["-q", "stats", "--corpus", str(tmp_path / "nope.jsonl")]) == EXIT_IO
 

@@ -116,12 +116,25 @@ class TestLoadCorpus:
             tmp_path,
             ['{"id":"a1","title":"T","abstract":"B"}', '{"id":"a1","title":"U","abstract":"C"}'],
         )
-        with pytest.raises(DuplicateIdError, match="a1"):
+        with pytest.raises(DuplicateIdError, match=r"corpus\.jsonl: line 2: duplicate document id 'a1'"):
             list(load_corpus(path))
 
     def test_malformed_line_carries_number(self, tmp_path):
         path = self._write(tmp_path, ['{"id":"a1","title":"T","abstract":"B"}', "{broken"])
-        with pytest.raises(CorpusFormatError, match="line 2"):
+        with pytest.raises(CorpusFormatError, match=r"corpus\.jsonl: line 2: malformed JSON"):
+            list(load_corpus(path))
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1, 2]", "line is not a JSON object"),
+            ('{"id":"a2","title":"T","abstract":"B","keywords":3}', "keyphrase field must be a list or string"),
+        ],
+        ids=["non-object-line", "keyphrases-not-list-or-string"],
+    )
+    def test_bad_record_names_file_and_line(self, tmp_path, line, message):
+        path = self._write(tmp_path, ['{"id":"a1","title":"T","abstract":"B"}', line])
+        with pytest.raises(CorpusFormatError, match=rf"corpus\.jsonl: line 2: {message}"):
             list(load_corpus(path))
 
     def test_missing_fields_reported_not_dropped_silently(self, tmp_path):

@@ -1,9 +1,10 @@
+import hashlib
 import json
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spanmine import (
@@ -15,11 +16,20 @@ from spanmine import (
     apply_delete,
     apply_mask,
     build_example,
+    build_index,
     build_ssp_target,
     gen_corpus,
+    load_index,
+    load_spans,
+    mine_corpus,
+    model_input,
     plan_corruption,
+    save_index,
 )
-from spanmine.corruption import _poisson, locate_occurrences
+from spanmine.corruption import OBJECTIVES, _poisson, locate_occurrences
+from spanmine.demo import DEMO_SEED, generate_demo_corpus
+from spanmine.miner import DEFAULT_THRESHOLDS, MAX_NGRAM
+from tests.conftest import oracle_locate_occurrences, oracle_ssp_target
 
 
 def doc_of(tokens, doc_id="d", title_len=0):
@@ -59,6 +69,14 @@ class TestPlanCorruption:
         spans = spans_of("a b c", "b c", ranks=[5, 1])
         occ = locate_occurrences(doc.tokens, spans)
         assert [interval for interval, _ in occ] == [(0, 3)]
+
+    def test_equal_length_lower_rank_claims_first(self):
+        occ = locate_occurrences(("a", "b", "c"), spans_of("a b", "b c", ranks=[1, 0]))
+        assert [interval for interval, _ in occ] == [(1, 3)]
+
+    def test_self_overlapping_span_claims_left_to_right(self):
+        occ = locate_occurrences(("a",) * 5, spans_of("a a"))
+        assert [interval for interval, _ in occ] == [(0, 2), (2, 4)]
 
     def test_no_overlapping_marks(self):
         rng = random.Random(1)
@@ -333,3 +351,80 @@ class TestGenCorpus:
         # Bernoulli mixture variance bound: p(1-p) per token.
         sigma = math.sqrt(expected * (1 - expected) / total)
         assert abs(summary.corrupted_tokens / total - expected) <= 3 * sigma
+
+
+@st.composite
+def doc_and_spans(draw):
+    """A small-vocabulary document and spans for it.
+
+    Spans include slices of the document (so occurrences overlap), spans
+    absent from it ("z"), spans longer than MAX_NGRAM and repeats; ranks
+    are shuffled so that rank order and token order disagree, with ties.
+    """
+    tokens = draw(st.lists(st.sampled_from("abc"), max_size=40))
+    grams = draw(st.lists(st.lists(st.sampled_from("abcz"), min_size=1, max_size=MAX_NGRAM + 2), max_size=4))
+    if tokens:
+        for start in draw(st.lists(st.integers(0, len(tokens) - 1), max_size=8)):
+            grams.append(tokens[start : start + draw(st.integers(1, MAX_NGRAM + 1))])
+    if grams:
+        grams += draw(st.lists(st.sampled_from(grams), max_size=3))
+    ranks = draw(st.permutations(range(len(grams))))
+    return tokens, [SalientSpan(tokens=tuple(gram), rank=rank // 2) for gram, rank in zip(grams, ranks)]
+
+
+class TestAgainstOracles:
+    @given(doc_and_spans())
+    @example((["a"] * 4, spans_of("a a")))
+    @example((["a", "b", "c"], []))
+    @example(([], spans_of("a")))
+    @settings(max_examples=300)
+    def test_locate_occurrences_matches_window_scan(self, case):
+        tokens, spans = case
+        assert locate_occurrences(tokens, spans) == oracle_locate_occurrences(tokens, spans)
+
+    @given(doc_and_spans())
+    @example(([], []))
+    @example(([], spans_of("a a", "a", "a a a", "a a", ranks=[3, 0, 5, 1])))
+    @settings(max_examples=300)
+    def test_ssp_target_matches_pairwise_pruning(self, case):
+        _, spans = case
+        try:
+            expected = oracle_ssp_target(spans)
+        except SkipDocument:
+            with pytest.raises(SkipDocument):
+                build_ssp_target(spans)
+        else:
+            assert build_ssp_target(spans) == expected
+
+
+@pytest.fixture(scope="module")
+def demo_corruption(tmp_path_factory):
+    """The 200-document demo corpus, tokenized, with spans mined against a reloaded index."""
+    tmp = tmp_path_factory.mktemp("demo")
+    docs = [model_input(doc) for doc in generate_demo_corpus()]
+    save_index(build_index(docs), tmp / "index.spmi")
+    index = load_index(tmp / "index.spmi")
+    mine_corpus(docs, index, tmp / "spans.jsonl", thresholds=DEFAULT_THRESHOLDS.scaled_to(len(docs)))
+    return docs, load_spans(tmp / "spans.jsonl")
+
+
+# sha256 of each objective's output for the demo corpus at the demo seed.
+# Pins the corruption output bytes.
+CORRUPTION_DIGESTS = {
+    "ssr-m": "7201f2fe81cab1937f88840b6fb0ad5686d9777c73615c91a91a4c500106b409",
+    "ssr-d": "b524726ef51f70c9cc07d41b67920ca2054deff7d6eff157402b46c052b40568",
+    "ssp-m": "5867d50b02b0a9f629071ccaf171a77ee2f47130a14e722ea2464fc90a2b0f1a",
+    "ssp-d": "c622ad60cc9482c49d736576d2c6af623dfd86cdc58861254634ee1368487ecc",
+    "ti": "c95e508162b268b7255feb8295e6628c0e2cee330953acb8b38d61afb6cab330",
+    "tg": "d91c588b91cf86d550f4ac645bd529d9407147e24545e5332e8605c3213b2a98",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_demo_corruption_golden_digest(demo_corruption, tmp_path, objective, workers):
+    docs, spans = demo_corruption
+    out = tmp_path / "out.jsonl"
+    cfg = CorruptionConfig(objective=objective, seed=DEMO_SEED)
+    gen_corpus(docs, spans if objective.startswith("ss") else None, cfg, out, workers=workers)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CORRUPTION_DIGESTS[objective]
