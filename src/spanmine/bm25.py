@@ -20,7 +20,6 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import NamedTuple
 
 from .corpus import TokenizedDoc
@@ -38,6 +37,13 @@ class Posting(NamedTuple):
     term_freq: int
 
 
+class TermWeights(NamedTuple):
+    """A term's score contribution to each document that holds it, by slot."""
+
+    by_slot: dict[int, float]
+    max_weight: float
+
+
 @dataclass(frozen=True)
 class Query:
     """A bag of query terms; each occurrence contributes to the score."""
@@ -48,8 +54,13 @@ class Query:
         if not self.terms:
             raise DataError("query must contain at least one term")
         for term in self.terms:
-            if not term or any(ch.isspace() for ch in term):
-                raise DataError(f"query term {term!r} is empty or contains whitespace")
+            check_term(term)
+
+
+def check_term(term: str) -> None:
+    """Reject a query term that is empty or contains whitespace."""
+    if term.split() != [term]:  # str.split() splits on exactly what str.isspace() matches
+        raise DataError(f"query term {term!r} is empty or contains whitespace")
 
 
 def _as_query(query: Query | Sequence[str]) -> Query:
@@ -68,9 +79,9 @@ class BM25Index:
     b: float
     _slot_by_id: dict[str, int] = field(default_factory=dict, repr=False)
     _norms: list[float] = field(default_factory=list, repr=False)
-    # Per-term posting weights, parallel to the postings; filled on first use
-    # so that building or loading an index does no scoring work.
-    _weights: dict[str, list[float]] = field(default_factory=dict, repr=False, compare=False)
+    # Per-term weights by slot, filled on first use so that building or
+    # loading an index does no scoring work.
+    _weights: dict[str, TermWeights] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not self._slot_by_id:
@@ -117,16 +128,22 @@ class BM25Index:
                 total += self.idf(term) * tf * k1p1 / (tf + self._norms[doc_ref])
         return total
 
-    def _term_weights(self, term: str, plist: list[Posting]) -> list[float]:
-        """Each posting's score contribution, by the same expression as score()."""
-        weights = self._weights.get(term)
-        if weights is None:
+    def term_weights(self, term: str) -> TermWeights:
+        """Each posting's score contribution, by the same expression as score().
+
+        Cached per indexed term; a term the index lacks weighs nothing.
+        """
+        cached = self._weights.get(term)
+        if cached is None:
+            plist = self.postings.get(term)
+            if not plist:
+                return TermWeights({}, 0.0)
             idf = self.idf(term)
             norms = self._norms
             k1p1 = self.k1 + 1.0
-            weights = [idf * tf * k1p1 / (tf + norms[doc_ref]) for doc_ref, tf in plist]
-            self._weights[term] = weights
-        return weights
+            by_slot = {doc_ref: idf * tf * k1p1 / (tf + norms[doc_ref]) for doc_ref, tf in plist}
+            cached = self._weights[term] = TermWeights(by_slot, max(by_slot.values()))
+        return cached
 
     def scores(self, query: Query | Sequence[str]) -> dict[int, float]:
         """Sparse scores over the union of the query terms' postings.
@@ -139,15 +156,12 @@ class BM25Index:
         acc: dict[int, float] = {}
         get = acc.get
         for term in query.terms:
-            plist = self.postings.get(term)
-            if not plist:
-                continue
-            weights = self._term_weights(term, plist)
+            by_slot = self.term_weights(term).by_slot
             if acc:
-                for (doc_ref, _), weight in zip(plist, weights):
+                for doc_ref, weight in by_slot.items():
                     acc[doc_ref] = get(doc_ref, 0.0) + weight
             else:  # 0.0 + weight == weight, so the first term seeds the sums
-                acc.update(zip(map(itemgetter(0), plist), weights))
+                acc.update(by_slot)
         return acc
 
     def rank(self, query: Query | Sequence[str], source: int) -> int:

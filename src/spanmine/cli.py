@@ -72,18 +72,18 @@ def _path_flag(parser: argparse.ArgumentParser, name: str, required: bool = True
     )
 
 
-def _load_issue_counter():
+def _load_issue_counter(path):
     issues = {"count": 0}
 
     def on_issue(line_no: int, message: str) -> None:
         issues["count"] += 1
-        logger.warning("corpus line %d: %s", line_no, message)
+        logger.warning("%s: line %d: %s", path, line_no, message)
 
     return issues, on_issue
 
 
 def _cmd_stats(args) -> dict:
-    issues, on_issue = _load_issue_counter()
+    issues, on_issue = _load_issue_counter(args.corpus)
     docs = list(load_corpus(args.corpus, _schema_from_args(args), on_issue))
     logger.info("loaded %d documents from %s (%d issues)", len(docs), args.corpus, issues["count"])
     stats = dataset_stats(docs)
@@ -91,7 +91,7 @@ def _cmd_stats(args) -> dict:
 
 
 def _cmd_index(args) -> dict:
-    issues, on_issue = _load_issue_counter()
+    issues, on_issue = _load_issue_counter(args.corpus)
     docs = list(load_corpus(args.corpus, _schema_from_args(args), on_issue))
     logger.info("loaded %d documents from %s (%d issues)", len(docs), args.corpus, issues["count"])
     tokenized = (model_input(doc, args.max_tokens) for doc in docs)
@@ -109,7 +109,7 @@ def _cmd_index(args) -> dict:
 
 def _cmd_mine(args) -> dict:
     index = load_index(args.index)
-    issues, on_issue = _load_issue_counter()
+    issues, on_issue = _load_issue_counter(args.corpus)
     docs = list(load_corpus(args.corpus, _schema_from_args(args), on_issue))
     tokenized = [model_input(doc, args.max_tokens) for doc in docs]
     thresholds = parse_thresholds(args.thresholds) if args.thresholds else DEFAULT_THRESHOLDS
@@ -134,12 +134,14 @@ def _cmd_mine(args) -> dict:
         "total_spans": summary.total_spans,
         "avg_spans_per_doc": summary.avg_spans_per_doc,
         "length_distribution": {str(n): f for n, f in summary.length_distribution.items()},
+        "distinct_queries": summary.distinct_queries,
+        "docs_scored": summary.docs_scored,
         "out": str(args.out),
     }
 
 
 def _cmd_corrupt(args) -> dict:
-    issues, on_issue = _load_issue_counter()
+    issues, on_issue = _load_issue_counter(args.corpus)
     docs = list(load_corpus(args.corpus, _schema_from_args(args), on_issue))
     tokenized = [model_input(doc, args.max_tokens) for doc in docs]
     cfg = CorruptionConfig(
@@ -162,7 +164,7 @@ def _cmd_corrupt(args) -> dict:
 
 
 def _cmd_eval(args) -> dict:
-    issues, on_issue = _load_issue_counter()
+    issues, on_issue = _load_issue_counter(args.gold)
     docs = list(load_corpus(args.gold, _schema_from_args(args), on_issue))
     report = evaluate_file(args.preds, docs, sep=args.sep, k=args.k, report_path=args.report)
     result = report.to_dict(include_per_doc=False)
@@ -173,12 +175,12 @@ def _cmd_eval(args) -> dict:
 
 def _cmd_analyze(args) -> dict:
     if args.study == "success":
-        issues, on_issue = _load_issue_counter()
+        issues, on_issue = _load_issue_counter(args.gold)
         docs = list(load_corpus(args.gold, _schema_from_args(args), on_issue))
         index = load_index(args.index)
         result = analysis.retrieval_success(docs, index, k=args.k).to_dict()
     elif args.study == "overlap":
-        issues, on_issue = _load_issue_counter()
+        issues, on_issue = _load_issue_counter(args.gold)
         docs = list(load_corpus(args.gold, _schema_from_args(args), on_issue))
         result = analysis.overlap_metrics(docs, load_spans(args.spans)).to_dict()
     else:

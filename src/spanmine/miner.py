@@ -13,11 +13,12 @@ import json
 import logging
 import zlib
 from bisect import bisect_left
-from collections.abc import Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass
-from operator import neg
+from itertools import repeat
+from operator import add, neg
 
-from .bm25 import BM25Index, Query
+from .bm25 import BM25Index, TermWeights, check_term
 from .corpus import DIGIT_TOKEN, SEP_TOKEN, TokenizedDoc, read_lines
 from .errors import DataError
 from .pool import map_shared
@@ -96,10 +97,40 @@ def parse_thresholds(text: str) -> ThresholdFn:
     return ThresholdFn(mapping)
 
 
-def _eligible(token: str, stoplist: frozenset[str] | set[str]) -> bool:
-    if token in (SEP_TOKEN, DIGIT_TOKEN) or token in stoplist:
-        return False
-    return any(ch.isalnum() for ch in token)
+class _Eligibility(dict):
+    """Token -> whether it passes the stop/sentinel filter, decided once per token."""
+
+    def __init__(self, stoplist: frozenset[str] | set[str]):
+        super().__init__()
+        self.stoplist = stoplist
+
+    def __missing__(self, token: str) -> bool:
+        ok = self[token] = (
+            token not in (SEP_TOKEN, DIGIT_TOKEN)
+            and token not in self.stoplist
+            and any(ch.isalnum() for ch in token)
+        )
+        return ok
+
+
+def _ngrams(doc: TokenizedDoc, eligible: _Eligibility) -> dict[tuple[str, ...], int]:
+    """Distinct eligible 1..3-grams of ``doc`` -> offset of their first occurrence."""
+    tokens = tuple(doc.tokens)
+    if not tokens:
+        raise DataError(f"document {doc.doc_id!r} has no tokens")
+    ok = [eligible[tok] for tok in tokens]
+    seen: dict[tuple[str, ...], int] = {}
+    n_tokens = len(tokens)
+    for i in range(n_tokens):
+        if not ok[i]:
+            continue
+        for n in range(1, MAX_NGRAM + 1):
+            if i + n > n_tokens or not ok[i + n - 1]:
+                break
+            gram = tokens[i : i + n]
+            if gram not in seen:
+                seen[gram] = i
+    return seen
 
 
 def candidates(
@@ -112,21 +143,8 @@ def candidates(
     iteration); duplicates keep their earliest offset. n-grams never cross
     the title/body separator because the separator token is ineligible.
     """
-    if not doc.tokens:
-        raise DataError(f"document {doc.doc_id!r} has no tokens")
-    ok = [_eligible(tok, stoplist) for tok in doc.tokens]
-    seen: dict[tuple[str, ...], int] = {}
-    n_tokens = len(doc.tokens)
-    for i in range(n_tokens):
-        if not ok[i]:
-            continue
-        for n in range(1, MAX_NGRAM + 1):
-            if i + n > n_tokens or not all(ok[i : i + n]):
-                break
-            gram = tuple(doc.tokens[i : i + n])
-            if gram not in seen:
-                seen[gram] = i
-    return [CandidateSpan(tokens=gram, first_occurrence=i) for gram, i in seen.items()]
+    grams = _ngrams(doc, _Eligibility(stoplist))
+    return [CandidateSpan(tokens=gram, first_occurrence=i) for gram, i in grams.items()]
 
 
 def mine(
@@ -141,7 +159,7 @@ def mine(
     Ties order longer spans first, then lexicographically. ``max_spans``
     optionally caps the list after sorting.
     """
-    return _mine_docs([doc], index, thresholds, stoplist, max_spans)[0]
+    return _mine_docs([doc], index, thresholds, stoplist, max_spans)[0][0]
 
 
 def _mine_shard(
@@ -152,33 +170,84 @@ def _mine_shard(
     stoplist: frozenset[str] | set[str],
     n_shards: int,
     shard: int,
-) -> list[tuple[int, tuple[str, ...], int]]:
+) -> tuple[list[tuple[int, tuple[str, ...], int]], int, int]:
     """Rank one shard of the distinct candidate queries of ``doc_list``.
 
     Candidates are grouped by distinct query across all documents, so a
     query shared by many documents is scored once. A query belongs to
     shard crc32(text) % n_shards, which every process computes alike.
     Returns (position, query, rank) for every source document, by input
-    position, whose rank clears the threshold. A rank counts the
+    position, whose rank clears the threshold, then the number of
+    distinct queries and of documents fully scored. A rank counts the
     documents scoring strictly higher; only the best ``threshold + 1``
     scores are ordered, so a rank past the threshold reads as
     threshold + 1 and is dropped.
     """
+    eligible = _Eligibility(stoplist)
     sources: dict[tuple[str, ...], list[int]] = {}
     for pos, doc in enumerate(doc_list):
-        for cand in candidates(doc, stoplist):
-            if n_shards == 1 or zlib.crc32(" ".join(cand.tokens).encode()) % n_shards == shard:
-                sources.setdefault(cand.tokens, []).append(pos)
+        for gram in _ngrams(doc, eligible):
+            if n_shards == 1 or zlib.crc32(" ".join(gram).encode()) % n_shards == shard:
+                sources.setdefault(gram, []).append(pos)
+    for token, ok in eligible.items():  # each eligible token is also a query term
+        if ok:
+            check_term(token)
     kept = []
+    docs_scored = 0
     for query, positions in sources.items():
         limit = thresholds(len(query))
-        scores = index.scores(Query(query))
-        top = heapq.nlargest(limit + 1, scores.values())  # descending
-        for pos in positions:
-            rank = bisect_left(top, -scores.get(slots[pos], 0.0), key=neg)
+        terms = [index.term_weights(term) for term in query]
+        source_scores = [_score(terms, slots[pos]) for pos in positions]
+        scored = _scores_above(terms, min(source_scores))
+        docs_scored += len(scored)
+        top = heapq.nlargest(limit + 1, scored)  # descending
+        for pos, score in zip(positions, source_scores):
+            rank = bisect_left(top, -score, key=neg)
             if rank <= limit:
                 kept.append((pos, query, rank))
-    return kept
+    return kept, len(sources), docs_scored
+
+
+def _score(terms: list[TermWeights], slot: int) -> float:
+    """One document's score, summed in query-term order as BM25Index.scores() does."""
+    total = 0.0
+    for weights in terms:
+        total += weights.by_slot.get(slot, 0.0)
+    return total
+
+
+def _scores_above(terms: list[TermWeights], floor: float) -> Collection[float]:
+    """Scores of every document that may score above ``floor`` (MaxScore).
+
+    Query terms turn non-essential in ascending order of their largest
+    weight while those largest weights, summed in query order, stay at or
+    below ``floor``. Weights are positive and float addition is monotone,
+    so a document that holds only non-essential terms scores at most that
+    sum and cannot outscore a source scoring ``floor`` or more. Every
+    document of an essential term is scored in full, bitwise as
+    BM25Index.scores() does.
+    """
+    if len(terms) == 1:
+        return terms[0].by_slot.values() if terms[0].max_weight > floor else ()
+    maxes = [weights.max_weight for weights in terms]
+    non_essential: set[int] = set()
+    for i in sorted(range(len(terms)), key=maxes.__getitem__):
+        bound = 0.0
+        for j, max_weight in enumerate(maxes):
+            if j == i or j in non_essential:
+                bound += max_weight
+        if bound > floor:
+            break
+        non_essential.add(i)
+    essential = [w.by_slot for i, w in enumerate(terms) if i not in non_essential]
+    if not essential:
+        return ()
+    # _score()'s sum, term-major over the whole union: cheaper than one call per document.
+    union = list(set().union(*essential))
+    totals = map(terms[0].by_slot.get, union, repeat(0.0))
+    for weights in terms[1:]:
+        totals = map(add, totals, map(weights.by_slot.get, union, repeat(0.0)))
+    return list(totals)
 
 
 def _mine_docs(
@@ -188,11 +257,12 @@ def _mine_docs(
     stoplist: frozenset[str] | set[str],
     max_spans: int | None,
     workers: int = 1,
-) -> list[list[SalientSpan]]:
+) -> tuple[list[list[SalientSpan]], int, int]:
     """Salient spans of each input document, in input order.
 
     Results map back by input position, not slot, so a document passed
-    twice gets two lists.
+    twice gets two lists. Also returns the distinct queries ranked and the
+    documents fully scored, summed over shards.
     """
     slots = [index.slot_of(doc.doc_id) for doc in doc_list]
     n_shards = max(workers, 1)
@@ -200,14 +270,17 @@ def _mine_docs(
     shards = map_shared(_mine_shard, shared, range(n_shards), n_shards)
 
     span_lists: list[list[SalientSpan]] = [[] for _ in doc_list]
-    for kept in shards:
+    distinct_queries = docs_scored = 0
+    for kept, n_queries, n_scored in shards:
+        distinct_queries += n_queries
+        docs_scored += n_scored
         for pos, query, rank in kept:
             span_lists[pos].append(SalientSpan(tokens=query, rank=rank))
     for spans in span_lists:
         spans.sort(key=lambda s: (s.rank, -s.length, s.tokens))
         if max_spans is not None:
             del spans[max_spans:]
-    return span_lists
+    return span_lists, distinct_queries, docs_scored
 
 
 @dataclass(frozen=True)
@@ -216,6 +289,8 @@ class MiningSummary:
     total_spans: int
     avg_spans_per_doc: float
     length_distribution: dict[int, float]
+    distinct_queries: int  # candidate n-grams ranked, each once
+    docs_scored: int  # documents fully scored over all queries, after pruning
 
 
 def length_distribution(length_counts: Mapping[int, int]) -> dict[int, float]:
@@ -243,7 +318,9 @@ def mine_corpus(
     the distinct queries.
     """
     doc_list = list(docs)
-    span_lists = _mine_docs(doc_list, index, thresholds, stoplist, max_spans, workers)
+    span_lists, distinct_queries, docs_scored = _mine_docs(
+        doc_list, index, thresholds, stoplist, max_spans, workers
+    )
 
     total_spans = 0
     length_counts: dict[int, int] = {}
@@ -263,6 +340,8 @@ def mine_corpus(
         total_spans=total_spans,
         avg_spans_per_doc=total_spans / n_docs if n_docs else 0.0,
         length_distribution=length_distribution(length_counts),
+        distinct_queries=distinct_queries,
+        docs_scored=docs_scored,
     )
 
 

@@ -255,3 +255,17 @@ class TestPersistence:
 def test_expected_idf_formula(toy_index):
     # df("a") = 2 of 3 docs.
     assert toy_index.idf("a") == pytest.approx(math.log(1 + (3 - 2 + 0.5) / 2.5))
+
+
+def test_term_weights_are_single_term_scores():
+    rng = random.Random(13)
+    docs = as_tokenized(random_token_corpus(rng, min_docs=8, max_docs=8, max_vocab=5, max_len=9))
+    index = build_index(docs)
+    for term in index.postings:
+        weights = index.term_weights(term)
+        assert weights.by_slot == {
+            slot: index.score([term], slot) for slot in range(index.num_docs) if index.score([term], slot) > 0
+        }
+        assert weights.max_weight == max(weights.by_slot.values())
+        assert index.term_weights(term) is weights
+    assert index.term_weights("absent") == ({}, 0.0)

@@ -48,7 +48,9 @@ class TestSubcommands:
             "-q", "mine", "--index", str(index), "--corpus", str(corpus),
             "--out", str(spans), "--thresholds", "1:0,2:0,3:0", "--threads", "1",
         ]) == EXIT_OK
-        assert _json_out(capsys)["docs_processed"] == 3
+        out = _json_out(capsys)
+        assert out["docs_processed"] == 3
+        assert out["distinct_queries"] > 0 and 0 <= out["docs_scored"]
 
         corrupted = tmp_path / "ssr.jsonl"
         assert run([
@@ -128,6 +130,23 @@ class TestSubcommands:
         corpus.write_text(corpus.read_text(encoding="utf-8") + bad_line + "\n", encoding="utf-8")
         assert run(["-q", "eval", "--preds", str(preds), "--gold", str(corpus)]) == EXIT_DATA
         assert f"{corpus}: line 4:" in caplog.text
+
+    @pytest.mark.parametrize("command", ["stats", "mine"])
+    def test_corpus_issue_warning_names_the_file(self, corpus, tmp_path, caplog, capsys, command):
+        index = tmp_path / "idx.spmi"
+        assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
+        corpus.write_text(
+            corpus.read_text(encoding="utf-8") + '{"title": "no id", "abstract": "x"}\n', encoding="utf-8"
+        )
+        argv = {
+            "stats": ["stats", "--corpus", str(corpus)],
+            "mine": ["mine", "--index", str(index), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "spans.jsonl"), "--threads", "1"],
+        }[command]
+        with caplog.at_level("WARNING", logger="spanmine"):
+            assert run(["-q", *argv]) == EXIT_OK
+        assert f"{corpus}: line 4: missing or empty 'id' field" in caplog.text
+        capsys.readouterr()
 
     def test_io_error_exit_code(self, tmp_path):
         assert run(["-q", "stats", "--corpus", str(tmp_path / "nope.jsonl")]) == EXIT_IO

@@ -244,6 +244,13 @@ class TestMineCorpus:
         mine_corpus(docs, index, b, stoplist=frozenset(), workers=3)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_whitespace_token_rejected(self, tmp_path, workers):
+        docs = [doc_of(["alpha", "a b", "gamma"], doc_id="w0"), doc_of(["alpha", "delta"], doc_id="w1")]
+        index = build_index(docs)
+        with pytest.raises(DataError, match="contains whitespace"):
+            mine_corpus(docs, index, tmp_path / "spans.jsonl", stoplist=frozenset(), workers=workers)
+
     def test_load_spans_round_trip(self, tmp_path):
         corpus = build_synthetic()
         docs = as_tokenized(corpus)
@@ -280,6 +287,31 @@ def _random_mining_case(rng):
     return corpus, docs, thresholds, subset, rng.choice([None, 0, 1, 3])
 
 
+def _assert_matches_oracles(out, subset, index, brute, thresholds, stoplist=frozenset(), max_spans=None):
+    """Each record of ``out`` equals oracle_mine's spans and BruteBM25's ranks."""
+    records = _records(out)
+    assert [r["id"] for r in records] == [d.doc_id for d in subset]
+    for doc, record in zip(subset, records):
+        expected = oracle_mine(doc, index, thresholds, stoplist, max_spans)
+        assert record["spans"] == _as_items(expected)
+        slot = index.slot_of(doc.doc_id)
+        by_brute = [
+            SalientSpan(tokens=c.tokens, rank=brute.rank(list(c.tokens), slot))
+            for c in candidates(doc, stoplist)
+        ]
+        by_brute = sorted(
+            (s for s in by_brute if s.rank <= thresholds(s.length)),
+            key=lambda s: (s.rank, -s.length, s.tokens),
+        )
+        assert record["spans"] == _as_items(by_brute[:max_spans] if max_spans is not None else by_brute)
+
+
+def _cached_brute(corpus):
+    brute = BruteBM25(corpus)
+    brute.idf = functools.cache(brute.idf)
+    return brute
+
+
 class TestQueryMajorOracle:
     def test_random_corpora_match_rank_oracles(self, tmp_path):
         rng = random.Random(606)
@@ -287,24 +319,8 @@ class TestQueryMajorOracle:
         for _ in range(150):
             corpus, docs, thresholds, subset, max_spans = _random_mining_case(rng)
             index = build_index(docs)
-            brute = BruteBM25(corpus)
-            brute.idf = functools.cache(brute.idf)
             mine_corpus(subset, index, out, thresholds, stoplist=frozenset(), max_spans=max_spans)
-            records = _records(out)
-            assert [r["id"] for r in records] == [d.doc_id for d in subset]
-            for doc, record in zip(subset, records):
-                expected = oracle_mine(doc, index, thresholds, frozenset(), max_spans)
-                assert record["spans"] == _as_items(expected)
-                slot = index.slot_of(doc.doc_id)
-                by_brute = [
-                    SalientSpan(tokens=c.tokens, rank=brute.rank(list(c.tokens), slot))
-                    for c in candidates(doc, frozenset())
-                ]
-                by_brute = sorted(
-                    (s for s in by_brute if s.rank <= thresholds(s.length)),
-                    key=lambda s: (s.rank, -s.length, s.tokens),
-                )
-                assert record["spans"] == _as_items(by_brute[:max_spans] if max_spans is not None else by_brute)
+            _assert_matches_oracles(out, subset, index, _cached_brute(corpus), thresholds, max_spans=max_spans)
             assert mine(subset[0], index, thresholds, frozenset(), max_spans) == oracle_mine(
                 subset[0], index, thresholds, frozenset(), max_spans
             )
@@ -318,6 +334,87 @@ class TestQueryMajorOracle:
             mine_corpus(subset, index, serial, thresholds, frozenset(), max_spans, workers=1)
             mine_corpus(subset, index, parallel, thresholds, frozenset(), max_spans, workers=3)
             assert serial.read_bytes() == parallel.read_bytes()
+
+
+def _distinct_queries(subset, stoplist=frozenset()):
+    return {c.tokens for doc in subset for c in candidates(doc, stoplist)}
+
+
+class TestPrunedMining:
+    """Documents pruned by the MaxScore bound never change a rank."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n_sources", [1, 2])
+    def test_sources_holding_every_largest_weight_score_nothing_else(self, tmp_path, workers, n_sources):
+        # d0 and d1 are identical and hold each of a, b, c at its largest
+        # weight, so every query's floor equals the query-order sum of the
+        # largest weights: each term is non-essential, and d1 ties d0 exactly.
+        # Summed in any other order, the largest weights of "a b c" overshoot
+        # that floor by one ulp.
+        corpus = [["a", "b", "c"], ["a", "b", "c"], ["c"] + ["z"] * 5, ["c"] + ["z"] * 5, ["z"] * 6]
+        docs = as_tokenized(corpus)
+        index = build_index(docs)
+        ma, mb, mc = (index.term_weights(t).max_weight for t in "abc")
+        assert (ma + mb) + mc < min((ma + mc) + mb, (mb + mc) + ma)
+        subset = docs[:n_sources]
+        stoplist = frozenset({"z"})
+        out = tmp_path / "spans.jsonl"
+        thresholds = ThresholdFn({1: 0, 2: 0, 3: 0})
+        summary = mine_corpus(subset, index, out, thresholds, stoplist, workers=workers)
+        _assert_matches_oracles(out, subset, index, _cached_brute(corpus), thresholds, stoplist)
+        assert all(span["rank"] == 0 for record in _records(out) for span in record["spans"])
+        assert (summary.distinct_queries, summary.docs_scored) == (6, 0)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("limit", [0, 1, 7])
+    def test_sources_missing_from_the_index_prune_nothing(self, tmp_path, workers, limit):
+        # The index holds only the first token of d0 and d1 (as if indexed
+        # with fewer tokens than they are mined with), which no candidate
+        # uses, so every query's floor is 0.0 and every posting is scored.
+        rng = random.Random(77)
+        corpus = random_token_corpus(rng, min_docs=6, max_docs=6, max_vocab=6, max_len=8)
+        mined = as_tokenized([["q"] + doc for doc in corpus[:2]])
+        indexed = [["q"]] * 2 + corpus[2:]
+        index = build_index(as_tokenized(indexed))
+        stoplist = frozenset({"q"})
+        out = tmp_path / "spans.jsonl"
+        thresholds = ThresholdFn({1: limit, 2: limit, 3: limit})
+        summary = mine_corpus(mined, index, out, thresholds, stoplist, workers=workers)
+        _assert_matches_oracles(out, mined, index, _cached_brute(indexed), thresholds, stoplist)
+        unions = [{p.doc_ref for t in q for p in index.postings.get(t, ())} for q in _distinct_queries(mined, stoplist)]
+        assert (summary.distinct_queries, summary.docs_scored) == (len(unions), sum(map(len, unions)))
+
+    def test_repeated_terms_count_per_occurrence(self, tmp_path):
+        corpus = [["a", "a", "b"], ["a", "a", "a", "x"], ["a", "b", "x", "x"], ["b", "x"], ["a", "x", "x"]]
+        docs = as_tokenized(corpus)
+        index = build_index(docs)
+        out = tmp_path / "spans.jsonl"
+        thresholds = ThresholdFn({1: 1, 2: 1, 3: 1})
+        mine_corpus(docs, index, out, thresholds, frozenset({"x"}))
+        _assert_matches_oracles(out, docs, index, _cached_brute(corpus), thresholds, frozenset({"x"}))
+
+    def test_random_corpora_at_the_bound(self, tmp_path):
+        """Tiny vocabularies give repeated terms, duplicate documents and tied floors."""
+        rng = random.Random(2718)
+        for _ in range(120):
+            corpus = random_token_corpus(rng, min_docs=2, max_docs=9, max_vocab=4, max_len=7)
+            corpus += [list(corpus[0])] * rng.randint(0, 2)
+            docs = as_tokenized(corpus)
+            n = len(docs)
+            thresholds = ThresholdFn({k: rng.choice([0, 1, n - 1, n, n + 2]) for k in (1, 2, 3)})
+            subset = rng.sample(docs, rng.randint(1, n))
+            index = build_index(docs)
+            summaries = []
+            for workers in (1, 3):
+                out = tmp_path / f"spans-{workers}.jsonl"
+                summaries.append(mine_corpus(subset, index, out, thresholds, frozenset(), workers=workers))
+                _assert_matches_oracles(out, subset, index, _cached_brute(corpus), thresholds)
+            assert (tmp_path / "spans-1.jsonl").read_bytes() == (tmp_path / "spans-3.jsonl").read_bytes()
+            queries = _distinct_queries(subset)
+            serial, parallel = summaries
+            assert serial == parallel
+            assert serial.distinct_queries == len(queries)
+            assert serial.docs_scored <= sum(len(index.postings.get(t, ())) for q in queries for t in q)
 
 
 # sha256 of spans.jsonl for the 200-document demo corpus, mined against a
