@@ -22,7 +22,7 @@ from .bm25 import BM25Index, Query
 from .corpus import Document, model_input
 from .errors import DataError
 from .evaluation import StemMemo, keyphrase_set, split_present_absent
-from .miner import MAX_NGRAM, SalientSpan, length_distribution
+from .miner import MAX_NGRAM, SalientSpan, span_mix
 
 logger = logging.getLogger(__name__)
 
@@ -211,15 +211,10 @@ def overlap_metrics(
 def span_characteristics(spans_by_id: Mapping[str, list[SalientSpan]]) -> SpanStats:
     """Spans per document (empty documents included) and the length mix."""
     n_docs = len(spans_by_id)
-    total = 0
-    length_counts: dict[int, int] = {}
-    for spans in spans_by_id.values():
-        total += len(spans)
-        for span in spans:
-            length_counts[span.length] = length_counts.get(span.length, 0) + 1
+    total, mix = span_mix(spans_by_id.values())
     return SpanStats(
         documents=n_docs,
         total_spans=total,
         avg_spans_per_doc=total / n_docs if n_docs else 0.0,
-        length_distribution=length_distribution(length_counts),
+        length_distribution=mix,
     )

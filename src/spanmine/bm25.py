@@ -16,7 +16,6 @@ import heapq
 import math
 import struct
 import zlib
-from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -77,15 +76,14 @@ class BM25Index:
     avg_doc_len: float
     k1: float
     b: float
-    _slot_by_id: dict[str, int] = field(default_factory=dict, repr=False)
-    _norms: list[float] = field(default_factory=list, repr=False)
+    _slot_by_id: dict[str, int] = field(init=False, repr=False)
+    _norms: list[float] = field(init=False, repr=False)
     # Per-term weights by slot, filled on first use so that building or
     # loading an index does no scoring work.
-    _weights: dict[str, TermWeights] = field(default_factory=dict, repr=False, compare=False)
+    _weights: dict[str, TermWeights] = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self._slot_by_id:
-            self._slot_by_id = {doc_id: slot for slot, doc_id in enumerate(self.doc_ids)}
+        self._slot_by_id = {doc_id: slot for slot, doc_id in enumerate(self.doc_ids)}
         # Length normalization is per document and query-independent.
         self._norms = [
             self.k1 * (1.0 - self.b + self.b * doc_len / self.avg_doc_len)
@@ -106,30 +104,8 @@ class BM25Index:
         df = len(self.postings.get(term, ()))
         return math.log(1.0 + (self.num_docs - df + 0.5) / (df + 0.5))
 
-    def _tf(self, term: str, doc_ref: int) -> int:
-        plist = self.postings.get(term)
-        if not plist:
-            return 0
-        i = bisect_left(plist, doc_ref, key=lambda p: p.doc_ref)
-        if i < len(plist) and plist[i].doc_ref == doc_ref:
-            return plist[i].term_freq
-        return 0
-
-    def score(self, query: Query | Sequence[str], doc_ref: int) -> float:
-        """BM25 score of one document for a bag-of-terms query."""
-        query = _as_query(query)
-        if not 0 <= doc_ref < self.num_docs:
-            raise DataError(f"doc_ref {doc_ref} out of range (num_docs={self.num_docs})")
-        total = 0.0
-        k1p1 = self.k1 + 1.0
-        for term in query.terms:
-            tf = self._tf(term, doc_ref)
-            if tf:
-                total += self.idf(term) * tf * k1p1 / (tf + self._norms[doc_ref])
-        return total
-
     def term_weights(self, term: str) -> TermWeights:
-        """Each posting's score contribution, by the same expression as score().
+        """Each posting's score contribution, idf * tf * (k1 + 1) / (tf + norm).
 
         Cached per indexed term; a term the index lacks weighs nothing.
         """
@@ -149,8 +125,8 @@ class BM25Index:
         """Sparse scores over the union of the query terms' postings.
 
         Documents absent from the result score exactly 0.0. Per-document
-        contributions accumulate in query-term order and each weight is
-        score()'s expression, so totals match it bitwise.
+        contributions accumulate in query-term order, so the same query
+        gives bitwise equal scores on every call and after a reload.
         """
         query = _as_query(query)
         acc: dict[int, float] = {}
@@ -204,9 +180,10 @@ def build_index(
         doc_lens.append(len(doc.tokens))
         for term, tf in Counter(doc.tokens).items():
             postings.setdefault(term, []).append(Posting(slot, tf))
-    if not doc_lens:
-        raise DataError("cannot build an index from an empty corpus")
-    avg_doc_len = sum(doc_lens) / len(doc_lens)
+    total_len = sum(doc_lens)
+    if not total_len:
+        raise DataError("cannot build an index from a corpus with no tokens")
+    avg_doc_len = total_len / len(doc_lens)
     return BM25Index(
         postings=postings,
         doc_lens=doc_lens,
@@ -319,6 +296,9 @@ def load_index(path) -> BM25Index:
     for _ in range(num_docs):
         doc_ids.append(reader.text("document id"))
         doc_lens.append(reader.varint())
+    total_len = sum(doc_lens)
+    if not total_len:
+        raise IndexFormatError("index file corrupt (document lengths sum to 0)")
     postings: dict[str, list[Posting]] = {}
     prev = ""
     for _ in range(reader.varint()):
@@ -329,9 +309,14 @@ def load_index(path) -> BM25Index:
         for _ in range(reader.varint()):
             doc_ref += reader.varint()
             plist.append(Posting(doc_ref, reader.varint()))
+        # Deltas are non-negative, so the last ref is the largest.
+        if doc_ref >= num_docs:
+            raise IndexFormatError(
+                f"index file corrupt (term {term!r} posts to document {doc_ref} of {num_docs})"
+            )
         postings[term] = plist
         prev = term
-    avg_doc_len = sum(doc_lens) / len(doc_lens) if doc_lens else 0.0
+    avg_doc_len = total_len / num_docs
     return BM25Index(
         postings=postings,
         doc_lens=doc_lens,

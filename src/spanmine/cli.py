@@ -17,8 +17,8 @@ import time
 
 from . import __version__, analysis, demo
 from .bm25 import DEFAULT_B, DEFAULT_K1, build_index, load_index, save_index
-from .corpus import DEFAULT_MAX_TOKENS, dataset_stats, load_corpus, model_input
-from .corruption import OBJECTIVES, CorruptionConfig, gen_corpus
+from .corpus import DEFAULT_MAX_TOKENS, Document, dataset_stats, load_corpus, model_input
+from .corruption import OBJECTIVES, SPAN_OBJECTIVES, CorruptionConfig, gen_corpus
 from .errors import DataError, SpanmineError
 from .evaluation import evaluate_file
 from .miner import DEFAULT_THRESHOLDS, load_spans, mine_corpus, parse_thresholds
@@ -72,28 +72,28 @@ def _path_flag(parser: argparse.ArgumentParser, name: str, required: bool = True
     )
 
 
-def _load_issue_counter(path):
-    issues = {"count": 0}
+def _load_docs(args, path) -> tuple[list[Document], int]:
+    """Documents at ``path`` under the schema flags, and how many load issues were logged."""
+    issues = 0
 
     def on_issue(line_no: int, message: str) -> None:
-        issues["count"] += 1
+        nonlocal issues
+        issues += 1
         logger.warning("%s: line %d: %s", path, line_no, message)
 
-    return issues, on_issue
+    docs = list(load_corpus(path, _schema_from_args(args), on_issue))
+    logger.info("loaded %d documents from %s (%d issues)", len(docs), path, issues)
+    return docs, issues
 
 
 def _cmd_stats(args) -> dict:
-    issues, on_issue = _load_issue_counter(args.corpus)
-    docs = list(load_corpus(args.corpus, _schema_from_args(args), on_issue))
-    logger.info("loaded %d documents from %s (%d issues)", len(docs), args.corpus, issues["count"])
+    docs, issues = _load_docs(args, args.corpus)
     stats = dataset_stats(docs)
-    return {"documents": len(docs), "load_issues": issues["count"], "stats": vars(stats).copy()}
+    return {"documents": len(docs), "load_issues": issues, "stats": vars(stats).copy()}
 
 
 def _cmd_index(args) -> dict:
-    issues, on_issue = _load_issue_counter(args.corpus)
-    docs = list(load_corpus(args.corpus, _schema_from_args(args), on_issue))
-    logger.info("loaded %d documents from %s (%d issues)", len(docs), args.corpus, issues["count"])
+    docs, _ = _load_docs(args, args.corpus)
     tokenized = (model_input(doc, args.max_tokens) for doc in docs)
     index = build_index(tokenized, k1=args.k1, b=args.b)
     save_index(index, args.out)
@@ -109,8 +109,7 @@ def _cmd_index(args) -> dict:
 
 def _cmd_mine(args) -> dict:
     index = load_index(args.index)
-    issues, on_issue = _load_issue_counter(args.corpus)
-    docs = list(load_corpus(args.corpus, _schema_from_args(args), on_issue))
+    docs, _ = _load_docs(args, args.corpus)
     tokenized = [model_input(doc, args.max_tokens) for doc in docs]
     thresholds = parse_thresholds(args.thresholds) if args.thresholds else DEFAULT_THRESHOLDS
     stoplist = load_stoplist(args.stoplist) if args.stoplist else DEFAULT_STOPWORDS
@@ -141,8 +140,7 @@ def _cmd_mine(args) -> dict:
 
 
 def _cmd_corrupt(args) -> dict:
-    issues, on_issue = _load_issue_counter(args.corpus)
-    docs = list(load_corpus(args.corpus, _schema_from_args(args), on_issue))
+    docs, _ = _load_docs(args, args.corpus)
     tokenized = [model_input(doc, args.max_tokens) for doc in docs]
     cfg = CorruptionConfig(
         objective=args.objective,
@@ -153,7 +151,7 @@ def _cmd_corrupt(args) -> dict:
         seed=args.seed,
     )
     spans_by_id = None
-    if cfg.objective.startswith("ss"):
+    if cfg.objective in SPAN_OBJECTIVES:
         if not args.spans:
             raise UsageError(f"objective {cfg.objective} requires --spans")
         spans_by_id = load_spans(args.spans)
@@ -164,8 +162,7 @@ def _cmd_corrupt(args) -> dict:
 
 
 def _cmd_eval(args) -> dict:
-    issues, on_issue = _load_issue_counter(args.gold)
-    docs = list(load_corpus(args.gold, _schema_from_args(args), on_issue))
+    docs, _ = _load_docs(args, args.gold)
     report = evaluate_file(args.preds, docs, sep=args.sep, k=args.k, report_path=args.report)
     result = report.to_dict(include_per_doc=False)
     if args.report:
@@ -175,13 +172,11 @@ def _cmd_eval(args) -> dict:
 
 def _cmd_analyze(args) -> dict:
     if args.study == "success":
-        issues, on_issue = _load_issue_counter(args.gold)
-        docs = list(load_corpus(args.gold, _schema_from_args(args), on_issue))
+        docs, _ = _load_docs(args, args.gold)
         index = load_index(args.index)
         result = analysis.retrieval_success(docs, index, k=args.k).to_dict()
     elif args.study == "overlap":
-        issues, on_issue = _load_issue_counter(args.gold)
-        docs = list(load_corpus(args.gold, _schema_from_args(args), on_issue))
+        docs, _ = _load_docs(args, args.gold)
         result = analysis.overlap_metrics(docs, load_spans(args.spans)).to_dict()
     else:
         result = analysis.span_characteristics(load_spans(args.spans)).to_dict()

@@ -143,7 +143,7 @@ def model_input(doc: Document, max_tokens: int | None = DEFAULT_MAX_TOKENS) -> T
     tests presence against the full text).
     """
     if max_tokens is not None and max_tokens < 1:
-        raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
+        raise DataError(f"max_tokens must be >= 1, got {max_tokens}")
     title_tokens = tokenize(normalize(doc.title))
     body_tokens = tokenize(normalize(doc.body))
     tokens = [*title_tokens, SEP_TOKEN, *body_tokens]

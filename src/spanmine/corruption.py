@@ -28,7 +28,12 @@ from .pool import map_shared
 
 logger = logging.getLogger(__name__)
 
-OBJECTIVES = ("ssr-m", "ssr-d", "ssp-m", "ssp-d", "ti", "tg")
+SPAN_OBJECTIVES = ("ssr-m", "ssr-d", "ssp-m", "ssp-d")  # the objectives that need mined spans
+OBJECTIVES = (*SPAN_OBJECTIVES, "ti", "tg")
+_MASK_OBJECTIVES = frozenset({"ssr-m", "ssp-m", "ti"})  # sources that carry mask tokens
+
+_SSP_SEP = ";"  # joins the spans of an ssp target
+_TI_MASK_BUDGET = 0.3  # share of a document's tokens that ti masks
 
 # Interval: half-open [start, end) over token positions. A zero-length
 # interval marks a bare-mask insertion point (ti only).
@@ -43,8 +48,6 @@ class CorruptionConfig:
     mask_token: str = "<mask>"
     poisson_lambda: float = 3.0
     seed: int = 0
-    ssp_sep: str = ";"
-    ti_mask_budget: float = 0.3
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -186,7 +189,7 @@ def apply_delete(tokens: Sequence[str], plan: Sequence[Interval]) -> list[str]:
     return out
 
 
-def build_ssp_target(spans: Sequence[SalientSpan], sep: str = ";") -> list[str]:
+def build_ssp_target(spans: Sequence[SalientSpan]) -> list[str]:
     """Concatenate spans by ascending rank, separator-joined, after pruning.
 
     Pruning drops exact duplicates and any span whose token sequence
@@ -213,13 +216,13 @@ def build_ssp_target(spans: Sequence[SalientSpan], sep: str = ";") -> list[str]:
     out: list[str] = []
     for i, span in enumerate(kept):
         if i:
-            out.append(sep)
+            out.append(_SSP_SEP)
         out.extend(span.tokens)
     return out
 
 
 def _ti_plan(doc: TokenizedDoc, cfg: CorruptionConfig) -> tuple[Interval, ...]:
-    """Poisson-length random span marks until ~ti_mask_budget of the tokens.
+    """Poisson-length random span marks until ~_TI_MASK_BUDGET of the tokens.
 
     Zero-length draws become bare-mask insertion points. Placement
     rejection keeps intervals disjoint; a bounded attempt budget prevents
@@ -227,7 +230,7 @@ def _ti_plan(doc: TokenizedDoc, cfg: CorruptionConfig) -> tuple[Interval, ...]:
     """
     rng = _doc_rng(cfg.seed, doc.doc_id)
     n = len(doc.tokens)
-    budget = round(cfg.ti_mask_budget * n)
+    budget = round(_TI_MASK_BUDGET * n)
     claimed = [False] * n
     insertions: set[int] = set()
     intervals: list[Interval] = []
@@ -287,15 +290,15 @@ def _example_and_plan(
 ) -> tuple[CorruptionExample, tuple[Interval, ...]]:
     objective = cfg.objective
     plan: tuple[Interval, ...] = ()
-    if objective in ("ssr-m", "ssr-d", "ssp-m", "ssp-d"):
+    if objective in SPAN_OBJECTIVES:
         if spans is None:
             raise DataError(f"objective {objective} needs mined spans for {doc.doc_id!r}")
         if objective.startswith("ssp"):
-            target = tuple(build_ssp_target(spans, cfg.ssp_sep))
+            target = tuple(build_ssp_target(spans))
         else:
             target = doc.tokens
         plan = plan_corruption(doc, spans, cfg)
-        if objective.endswith("-m"):
+        if objective in _MASK_OBJECTIVES:
             source = tuple(apply_mask(doc.tokens, plan, cfg.mask_token))
         else:
             source = tuple(apply_delete(doc.tokens, plan))
@@ -356,7 +359,7 @@ class GenSummary:
 
 def _build_record(spans_by_id, cfg: CorruptionConfig, doc: TokenizedDoc):
     spans = None
-    if cfg.objective in ("ssr-m", "ssr-d", "ssp-m", "ssp-d"):
+    if cfg.objective in SPAN_OBJECTIVES:
         if spans_by_id is None or doc.doc_id not in spans_by_id:
             raise DataError(f"spans file has no entry for document {doc.doc_id!r}")
         spans = spans_by_id[doc.doc_id]
@@ -365,7 +368,7 @@ def _build_record(spans_by_id, cfg: CorruptionConfig, doc: TokenizedDoc):
     except SkipDocument as skip:
         return doc.doc_id, skip.reason, None, (len(doc.tokens), 0, 0, 0)
     corrupted = sum(end - start for start, end in plan)
-    masks = len(plan) if cfg.objective in ("ssr-m", "ssp-m", "ti") else 0
+    masks = len(plan) if cfg.objective in _MASK_OBJECTIVES else 0
     stats = (len(doc.tokens), corrupted, masks, len(example.source))
     line = json.dumps(
         {"id": example.doc_id, "source": " ".join(example.source), "target": " ".join(example.target)},

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import analysis
 from .bm25 import build_index, load_index, save_index
 from .corpus import Document, dataset_stats, load_corpus, model_input, write_corpus
-from .corruption import OBJECTIVES, CorruptionConfig, gen_corpus
+from .corruption import OBJECTIVES, SPAN_OBJECTIVES, CorruptionConfig, gen_corpus
 from .evaluation import evaluate_file
 from .miner import DEFAULT_THRESHOLDS, load_spans, mine_corpus
 from .porter import stem
@@ -164,10 +164,9 @@ def run_demo(out_dir, seed: int = DEMO_SEED, threads: int = 1, n_docs: int = 200
     for objective in OBJECTIVES:
         cfg = CorruptionConfig(objective=objective, seed=seed)
         target = out / f"corrupt_{objective.replace('-', '_')}.jsonl"
-        needs_spans = objective.startswith("ss")
         summary = gen_corpus(
             tokenized,
-            spans_by_id if needs_spans else None,
+            spans_by_id if objective in SPAN_OBJECTIVES else None,
             cfg,
             target,
             workers=threads,

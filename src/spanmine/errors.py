@@ -26,7 +26,7 @@ class AlignmentError(DataError):
 
 
 class IndexFormatError(DataError):
-    """An index file has the wrong magic bytes or an unsupported version."""
+    """An index file has the wrong magic bytes, an unsupported version or inconsistent contents."""
 
 
 class ChecksumError(IndexFormatError):

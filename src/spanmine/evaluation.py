@@ -119,23 +119,23 @@ class MetricScores:
     num_matches: int
 
 
-def _f1(precision: float, recall: float) -> float:
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
+def _match(preds: list[tuple[str, ...]], gold: KeyphraseSet, denominator: int) -> MetricScores:
+    """Score deduplicated ``preds`` against ``gold``; precision divides by ``denominator``."""
+    gold_dedup = gold.deduped()
+    if not gold_dedup:
+        raise DataError("empty gold set; skip this document for the category instead")
+    gold_lookup = set(gold_dedup)
+    matches = sum(1 for p in preds if p in gold_lookup)
+    precision = matches / denominator if denominator else 0.0
+    recall = matches / len(gold_dedup)
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return MetricScores(precision, recall, f1, len(preds), len(gold_dedup), matches)
 
 
 def f1_at_m(preds: KeyphraseSet, gold: KeyphraseSet) -> MetricScores:
     """Precision/recall/F1 over all deduplicated predictions."""
-    gold_dedup = gold.deduped()
-    if not gold_dedup:
-        raise DataError("empty gold set; skip this document for the category instead")
-    pred_dedup = preds.deduped()
-    gold_lookup = set(gold_dedup)
-    matches = sum(1 for p in pred_dedup if p in gold_lookup)
-    precision = matches / len(pred_dedup) if pred_dedup else 0.0
-    recall = matches / len(gold_dedup)
-    return MetricScores(precision, recall, _f1(precision, recall), len(pred_dedup), len(gold_dedup), matches)
+    dedup = preds.deduped()
+    return _match(dedup, gold, len(dedup))
 
 
 def f1_at_k(preds: KeyphraseSet, gold: KeyphraseSet, k: int = 5) -> MetricScores:
@@ -145,15 +145,7 @@ def f1_at_k(preds: KeyphraseSet, gold: KeyphraseSet, k: int = 5) -> MetricScores
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-    gold_dedup = gold.deduped()
-    if not gold_dedup:
-        raise DataError("empty gold set; skip this document for the category instead")
-    top = preds.deduped()[:k]
-    gold_lookup = set(gold_dedup)
-    matches = sum(1 for p in top if p in gold_lookup)
-    precision = matches / max(k, len(top))
-    recall = matches / len(gold_dedup)
-    return MetricScores(precision, recall, _f1(precision, recall), len(top), len(gold_dedup), matches)
+    return _match(preds.deduped()[:k], gold, k)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ import json
 import logging
 import zlib
 from bisect import bisect_left
-from collections.abc import Collection, Iterable, Mapping
+from collections import Counter
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, neg
@@ -27,6 +28,7 @@ from .stopwords import DEFAULT_STOPWORDS
 logger = logging.getLogger(__name__)
 
 MAX_NGRAM = 3
+_TUNED_CORPUS_DOCS = 500_000  # size of the auxiliary corpus the default thresholds were tuned on
 
 
 @dataclass(frozen=True)
@@ -70,15 +72,14 @@ class ThresholdFn:
     def __call__(self, length: int) -> int:
         return self.by_length[length]
 
-    def scaled_to(self, num_docs: int, reference_docs: int = 500_000) -> "ThresholdFn":
-        """Rescale rank cutoffs tuned on a large corpus to a smaller one.
+    def scaled_to(self, num_docs: int) -> "ThresholdFn":
+        """Rescale rank cutoffs tuned on the auxiliary corpus to ``num_docs``.
 
-        The defaults were tuned against an auxiliary corpus of roughly
-        half a million documents; proportional scaling keeps the accepted
-        rank percentile comparable on toy corpora.
+        Proportional scaling keeps the accepted rank percentile comparable
+        on toy corpora.
         """
         return ThresholdFn(
-            {n: max(0, round(v * num_docs / reference_docs)) for n, v in self.by_length.items()}
+            {n: max(0, round(v * num_docs / _TUNED_CORPUS_DOCS)) for n, v in self.by_length.items()}
         )
 
 
@@ -264,6 +265,8 @@ def _mine_docs(
     twice gets two lists. Also returns the distinct queries ranked and the
     documents fully scored, summed over shards.
     """
+    if max_spans is not None and max_spans < 0:
+        raise DataError(f"max_spans must be >= 0, got {max_spans}")
     slots = [index.slot_of(doc.doc_id) for doc in doc_list]
     n_shards = max(workers, 1)
     shared = (doc_list, slots, index, thresholds, stoplist, n_shards)
@@ -293,12 +296,11 @@ class MiningSummary:
     docs_scored: int  # documents fully scored over all queries, after pruning
 
 
-def length_distribution(length_counts: Mapping[int, int]) -> dict[int, float]:
-    """Share of each span length 1..MAX_NGRAM in a length -> count map."""
-    total = sum(length_counts.values())
-    if total == 0:
-        return {n: 0.0 for n in range(1, MAX_NGRAM + 1)}
-    return {n: length_counts.get(n, 0) / total for n in range(1, MAX_NGRAM + 1)}
+def span_mix(span_lists: Iterable[Sequence[SalientSpan]]) -> tuple[int, dict[int, float]]:
+    """Total spans over ``span_lists`` and the share of each length 1..MAX_NGRAM."""
+    counts = Counter(span.length for spans in span_lists for span in spans)
+    total = sum(counts.values())
+    return total, {n: counts[n] / total if total else 0.0 for n in range(1, MAX_NGRAM + 1)}
 
 
 def mine_corpus(
@@ -322,8 +324,6 @@ def mine_corpus(
         doc_list, index, thresholds, stoplist, max_spans, workers
     )
 
-    total_spans = 0
-    length_counts: dict[int, int] = {}
     with open(out_path, "w", encoding="utf-8") as fh:
         for doc, spans in zip(doc_list, span_lists):
             record = {
@@ -331,15 +331,13 @@ def mine_corpus(
                 "spans": [{"text": s.text, "rank": s.rank, "len": s.length} for s in spans],
             }
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-            total_spans += len(spans)
-            for s in spans:
-                length_counts[s.length] = length_counts.get(s.length, 0) + 1
+    total_spans, mix = span_mix(span_lists)
     n_docs = len(doc_list)
     return MiningSummary(
         docs_processed=n_docs,
         total_spans=total_spans,
         avg_spans_per_doc=total_spans / n_docs if n_docs else 0.0,
-        length_distribution=length_distribution(length_counts),
+        length_distribution=mix,
         distinct_queries=distinct_queries,
         docs_scored=docs_scored,
     )

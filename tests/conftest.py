@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
 
 import pytest
@@ -60,6 +61,23 @@ class BruteBM25:
         scored = [item for item in scored if item[1] > 0]
         scored.sort(key=lambda item: (-item[1], item[0]))
         return scored[:k]
+
+
+def oracle_score(index, query, slot):
+    """One document's score by the index's own weight expression, tf found by binary search.
+
+    Evaluates idf * tf * (k1 + 1) / (tf + norm) per query term, summed in
+    query order, without term_weights(): the index's sparse scores must
+    equal it bitwise.
+    """
+    total = 0.0
+    for term in query:
+        plist = index.postings.get(term, [])
+        i = bisect_left(plist, slot, key=lambda p: p.doc_ref)
+        if i < len(plist) and plist[i].doc_ref == slot:
+            tf = plist[i].term_freq
+            total += index.idf(term) * tf * (index.k1 + 1.0) / (tf + index._norms[slot])
+    return total
 
 
 def oracle_mine(doc, index, thresholds, stoplist, max_spans=None):

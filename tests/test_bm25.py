@@ -7,12 +7,13 @@ from spanmine import (
     ChecksumError,
     DataError,
     IndexFormatError,
+    Posting,
     Query,
     build_index,
     load_index,
     save_index,
 )
-from tests.conftest import BruteBM25, as_tokenized, random_token_corpus
+from tests.conftest import BruteBM25, as_tokenized, oracle_score, random_token_corpus
 
 
 class TestBuildIndex:
@@ -27,8 +28,9 @@ class TestBuildIndex:
         assert index.postings["x"] == [(0, 2)]
 
     def test_empty_stream(self):
-        with pytest.raises(DataError):
-            build_index([])
+        for docs in ([], as_tokenized([[], []])):
+            with pytest.raises(DataError, match="no tokens"):
+                build_index(docs)
 
     def test_postings_sorted_unique(self):
         rng = random.Random(0)
@@ -49,29 +51,31 @@ class TestBuildIndex:
 
 class TestScore:
     def test_absent_term_contributes_zero(self, toy_index):
-        assert toy_index.score(["zzz"], 0) == 0.0
-        with_term = toy_index.score(["a"], 1)
-        assert toy_index.score(["a", "zzz"], 1) == pytest.approx(with_term)
+        assert toy_index.scores(["zzz"]).get(0, 0.0) == 0.0
+        with_term = toy_index.scores(["a"]).get(1, 0.0)
+        assert toy_index.scores(["a", "zzz"]).get(1, 0.0) == pytest.approx(with_term)
 
     def test_toy_corpus_ordering(self, toy_index):
         # d1 has tf=2 for "a"; d0 has tf=1 and is shorter. Oracle decides.
         brute = BruteBM25([["a", "b"], ["a", "a", "c"], ["c"]])
-        assert toy_index.score(["a"], 1) > toy_index.score(["a"], 0)
+        scores = toy_index.scores(["a"])
+        assert scores.get(1, 0.0) > scores.get(0, 0.0)
         for slot in range(3):
-            assert toy_index.score(["a"], slot) == pytest.approx(brute.score(["a"], slot), abs=1e-12)
+            assert scores.get(slot, 0.0) == pytest.approx(brute.score(["a"], slot), abs=1e-12)
 
     def test_b_zero_removes_length_effect(self):
         docs = as_tokenized([["q", "x"], ["q"] + ["y"] * 20])
         index = build_index(docs, b=0.0)
-        assert index.score(["q"], 0) == pytest.approx(index.score(["q"], 1))
+        assert index.scores(["q"])[0] == pytest.approx(index.scores(["q"])[1])
 
     def test_repeated_query_terms_bag_semantics(self, toy_index):
-        single = toy_index.score(["a"], 1)
-        assert toy_index.score(["a", "a"], 1) == pytest.approx(2 * single)
+        single = toy_index.scores(["a"])[1]
+        assert toy_index.scores(["a", "a"])[1] == pytest.approx(2 * single)
 
     def test_out_of_range(self, toy_index):
-        with pytest.raises(DataError):
-            toy_index.score(["a"], 3)
+        for source in (-1, 3):
+            with pytest.raises(DataError):
+                toy_index.rank(["a"], source)
 
     def test_query_validation(self):
         with pytest.raises(DataError):
@@ -134,7 +138,7 @@ class TestOracleEquivalence:
             for _ in range(5):
                 query = [rng.choice(vocab) for _ in range(rng.randint(1, 3))]
                 slot = rng.randrange(len(corpus))
-                assert index.score(query, slot) == pytest.approx(brute.score(query, slot), abs=1e-9)
+                assert index.scores(query).get(slot, 0.0) == pytest.approx(brute.score(query, slot), abs=1e-9)
                 assert index.rank(query, slot) == brute.rank(query, slot)
 
     def test_rank_partition_identity(self):
@@ -143,9 +147,9 @@ class TestOracleEquivalence:
             corpus = random_token_corpus(rng, max_docs=25)
             index = build_index(as_tokenized(corpus))
             query = [rng.choice(corpus[0])]
+            scores = [oracle_score(index, query, d) for d in range(len(corpus))]
             for slot in range(len(corpus)):
-                own = index.score(query, slot)
-                scores = [index.score(query, d) for d in range(len(corpus))]
+                own = scores[slot]
                 higher = sum(1 for s in scores if s > own)
                 equal = sum(1 for s in scores if s == own)
                 lower = sum(1 for s in scores if s < own)
@@ -169,8 +173,8 @@ class TestOracleEquivalence:
         # swapping out a filler token) never lowers the score.
         base = [["q", "x", "x", "x"], ["y"] * 4, ["q", "q", "x", "x"]]
         more = [["q", "q", "x", "x"], ["y"] * 4, ["q", "q", "x", "x"]]
-        s_base = build_index(as_tokenized(base)).score(["q"], 0)
-        s_more = build_index(as_tokenized(more)).score(["q"], 0)
+        s_base = build_index(as_tokenized(base)).scores(["q"])[0]
+        s_more = build_index(as_tokenized(more)).scores(["q"])[0]
         assert s_more >= s_base
 
 
@@ -190,9 +194,8 @@ class TestPersistence:
         for _ in range(25):
             query = [rng.choice(vocab) for _ in range(rng.randint(1, 3))]
             slot = rng.randrange(index.num_docs)
-            assert loaded.score(query, slot) == index.score(query, slot)
             assert loaded.scores(query) == index.scores(query)
-            assert loaded.scores(query).get(slot, 0.0) == index.score(query, slot)
+            assert loaded.scores(query).get(slot, 0.0) == oracle_score(index, query, slot)
             assert loaded.rank(query, slot) == index.rank(query, slot)
 
     def test_truncated_file_checksum_error(self, tmp_path, toy_index):
@@ -219,6 +222,21 @@ class TestPersistence:
         data[:4] = b"XXXX"
         path.write_bytes(bytes(data))
         with pytest.raises(IndexFormatError):
+            load_index(path)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("zero-lengths", "lengths sum to 0"), ("posting-past-table", "posts to document 3 of 3")],
+        ids=["zero-lengths", "posting-past-table"],
+    )
+    def test_inconsistent_file_is_index_format_error(self, tmp_path, toy_index, fault, message):
+        if fault == "zero-lengths":
+            toy_index.doc_lens[:] = [0] * toy_index.num_docs
+        else:
+            toy_index.postings["c"].append(Posting(toy_index.num_docs, 1))
+        path = tmp_path / "idx.spmi"
+        save_index(toy_index, path)
+        with pytest.raises(IndexFormatError, match=message):
             load_index(path)
 
     def test_unsupported_version(self, tmp_path, toy_index):
@@ -264,7 +282,9 @@ def test_term_weights_are_single_term_scores():
     for term in index.postings:
         weights = index.term_weights(term)
         assert weights.by_slot == {
-            slot: index.score([term], slot) for slot in range(index.num_docs) if index.score([term], slot) > 0
+            slot: oracle_score(index, [term], slot)
+            for slot in range(index.num_docs)
+            if oracle_score(index, [term], slot) > 0
         }
         assert weights.max_weight == max(weights.by_slot.values())
         assert index.term_weights(term) is weights

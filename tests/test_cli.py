@@ -148,6 +148,23 @@ class TestSubcommands:
         assert f"{corpus}: line 4: missing or empty 'id' field" in caplog.text
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("index", "--max-tokens", "0"), ("mine", "--max-tokens", "0"), ("corrupt", "--max-tokens", "0"),
+         ("mine", "--max-spans", "-1")],
+    )
+    def test_out_of_range_count_is_data_error(self, corpus, tmp_path, capsys, command, flag, value):
+        index = tmp_path / "idx.spmi"
+        assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
+        capsys.readouterr()
+        out = str(tmp_path / "out")
+        argv = {
+            "index": ["index", "--corpus", str(corpus), "--out", out],
+            "mine": ["mine", "--index", str(index), "--corpus", str(corpus), "--out", out, "--threads", "1"],
+            "corrupt": ["corrupt", "--objective", "ti", "--corpus", str(corpus), "--out", out, "--threads", "1"],
+        }[command]
+        assert run(["-q", *argv, flag, value]) == EXIT_DATA
+
     def test_io_error_exit_code(self, tmp_path):
         assert run(["-q", "stats", "--corpus", str(tmp_path / "nope.jsonl")]) == EXIT_IO
 

@@ -26,7 +26,7 @@ from spanmine import (
     plan_corruption,
     save_index,
 )
-from spanmine.corruption import OBJECTIVES, _poisson, locate_occurrences
+from spanmine.corruption import OBJECTIVES, SPAN_OBJECTIVES, _poisson, locate_occurrences
 from spanmine.demo import DEMO_SEED, generate_demo_corpus
 from spanmine.miner import DEFAULT_THRESHOLDS, MAX_NGRAM
 from tests.conftest import oracle_locate_occurrences, oracle_ssp_target
@@ -426,5 +426,5 @@ def test_demo_corruption_golden_digest(demo_corruption, tmp_path, objective, wor
     docs, spans = demo_corruption
     out = tmp_path / "out.jsonl"
     cfg = CorruptionConfig(objective=objective, seed=DEMO_SEED)
-    gen_corpus(docs, spans if objective.startswith("ss") else None, cfg, out, workers=workers)
+    gen_corpus(docs, spans if objective in SPAN_OBJECTIVES else None, cfg, out, workers=workers)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CORRUPTION_DIGESTS[objective]

@@ -19,6 +19,7 @@ from spanmine import (
     model_input,
     save_index,
 )
+from spanmine.analysis import span_characteristics
 from spanmine.demo import generate_demo_corpus
 from spanmine.miner import DEFAULT_THRESHOLDS, parse_thresholds
 from tests.conftest import BruteBM25, as_tokenized, oracle_mine, random_token_corpus
@@ -189,12 +190,17 @@ class TestMine:
         spans_b = {(s.tokens, s.rank) for s in mine(doc_b[0], idx_b, ThresholdFn({1: 8, 2: 8, 3: 8}), frozenset())}
         assert spans_a == spans_b
 
-    def test_max_spans_cap(self):
+    def test_max_spans_cap(self, tmp_path):
         corpus = build_synthetic()
         index = build_index(as_tokenized(corpus))
         doc = as_tokenized(corpus)[7]
-        spans = mine(doc, index, ThresholdFn({1: 50, 2: 50, 3: 50}), frozenset(), max_spans=3)
+        thresholds = ThresholdFn({1: 50, 2: 50, 3: 50})
+        spans = mine(doc, index, thresholds, frozenset(), max_spans=3)
         assert len(spans) == 3
+        with pytest.raises(DataError, match="max_spans"):
+            mine(doc, index, thresholds, frozenset(), max_spans=-1)
+        with pytest.raises(DataError, match="max_spans"):
+            mine_corpus([doc], index, tmp_path / "spans.jsonl", thresholds, frozenset(), max_spans=-1)
 
 
 class TestMineCorpus:
@@ -418,7 +424,8 @@ class TestPrunedMining:
 
 
 # sha256 of spans.jsonl for the 200-document demo corpus, mined against a
-# saved and reloaded index. Pins the miner's output bytes.
+# saved and reloaded index. Pins the miner's output bytes; the summary's span
+# count and length mix must also agree with the file's.
 @pytest.mark.parametrize(
     "thresholds, subset_step, max_spans, workers, digest",
     [
@@ -435,8 +442,13 @@ def test_demo_spans_golden_digest(tmp_path, thresholds, subset_step, max_spans, 
     index = load_index(tmp_path / "index.spmi")
     fn = parse_thresholds(thresholds) if thresholds else DEFAULT_THRESHOLDS.scaled_to(len(docs))
     out = tmp_path / "spans.jsonl"
-    mine_corpus(docs[::subset_step], index, out, thresholds=fn, max_spans=max_spans, workers=workers)
+    summary = mine_corpus(docs[::subset_step], index, out, thresholds=fn, max_spans=max_spans, workers=workers)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    from_file = span_characteristics(load_spans(out))
+    assert (summary.total_spans, summary.length_distribution) == (
+        from_file.total_spans,
+        from_file.length_distribution,
+    )
 
 
 MALFORMED_SPANS = {
