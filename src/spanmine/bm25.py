@@ -5,9 +5,11 @@ and the standard tf saturation with parameters k1 and b. A query is a bag
 of terms scored disjunctively; rank(q, source) counts the documents that
 score strictly higher than the source, so ties favor the source.
 
-The on-disk format is a single binary file: header (magic, version,
-params, counts), a document table, a front-coded term dictionary with
-delta-encoded varint postings, and a trailing CRC32.
+The on-disk format (version 2) is a single binary file: a fixed header
+(magic, version, k1, b and the counts of documents, terms and postings),
+one zlib stream of little-endian u32 columns (id byte lengths, document
+lengths, term byte lengths, dfs, doc refs, term frequencies) followed by
+the UTF-8 ids and terms, and a trailing CRC32 of everything before it.
 """
 
 from __future__ import annotations
@@ -15,17 +17,25 @@ from __future__ import annotations
 import heapq
 import math
 import struct
+import sys
 import zlib
+from array import array
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress, count, islice
+from operator import ge
 from typing import NamedTuple
 
 from .corpus import TokenizedDoc
 from .errors import ChecksumError, DataError, DuplicateIdError, IndexFormatError
 
 _MAGIC = b"SPMI"
-_VERSION = 1
+_VERSION = 2
+_HEADER = struct.Struct("<4sHddIII")  # magic, version, k1, b, documents, terms, postings
+_ZLIB_LEVEL = 1
+_BIG_ENDIAN = sys.byteorder == "big"
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -194,134 +204,117 @@ def build_index(
     )
 
 
-def _write_varint(out: bytearray, value: int) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+def _columns(raw: bytes, counts: Sequence[int]) -> list[array]:
+    """Consecutive little-endian u32 columns of the given lengths."""
+    view = memoryview(raw)
+    columns, pos = [], 0
+    for n in counts:
+        column = array("I")
+        column.frombytes(view[pos : pos + 4 * n])
+        if _BIG_ENDIAN:
+            column.byteswap()
+        columns.append(column)
+        pos += 4 * n
+    return columns
 
 
-class _Reader:
-    def __init__(self, data: bytes, pos: int = 0):
-        self.data = data
-        self.pos = pos
-
-    def varint(self) -> int:
-        result = 0
-        shift = 0
-        while True:
-            if self.pos >= len(self.data):
-                raise ChecksumError("index file truncated inside a varint")
-            byte = self.data[self.pos]
-            self.pos += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ChecksumError("index file truncated")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def text(self, what: str) -> str:
-        """A varint-length-prefixed UTF-8 string."""
-        raw = self.take(self.varint())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise IndexFormatError(f"index file corrupt (invalid UTF-8 in a {what})") from exc
+def _decode(blob: bytes, lens: array, what: str) -> list[str]:
+    """Split a blob of UTF-8 strings by their byte lengths."""
+    offsets = list(accumulate(lens, initial=0))
+    try:
+        return [blob[start:end].decode("utf-8") for start, end in zip(offsets, offsets[1:])]
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(f"index file corrupt (invalid UTF-8 in a {what})") from exc
 
 
 def save_index(index: BM25Index, path) -> None:
     """Serialize to the single-file binary format described above."""
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<H", _VERSION)
-    out += struct.pack("<dd", index.k1, index.b)
-    _write_varint(out, index.num_docs)
-    for doc_id, doc_len in zip(index.doc_ids, index.doc_lens):
-        raw = doc_id.encode("utf-8")
-        _write_varint(out, len(raw))
-        out += raw
-        _write_varint(out, doc_len)
     terms = sorted(index.postings)
-    _write_varint(out, len(terms))
-    prev = ""
-    for term in terms:
-        shared = 0
-        for a, b in zip(prev, term):
-            if a != b:
-                break
-            shared += 1
-        suffix = term[shared:].encode("utf-8")
-        _write_varint(out, shared)
-        _write_varint(out, len(suffix))
-        out += suffix
-        plist = index.postings[term]
-        _write_varint(out, len(plist))
-        prev_ref = 0
-        for posting in plist:
-            _write_varint(out, posting.doc_ref - prev_ref)
-            _write_varint(out, posting.term_freq)
-            prev_ref = posting.doc_ref
-        prev = term
-    out += struct.pack("<I", zlib.crc32(out))
+    plists = [index.postings[term] for term in terms]
+    ids = [doc_id.encode("utf-8") for doc_id in index.doc_ids]
+    words = [term.encode("utf-8") for term in terms]
+    pairs = array("I", chain.from_iterable(chain.from_iterable(plists)))
+    columns = array("I", map(len, ids))
+    for column in (index.doc_lens, map(len, words), map(len, plists), pairs[::2], pairs[1::2]):
+        columns.extend(column)
+    if _BIG_ENDIAN:
+        columns.byteswap()
+    out = _HEADER.pack(_MAGIC, _VERSION, index.k1, index.b, index.num_docs, len(terms), len(pairs) // 2)
+    out += zlib.compress(columns.tobytes() + b"".join(ids) + b"".join(words), _ZLIB_LEVEL)
     with open(path, "wb") as fh:
         fh.write(out)
+        fh.write(struct.pack("<I", zlib.crc32(out)))
 
 
 def load_index(path) -> BM25Index:
-    """Load a saved index; scores reproduce bit-identically."""
+    """Load a saved index; scores reproduce bit-identically.
+
+    Any file that is not a consistent v2 index raises IndexFormatError
+    (ChecksumError for a checksum mismatch or a truncated file).
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 4 or data[:4] != _MAGIC:
+    if data[:4] != _MAGIC:
         raise IndexFormatError("not an index file (bad magic bytes)")
-    if len(data) < 8 or zlib.crc32(data[:-4]) != struct.unpack("<I", data[-4:])[0]:
-        raise ChecksumError("index file corrupt (checksum mismatch)")
-    reader = _Reader(data[:-4], pos=4)
-    (version,) = struct.unpack("<H", reader.take(2))
+    if len(data) < 6:
+        raise ChecksumError("index file truncated")
+    version = int.from_bytes(data[4:6], "little")
     if version != _VERSION:
-        raise IndexFormatError(f"unsupported index version {version} (expected {_VERSION})")
-    k1, b = struct.unpack("<dd", reader.take(16))
-    num_docs = reader.varint()
-    doc_ids = []
-    doc_lens = []
-    for _ in range(num_docs):
-        doc_ids.append(reader.text("document id"))
-        doc_lens.append(reader.varint())
+        raise IndexFormatError(
+            f"unsupported index version {version} (expected {_VERSION}); rebuild it with spanmine index"
+        )
+    if len(data) < _HEADER.size + 4 or zlib.crc32(memoryview(data)[:-4]) != int.from_bytes(data[-4:], "little"):
+        raise ChecksumError("index file corrupt (checksum mismatch)")
+    _, _, k1, b, num_docs, num_terms, num_postings = _HEADER.unpack_from(data)
+    if not (k1 > 0 and 0 <= b <= 1):
+        raise IndexFormatError(f"index file corrupt (k1={k1}, b={b})")
+    try:
+        raw = zlib.decompress(memoryview(data)[_HEADER.size : -4])
+    except zlib.error as exc:
+        raise IndexFormatError(f"index file corrupt ({exc})") from exc
+    del data
+    # Counts are checked against the body before anything is sized by them.
+    counts = (num_docs, num_docs, num_terms, num_terms, num_postings, num_postings)
+    width = 4 * sum(counts)
+    if len(raw) < width:
+        raise IndexFormatError("index file corrupt (body shorter than its header counts)")
+    id_lens, doc_lens, term_lens, dfs, refs, tfs = _columns(raw, counts)
+    text = raw[width:]
+    del raw
+    id_bytes = sum(id_lens)
+    if id_bytes + sum(term_lens) != len(text) or sum(dfs) != num_postings:
+        raise IndexFormatError("index file corrupt (section sizes disagree with the header counts)")
+    doc_ids = _decode(text[:id_bytes], id_lens, "document id")
+    terms = _decode(text[id_bytes:], term_lens, "term")
+    del text
     total_len = sum(doc_lens)
     if not total_len:
         raise IndexFormatError("index file corrupt (document lengths sum to 0)")
-    postings: dict[str, list[Posting]] = {}
-    prev = ""
-    for _ in range(reader.varint()):
-        shared = reader.varint()
-        term = prev[:shared] + reader.text("term")
-        plist = []
-        doc_ref = 0
-        for _ in range(reader.varint()):
-            doc_ref += reader.varint()
-            plist.append(Posting(doc_ref, reader.varint()))
-        # Deltas are non-negative, so the last ref is the largest.
-        if doc_ref >= num_docs:
-            raise IndexFormatError(
-                f"index file corrupt (term {term!r} posts to document {doc_ref} of {num_docs})"
-            )
-        postings[term] = plist
-        prev = term
-    avg_doc_len = total_len / num_docs
+    for what, names in (("document id", doc_ids), ("term", terms)):
+        if len(set(names)) != len(names):
+            repeated = Counter(names).most_common(1)[0][0]
+            raise IndexFormatError(f"index file corrupt ({what} {repeated!r} appears twice)")
+    ends = list(accumulate(dfs))
+    doc_ref = max(refs, default=0)
+    if doc_ref >= num_docs:
+        term = terms[bisect_right(ends, refs.index(doc_ref))]
+        raise IndexFormatError(f"index file corrupt (term {term!r} posts to document {doc_ref} of {num_docs})")
+    # Doc refs ascend strictly within a term: a ref not above its
+    # predecessor may only start the next term's list.
+    unordered = set(compress(count(1), map(ge, refs, islice(refs, 1, None)))).difference(ends)
+    if unordered:
+        pos = min(unordered)
+        term = terms[bisect_right(ends, pos)]
+        raise IndexFormatError(f"index file corrupt (term {term!r} repeats or reorders document {refs[pos]})")
+    if 0 in tfs:
+        raise IndexFormatError("index file corrupt (a posting has term frequency 0)")
+    pairs = map(Posting, refs, tfs)
+    postings = {term: list(islice(pairs, df)) for term, df in zip(terms, dfs)}
     return BM25Index(
         postings=postings,
-        doc_lens=doc_lens,
+        doc_lens=doc_lens.tolist(),
         doc_ids=doc_ids,
-        avg_doc_len=avg_doc_len,
+        avg_doc_len=total_len / num_docs,
         k1=k1,
         b=b,
     )

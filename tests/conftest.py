@@ -20,6 +20,11 @@ from spanmine import (
 )
 from spanmine.corpus import contains
 
+# A version-1 index file (front-coded terms, varint postings) of one
+# document "d" holding the token "a"; version 2 refuses it.
+V1_INDEX = bytes.fromhex("53504d490100333333333333f33f000000000000e83f0101640101000161010001eeb8d264")
+V1_REFUSAL = r"unsupported index version 1 \(expected 2\); rebuild it with spanmine index"
+
 
 class BruteBM25:
     """Direct evaluation of the closed-form scoring formula.

@@ -1,7 +1,11 @@
 import math
 import random
+import struct
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanmine import (
     ChecksumError,
@@ -13,7 +17,21 @@ from spanmine import (
     load_index,
     save_index,
 )
-from tests.conftest import BruteBM25, as_tokenized, oracle_score, random_token_corpus
+from tests.conftest import V1_INDEX, V1_REFUSAL, BruteBM25, as_tokenized, oracle_score, random_token_corpus
+
+V2_HEADER = struct.Struct("<4sHddIII")  # magic, version, k1, b, documents, terms, postings
+
+
+def _read_v2(path):
+    """A saved index's header and decompressed body."""
+    data = path.read_bytes()
+    return data[: V2_HEADER.size], zlib.decompress(data[V2_HEADER.size : -4])
+
+
+def _write_v2(path, header, body):
+    """Recompress ``body`` behind ``header`` and append a valid CRC32."""
+    out = header + zlib.compress(body)
+    path.write_bytes(out + struct.pack("<I", zlib.crc32(out)))
 
 
 class TestBuildIndex:
@@ -226,23 +244,64 @@ class TestPersistence:
 
     @pytest.mark.parametrize(
         "fault, message",
-        [("zero-lengths", "lengths sum to 0"), ("posting-past-table", "posts to document 3 of 3")],
-        ids=["zero-lengths", "posting-past-table"],
+        [
+            ("zero-lengths", "lengths sum to 0"),
+            ("posting-past-table", "posts to document 3 of 3"),
+            ("repeated-doc-id", "document id 'd0' appears twice"),
+            ("repeated-doc-ref", "term 'a' repeats or reorders document 1"),
+            ("descending-doc-ref", "term 'a' repeats or reorders document 0"),
+        ],
+        ids=["zero-lengths", "posting-past-table", "repeated-doc-id", "repeated-doc-ref", "descending-doc-ref"],
     )
     def test_inconsistent_file_is_index_format_error(self, tmp_path, toy_index, fault, message):
         if fault == "zero-lengths":
             toy_index.doc_lens[:] = [0] * toy_index.num_docs
-        else:
+        elif fault == "posting-past-table":
             toy_index.postings["c"].append(Posting(toy_index.num_docs, 1))
+        elif fault == "repeated-doc-id":
+            toy_index.doc_ids[1] = "d0"
+        elif fault == "repeated-doc-ref":
+            toy_index.postings["a"].append(Posting(1, 5))
+        else:
+            toy_index.postings["a"].reverse()
         path = tmp_path / "idx.spmi"
         save_index(toy_index, path)
         with pytest.raises(IndexFormatError, match=message):
             load_index(path)
 
-    def test_unsupported_version(self, tmp_path, toy_index):
-        import struct
-        import zlib
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("repeated-term", "term 'a' appears twice"),
+            ("short-body", "body shorter than its header counts"),
+            ("extra-text", "section sizes disagree"),
+            ("postings-count", "section sizes disagree"),
+            ("zero-tf", "term frequency 0"),
+        ],
+        ids=["repeated-term", "short-body", "extra-text", "postings-count", "zero-tf"],
+    )
+    def test_inconsistent_body_is_index_format_error(self, tmp_path, toy_index, fault, message):
+        # toy_index: 3 docs, terms "a", "b", "c" with 5 postings; the body
+        # ends with the ids "d0d1d2" and the terms "abc".
+        path = tmp_path / "idx.spmi"
+        save_index(toy_index, path)
+        header, body = _read_v2(path)
+        if fault == "repeated-term":
+            body = body[:-3] + b"aac"
+        elif fault == "short-body":
+            body = body[:-10]
+        elif fault == "extra-text":
+            body += b"z"
+        elif fault == "postings-count":
+            header = header[:-4] + struct.pack("<I", 4)
+        else:
+            tfs_at = 4 * (2 * 3 + 2 * 3 + 5)
+            body = body[:tfs_at] + struct.pack("<I", 0) + body[tfs_at + 4 :]
+        _write_v2(path, header, body)
+        with pytest.raises(IndexFormatError, match=message):
+            load_index(path)
 
+    def test_unsupported_version(self, tmp_path, toy_index):
         path = tmp_path / "idx.spmi"
         save_index(toy_index, path)
         data = bytearray(path.read_bytes())[:-4]
@@ -252,22 +311,101 @@ class TestPersistence:
         with pytest.raises(IndexFormatError, match="version"):
             load_index(path)
 
+    def test_v1_file_is_refused(self, tmp_path):
+        # Any prefix of a valid v1 file, down to magic plus version, is
+        # refused by version; the whole file is shorter than a v2 header.
+        path = tmp_path / "idx.spmi"
+        for end in range(6, len(V1_INDEX) + 1):
+            path.write_bytes(V1_INDEX[:end])
+            with pytest.raises(IndexFormatError, match=V1_REFUSAL):
+                load_index(path)
+
     @pytest.mark.parametrize("field", ["doc-id", "term"])
     def test_invalid_utf8_is_index_format_error(self, tmp_path, field):
-        import struct
-        import zlib
-
         from spanmine import TokenizedDoc
 
         # "é" is two bytes (c3 a9); overwrite them with an invalid pair.
         doc_id, term = ("dé", "x") if field == "doc-id" else ("d", "é")
         path = tmp_path / "idx.spmi"
         save_index(build_index([TokenizedDoc(doc_id, (term,), 0)]), path)
-        data = path.read_bytes()[:-4]
-        data = data.replace("é".encode("utf-8"), b"\xe9\x41")
-        path.write_bytes(data + struct.pack("<I", zlib.crc32(data)))
+        header, body = _read_v2(path)
+        _write_v2(path, header, body.replace("é".encode("utf-8"), b"\xe9\x41"))
         with pytest.raises(IndexFormatError, match="invalid UTF-8"):
             load_index(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A path for fuzz inputs, and the v2 header and body of a small index."""
+    path = tmp_path_factory.mktemp("fuzz") / "idx.spmi"
+    docs = as_tokenized([["graph", "cut", "graph"], ["cut", "flow"], ["é", "flow", "flow", "x"], ["x"]])
+    save_index(build_index(docs), path)
+    return path, *_read_v2(path)
+
+
+def _fuzz_load(path, data: bytes) -> None:
+    """Load ``data``: only IndexFormatError may escape, and an index that
+    loads holds what build_index guarantees."""
+    path.write_bytes(data)
+    try:
+        loaded = load_index(path)
+    except IndexFormatError:
+        return
+    assert len(set(loaded.doc_ids)) == loaded.num_docs and sum(loaded.doc_lens) > 0
+    for term, plist in loaded.postings.items():
+        refs = [p.doc_ref for p in plist]
+        assert refs == sorted(set(refs)) and all(p.term_freq >= 1 for p in plist)
+        assert set(loaded.term_weights(term).by_slot) == set(refs)
+
+
+class TestLoadFuzz:
+    """Malformed files end as IndexFormatError, never zlib/struct/Index/Overflow/MemoryError."""
+
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["truncate", "flip", "splice", "copy"]),
+                st.integers(min_value=0, max_value=2**16),
+                st.integers(min_value=0, max_value=2**16),
+                st.integers(min_value=1, max_value=255),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        counts=st.none() | st.tuples(*[st.integers(min_value=0, max_value=2**32 - 1)] * 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_edited_body(self, fuzz_base, edits, counts):
+        # Edits go to the decompressed body (and optionally the header
+        # counts), which is then recompressed and re-checksummed, so the
+        # parser and not the CRC meets them.
+        path, header, body = fuzz_base
+        if counts is not None:
+            header = header[:-12] + struct.pack("<III", *counts)
+        for op, i, j, k in edits:
+            i, j = i % (len(body) + 1), j % (len(body) + 1)
+            if op == "truncate":
+                body = body[:i]
+            elif op == "flip" and i < len(body):
+                body = body[:i] + bytes([body[i] ^ k]) + body[i + 1 :]
+            elif op == "splice":  # insert up to k bytes from j at i
+                body = body[:i] + body[j : j + k] + body[i:]
+            elif op == "copy":  # one u32 over another: the section sizes still agree
+                i, j = i - i % 4, j - j % 4
+                chunk = body[j : j + 4][: len(body) - i]
+                body = body[:i] + chunk + body[i + len(chunk) :]
+        out = header + zlib.compress(body)
+        _fuzz_load(path, out + struct.pack("<I", zlib.crc32(out)))
+
+    @given(st.binary(max_size=200), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_random_bytes(self, fuzz_base, data, behind_header):
+        # Raw bytes, or raw bytes as the body behind a valid header and CRC.
+        path, header, _ = fuzz_base
+        if behind_header:
+            out = header + data
+            data = out + struct.pack("<I", zlib.crc32(out))
+        _fuzz_load(path, data)
 
 
 def test_expected_idf_formula(toy_index):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 import spanmine
 from spanmine.cli import EXIT_DATA, EXIT_IO, EXIT_OK, run
+from tests.conftest import V1_INDEX, V1_REFUSAL
 
 
 def _corpus_lines():
@@ -164,6 +166,13 @@ class TestSubcommands:
             "corrupt": ["corrupt", "--objective", "ti", "--corpus", str(corpus), "--out", out, "--threads", "1"],
         }[command]
         assert run(["-q", *argv, flag, value]) == EXIT_DATA
+
+    def test_v1_index_is_refused(self, corpus, tmp_path, caplog):
+        index = tmp_path / "idx.spmi"
+        index.write_bytes(V1_INDEX)
+        argv = ["-q", "mine", "--index", str(index), "--corpus", str(corpus), "--out", str(tmp_path / "spans.jsonl")]
+        assert run(argv) == EXIT_DATA
+        assert re.search(V1_REFUSAL, caplog.text)
 
     def test_io_error_exit_code(self, tmp_path):
         assert run(["-q", "stats", "--corpus", str(tmp_path / "nope.jsonl")]) == EXIT_IO
