@@ -11,7 +11,7 @@ The toolkit covers the non-neural half of a keyphrase-generation pipeline:
 
 __version__ = "0.1.0"
 
-from .bm25 import BM25Index, Posting, Query, build_index, load_index, save_index
+from .bm25 import BM25Index, PostingList, Query, build_index, load_index, save_index
 from .corpus import (
     CorpusStats,
     Document,

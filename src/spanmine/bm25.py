@@ -10,6 +10,11 @@ The on-disk format (version 2) is a single binary file: a fixed header
 one zlib stream of little-endian u32 columns (id byte lengths, document
 lengths, term byte lengths, dfs, doc refs, term frequencies) followed by
 the UTF-8 ids and terms, and a trailing CRC32 of everything before it.
+
+In memory, the doc refs and term frequencies are likewise two corpus-wide
+u32 columns, term by term, and each term's PostingList is its slice of
+them. No Python object is made per posting, so the cyclic garbage
+collector never walks them.
 """
 
 from __future__ import annotations
@@ -41,9 +46,38 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 
-class Posting(NamedTuple):
-    doc_ref: int
-    term_freq: int
+class PostingList:
+    """One term's postings: doc refs, ascending, and their term frequencies.
+
+    They are the slice [start, stop) of two u32 columns that the index's
+    terms share; len() is the document frequency. ``refs`` and ``tfs``
+    return copies of the slice, and two lists are equal when these are.
+    """
+
+    __slots__ = ("_refs", "_tfs", "_start", "_stop")
+
+    def __init__(self, refs: array, tfs: array, start: int = 0, stop: int | None = None):
+        self._refs, self._tfs = refs, tfs
+        self._start, self._stop = start, len(refs) if stop is None else stop
+
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    @property
+    def refs(self) -> array:
+        return self._refs[self._start : self._stop]
+
+    @property
+    def tfs(self) -> array:
+        return self._tfs[self._start : self._stop]
+
+    def __eq__(self, other):
+        if not isinstance(other, PostingList):
+            return NotImplemented
+        return self.refs == other.refs and self.tfs == other.tfs
+
+    def __repr__(self) -> str:
+        return f"PostingList(refs={self.refs!r}, tfs={self.tfs!r})"
 
 
 class TermWeights(NamedTuple):
@@ -80,7 +114,7 @@ def _as_query(query: Query | Sequence[str]) -> Query:
 
 @dataclass
 class BM25Index:
-    postings: dict[str, list[Posting]]
+    postings: dict[str, PostingList]
     doc_lens: list[int]
     doc_ids: list[str]
     avg_doc_len: float
@@ -127,7 +161,7 @@ class BM25Index:
             idf = self.idf(term)
             norms = self._norms
             k1p1 = self.k1 + 1.0
-            by_slot = {doc_ref: idf * tf * k1p1 / (tf + norms[doc_ref]) for doc_ref, tf in plist}
+            by_slot = {ref: idf * tf * k1p1 / (tf + norms[ref]) for ref, tf in zip(plist.refs, plist.tfs)}
             cached = self._weights[term] = TermWeights(by_slot, max(by_slot.values()))
         return cached
 
@@ -178,7 +212,8 @@ def build_index(
         raise DataError(f"k1 must be > 0, got {k1}")
     if not 0 <= b <= 1:
         raise DataError(f"b must be in [0, 1], got {b}")
-    postings: dict[str, list[Posting]] = {}
+    term_refs: dict[str, array] = {}
+    term_tfs: dict[str, array] = {}
     doc_lens: list[int] = []
     doc_ids: list[str] = []
     seen: set[str] = set()
@@ -189,11 +224,25 @@ def build_index(
         doc_ids.append(doc.doc_id)
         doc_lens.append(len(doc.tokens))
         for term, tf in Counter(doc.tokens).items():
-            postings.setdefault(term, []).append(Posting(slot, tf))
+            column = term_refs.get(term)
+            if column is None:
+                term_refs[term] = array("I", (slot,))
+                term_tfs[term] = array("I", (tf,))
+            else:
+                column.append(slot)
+                term_tfs[term].append(tf)
     total_len = sum(doc_lens)
     if not total_len:
         raise DataError("cannot build an index from a corpus with no tokens")
     avg_doc_len = total_len / len(doc_lens)
+    # Concatenate the per-term columns, freeing each once it is copied.
+    refs, tfs = array("I"), array("I")
+    postings: dict[str, PostingList] = {}
+    for term in list(term_refs):
+        start = len(refs)
+        refs.extend(term_refs.pop(term))
+        tfs.extend(term_tfs.pop(term))
+        postings[term] = PostingList(refs, tfs, start, len(refs))
     return BM25Index(
         postings=postings,
         doc_lens=doc_lens,
@@ -233,13 +282,19 @@ def save_index(index: BM25Index, path) -> None:
     plists = [index.postings[term] for term in terms]
     ids = [doc_id.encode("utf-8") for doc_id in index.doc_ids]
     words = [term.encode("utf-8") for term in terms]
-    pairs = array("I", chain.from_iterable(chain.from_iterable(plists)))
+    dfs = array("I", map(len, plists))
     columns = array("I", map(len, ids))
-    for column in (index.doc_lens, map(len, words), map(len, plists), pairs[::2], pairs[1::2]):
+    for column in (index.doc_lens, map(len, words), dfs):
         columns.extend(column)
+    # Slices of the shared columns, without the per-call cost of the
+    # refs/tfs properties: these loops run once per term.
+    for plist in plists:
+        columns.extend(plist._refs[plist._start : plist._stop])
+    for plist in plists:
+        columns.extend(plist._tfs[plist._start : plist._stop])
     if _BIG_ENDIAN:
         columns.byteswap()
-    out = _HEADER.pack(_MAGIC, _VERSION, index.k1, index.b, index.num_docs, len(terms), len(pairs) // 2)
+    out = _HEADER.pack(_MAGIC, _VERSION, index.k1, index.b, index.num_docs, len(terms), sum(dfs))
     out += zlib.compress(columns.tobytes() + b"".join(ids) + b"".join(words), _ZLIB_LEVEL)
     with open(path, "wb") as fh:
         fh.write(out)
@@ -308,8 +363,9 @@ def load_index(path) -> BM25Index:
         raise IndexFormatError(f"index file corrupt (term {term!r} repeats or reorders document {refs[pos]})")
     if 0 in tfs:
         raise IndexFormatError("index file corrupt (a posting has term frequency 0)")
-    pairs = map(Posting, refs, tfs)
-    postings = {term: list(islice(pairs, df)) for term, df in zip(terms, dfs)}
+    postings = {
+        term: PostingList(refs, tfs, start, end) for term, start, end in zip(terms, chain((0,), ends), ends)
+    }
     return BM25Index(
         postings=postings,
         doc_lens=doc_lens.tolist(),

@@ -100,6 +100,7 @@ def _cmd_index(args) -> dict:
     return {
         "documents": index.num_docs,
         "terms": len(index.postings),
+        "postings": sum(map(len, index.postings.values())),
         "avg_doc_len": index.avg_doc_len,
         "k1": index.k1,
         "b": index.b,

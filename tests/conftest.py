@@ -77,10 +77,13 @@ def oracle_score(index, query, slot):
     """
     total = 0.0
     for term in query:
-        plist = index.postings.get(term, [])
-        i = bisect_left(plist, slot, key=lambda p: p.doc_ref)
-        if i < len(plist) and plist[i].doc_ref == slot:
-            tf = plist[i].term_freq
+        plist = index.postings.get(term)
+        if plist is None:
+            continue
+        refs = plist.refs
+        i = bisect_left(refs, slot)
+        if i < len(refs) and refs[i] == slot:
+            tf = plist.tfs[i]
             total += index.idf(term) * tf * (index.k1 + 1.0) / (tf + index._norms[slot])
     return total
 

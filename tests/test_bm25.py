@@ -1,7 +1,9 @@
+import gc
 import math
 import random
 import struct
 import zlib
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from spanmine import (
     ChecksumError,
     DataError,
     IndexFormatError,
-    Posting,
+    PostingList,
     Query,
     build_index,
     load_index,
@@ -43,7 +45,7 @@ class TestBuildIndex:
 
     def test_term_frequency(self):
         index = build_index(as_tokenized([["x", "y", "x"]]))
-        assert index.postings["x"] == [(0, 2)]
+        assert index.postings["x"] == PostingList(array("I", [0]), array("I", [2]))
 
     def test_empty_stream(self):
         for docs in ([], as_tokenized([[], []])):
@@ -55,9 +57,8 @@ class TestBuildIndex:
         docs = as_tokenized(random_token_corpus(rng))
         index = build_index(docs)
         for plist in index.postings.values():
-            refs = [p.doc_ref for p in plist]
-            assert refs == sorted(set(refs))
-            assert all(p.term_freq >= 1 for p in plist)
+            assert list(plist.refs) == sorted(set(plist.refs))
+            assert len(plist.tfs) == len(plist) and all(tf >= 1 for tf in plist.tfs)
 
     def test_param_validation(self):
         docs = as_tokenized([["a"]])
@@ -208,6 +209,9 @@ class TestPersistence:
         assert loaded.doc_lens == index.doc_lens
         assert loaded.avg_doc_len == index.avg_doc_len
         assert loaded.postings == index.postings
+        # Built lists are sliced in first-seen term order, loaded ones in
+        # sorted order; the reprs must still agree.
+        assert repr(sorted(loaded.postings.items())) == repr(sorted(index.postings.items()))
         vocab = sorted(index.postings)
         for _ in range(25):
             query = [rng.choice(vocab) for _ in range(rng.randint(1, 3))]
@@ -215,6 +219,26 @@ class TestPersistence:
             assert loaded.scores(query) == index.scores(query)
             assert loaded.scores(query).get(slot, 0.0) == oracle_score(index, query, slot)
             assert loaded.rank(query, slot) == index.rank(query, slot)
+
+    def test_no_tracked_object_per_posting(self, tmp_path):
+        # 20 documents holding all 60 terms: 1,200 postings, 20 per term.
+        # Building or loading may add GC-tracked objects per term and per
+        # document, but not per posting.
+        docs = as_tokenized([[f"t{j}" for j in range(60) for _ in range(1 + (i + j) % 3)] for i in range(20)])
+        path = tmp_path / "idx.spmi"
+        save_index(build_index(docs), path)
+        load_index(path)  # first calls fill interpreter caches
+
+        def tracked_objects_added(make):
+            gc.collect()
+            before = len(gc.get_objects())
+            index = make()
+            gc.collect()
+            return len(gc.get_objects()) - before, index
+
+        for make in (lambda: build_index(docs), lambda: load_index(path)):
+            added, index = tracked_objects_added(make)
+            assert added < len(index.postings) + index.num_docs + 20
 
     def test_truncated_file_checksum_error(self, tmp_path, toy_index):
         path = tmp_path / "idx.spmi"
@@ -257,13 +281,13 @@ class TestPersistence:
         if fault == "zero-lengths":
             toy_index.doc_lens[:] = [0] * toy_index.num_docs
         elif fault == "posting-past-table":
-            toy_index.postings["c"].append(Posting(toy_index.num_docs, 1))
+            toy_index.postings["c"] = PostingList(array("I", [1, 2, toy_index.num_docs]), array("I", [1, 1, 1]))
         elif fault == "repeated-doc-id":
             toy_index.doc_ids[1] = "d0"
         elif fault == "repeated-doc-ref":
-            toy_index.postings["a"].append(Posting(1, 5))
+            toy_index.postings["a"] = PostingList(array("I", [0, 1, 1]), array("I", [1, 2, 5]))
         else:
-            toy_index.postings["a"].reverse()
+            toy_index.postings["a"] = PostingList(array("I", [1, 0]), array("I", [2, 1]))
         path = tmp_path / "idx.spmi"
         save_index(toy_index, path)
         with pytest.raises(IndexFormatError, match=message):
@@ -353,8 +377,8 @@ def _fuzz_load(path, data: bytes) -> None:
         return
     assert len(set(loaded.doc_ids)) == loaded.num_docs and sum(loaded.doc_lens) > 0
     for term, plist in loaded.postings.items():
-        refs = [p.doc_ref for p in plist]
-        assert refs == sorted(set(refs)) and all(p.term_freq >= 1 for p in plist)
+        refs = list(plist.refs)
+        assert refs == sorted(set(refs)) and len(plist.tfs) == len(refs) and all(tf >= 1 for tf in plist.tfs)
         assert set(loaded.term_weights(term).by_slot) == set(refs)
 
 

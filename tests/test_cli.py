@@ -43,7 +43,10 @@ class TestSubcommands:
     def test_full_pipeline(self, corpus, tmp_path, capsys):
         index = tmp_path / "idx.spmi"
         assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
-        assert _json_out(capsys)["documents"] == 3
+        out = _json_out(capsys)
+        dfs = [len(plist) for plist in spanmine.load_index(index).postings.values()]
+        assert (out["documents"], out["terms"], out["postings"]) == (3, len(dfs), sum(dfs))
+        assert out["postings"] > out["terms"]  # some term is in two documents
 
         spans = tmp_path / "spans.jsonl"
         assert run([

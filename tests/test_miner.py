@@ -387,7 +387,8 @@ class TestPrunedMining:
         thresholds = ThresholdFn({1: limit, 2: limit, 3: limit})
         summary = mine_corpus(mined, index, out, thresholds, stoplist, workers=workers)
         _assert_matches_oracles(out, mined, index, _cached_brute(indexed), thresholds, stoplist)
-        unions = [{p.doc_ref for t in q for p in index.postings.get(t, ())} for q in _distinct_queries(mined, stoplist)]
+        queries = _distinct_queries(mined, stoplist)
+        unions = [{ref for t in q if t in index.postings for ref in index.postings[t].refs} for q in queries]
         assert (summary.distinct_queries, summary.docs_scored) == (len(unions), sum(map(len, unions)))
 
     def test_repeated_terms_count_per_occurrence(self, tmp_path):
