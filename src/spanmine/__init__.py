@@ -11,9 +11,8 @@ The toolkit covers the non-neural half of a keyphrase-generation pipeline:
 
 __version__ = "0.1.0"
 
-from .bm25 import BM25Index, PostingList, Query, build_index, load_index, save_index
+from .bm25 import PostingList, build_index, load_index, save_index
 from .corpus import (
-    CorpusStats,
     Document,
     TokenizedDoc,
     dataset_stats,
@@ -25,7 +24,6 @@ from .corpus import (
 )
 from .corruption import (
     CorruptionConfig,
-    CorruptionExample,
     apply_delete,
     apply_mask,
     build_example,
@@ -41,11 +39,8 @@ from .errors import (
     DuplicateIdError,
     IndexFormatError,
     SkipDocument,
-    SpanmineError,
 )
 from .evaluation import (
-    EvalReport,
-    KeyphraseSet,
     evaluate,
     evaluate_file,
     f1_at_k,
@@ -57,14 +52,11 @@ from .evaluation import (
 )
 from .miner import (
     DEFAULT_THRESHOLDS,
-    CandidateSpan,
     SalientSpan,
     ThresholdFn,
     candidates,
     load_spans,
     mine,
     mine_corpus,
-    parse_thresholds,
 )
-from .porter import stem
-from .stopwords import DEFAULT_STOPWORDS, load_stoplist
+from .stopwords import load_stoplist

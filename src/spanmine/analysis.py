@@ -18,7 +18,7 @@ import logging
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .bm25 import BM25Index, Query
+from .bm25 import BM25Index
 from .corpus import Document, model_input
 from .errors import DataError
 from .evaluation import StemMemo, keyphrase_set, split_present_absent
@@ -98,10 +98,14 @@ def retrieval_success(
 ) -> SuccessReport:
     """Fraction of present keyphrases that retrieve their document top-k.
 
-    Rates pool every (document, present keyphrase) pair; the by-length
-    buckets cover lengths 1..3 and the overall rate includes longer
-    phrases too.
+    A keyphrase retrieves its document when the document scores above 0
+    and fewer than k documents precede it by score, descending, with ties
+    going to the lower slot. Rates pool every (document, present
+    keyphrase) pair; the by-length buckets cover lengths 1..3 and the
+    overall rate includes longer phrases too.
     """
+    if k < 1:
+        raise DataError(f"k must be >= 1, got {k}")
     hits: dict[int, int] = {n: 0 for n in range(1, MAX_NGRAM + 1)}
     counts: dict[int, int] = {n: 0 for n in range(1, MAX_NGRAM + 1)}
     total = 0
@@ -115,8 +119,9 @@ def retrieval_success(
         present, _ = split_present_absent(keyphrase_set(doc.keyphrases, stems), doc_stemmed)
         for phrase in present.phrases:
             total += 1
-            retrieved = {ref for ref, _ in index.top_k(Query(tuple(phrase)), k)}
-            hit = slot in retrieved
+            sparse = index.scores(phrase)
+            own = sparse.get(slot, 0.0)
+            hit = own > 0.0 and sum(s > own or (s == own and ref < slot) for ref, s in sparse.items()) < k
             total_hits += hit
             n = len(phrase)
             if n in counts:

@@ -19,7 +19,6 @@ collector never walks them.
 
 from __future__ import annotations
 
-import heapq
 import math
 import struct
 import sys
@@ -87,29 +86,10 @@ class TermWeights(NamedTuple):
     max_weight: float
 
 
-@dataclass(frozen=True)
-class Query:
-    """A bag of query terms; each occurrence contributes to the score."""
-
-    terms: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise DataError("query must contain at least one term")
-        for term in self.terms:
-            check_term(term)
-
-
 def check_term(term: str) -> None:
     """Reject a query term that is empty or contains whitespace."""
     if term.split() != [term]:  # str.split() splits on exactly what str.isspace() matches
         raise DataError(f"query term {term!r} is empty or contains whitespace")
-
-
-def _as_query(query: Query | Sequence[str]) -> Query:
-    if isinstance(query, Query):
-        return query
-    return Query(terms=tuple(query))
 
 
 @dataclass
@@ -165,17 +145,20 @@ class BM25Index:
             cached = self._weights[term] = TermWeights(by_slot, max(by_slot.values()))
         return cached
 
-    def scores(self, query: Query | Sequence[str]) -> dict[int, float]:
+    def scores(self, query: Sequence[str]) -> dict[int, float]:
         """Sparse scores over the union of the query terms' postings.
 
         Documents absent from the result score exactly 0.0. Per-document
         contributions accumulate in query-term order, so the same query
         gives bitwise equal scores on every call and after a reload.
         """
-        query = _as_query(query)
+        if not query:
+            raise DataError("query must contain at least one term")
+        for term in query:
+            check_term(term)
         acc: dict[int, float] = {}
         get = acc.get
-        for term in query.terms:
+        for term in query:
             by_slot = self.term_weights(term).by_slot
             if acc:
                 for doc_ref, weight in by_slot.items():
@@ -184,22 +167,13 @@ class BM25Index:
                 acc.update(by_slot)
         return acc
 
-    def rank(self, query: Query | Sequence[str], source: int) -> int:
+    def rank(self, query: Sequence[str], source: int) -> int:
         """Number of documents scoring strictly higher than ``source``."""
         if not 0 <= source < self.num_docs:
             raise DataError(f"source {source} out of range (num_docs={self.num_docs})")
         sparse = self.scores(query)
         source_score = sparse.get(source, 0.0)
         return sum(1 for s in sparse.values() if s > source_score)
-
-    def top_k(self, query: Query | Sequence[str], k: int) -> list[tuple[int, float]]:
-        """The k best positive-scoring documents, score desc, slot asc on ties."""
-        if k < 1:
-            raise DataError(f"k must be >= 1, got {k}")
-        sparse = self.scores(query)
-        positive = [(slot, s) for slot, s in sparse.items() if s > 0.0]
-        best = heapq.nlargest(k, positive, key=lambda item: (item[1], -item[0]))
-        return best
 
 
 def build_index(
@@ -349,6 +323,8 @@ def load_index(path) -> BM25Index:
         if len(set(names)) != len(names):
             repeated = Counter(names).most_common(1)[0][0]
             raise IndexFormatError(f"index file corrupt ({what} {repeated!r} appears twice)")
+    if 0 in dfs:
+        raise IndexFormatError(f"index file corrupt (term {terms[dfs.index(0)]!r} has no postings)")
     ends = list(accumulate(dfs))
     doc_ref = max(refs, default=0)
     if doc_ref >= num_docs:

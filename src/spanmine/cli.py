@@ -111,8 +111,21 @@ def _cmd_index(args) -> dict:
 def _cmd_mine(args) -> dict:
     index = load_index(args.index)
     docs, _ = _load_docs(args, args.corpus)
-    tokenized = [model_input(doc, args.max_tokens) for doc in docs]
-    thresholds = parse_thresholds(args.thresholds) if args.thresholds else DEFAULT_THRESHOLDS
+    # Truncation is a prefix cut, so each document's indexed length is the
+    # token window the index was built with.
+    tokenized = []
+    for doc in docs:
+        indexed = index.doc_lens[index.slot_of(doc.id)]
+        window = model_input(doc, indexed)
+        if len(window.tokens) < indexed:
+            raise DataError(
+                f"{args.corpus}: document {doc.id!r} has {len(window.tokens)} tokens but the index holds"
+                f" {indexed}; rebuild the index from this corpus"
+            )
+        tokenized.append(window)
+    thresholds = (
+        parse_thresholds(args.thresholds) if args.thresholds else DEFAULT_THRESHOLDS.scaled_to(index.num_docs)
+    )
     stoplist = load_stoplist(args.stoplist) if args.stoplist else DEFAULT_STOPWORDS
     logger.info(
         "mining %d documents against %d-doc index, thresholds %s",
@@ -147,8 +160,6 @@ def _cmd_corrupt(args) -> dict:
         objective=args.objective,
         k_s=args.ks,
         k_o=args.ko,
-        mask_token=args.mask_token,
-        poisson_lambda=getattr(args, "lambda"),
         seed=args.seed,
     )
     spans_by_id = None
@@ -223,10 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     _path_flag(p, "--index")
     _path_flag(p, "--corpus")
     _path_flag(p, "--out")
-    p.add_argument("--thresholds", default=None, help="e.g. '1:500,2:430,3:360' (the default)")
+    p.add_argument(
+        "--thresholds", default=None, help="e.g. '1:500,2:430,3:360' (the default, scaled from 500k docs to the index)"
+    )
     p.add_argument("--stoplist", default=None, help="stop word file (default: bundled list)")
     p.add_argument("--max-spans", type=int, default=None)
-    p.add_argument("--max-tokens", type=int, default=DEFAULT_MAX_TOKENS)
     _add_schema_flags(p)
     _add_threads_flag(p)
     p.set_defaults(func=_cmd_mine)
@@ -238,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     _path_flag(p, "--spans", required=False, help="spans file (required for ssr-*/ssp-*)")
     p.add_argument("--ks", type=float, default=0.4, help="span corruption probability")
     p.add_argument("--ko", type=float, default=0.2, help="other-word corruption probability")
-    p.add_argument("--mask-token", default="<mask>")
-    p.add_argument("--lambda", type=float, default=3.0, help="Poisson length for ti")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-tokens", type=int, default=DEFAULT_MAX_TOKENS)
     _add_schema_flags(p)

@@ -30,10 +30,12 @@ logger = logging.getLogger(__name__)
 
 SPAN_OBJECTIVES = ("ssr-m", "ssr-d", "ssp-m", "ssp-d")  # the objectives that need mined spans
 OBJECTIVES = (*SPAN_OBJECTIVES, "ti", "tg")
+MASK_TOKEN = "<mask>"
 _MASK_OBJECTIVES = frozenset({"ssr-m", "ssp-m", "ti"})  # sources that carry mask tokens
 
 _SSP_SEP = ";"  # joins the spans of an ssp target
 _TI_MASK_BUDGET = 0.3  # share of a document's tokens that ti masks
+_TI_POISSON_LAMBDA = 3.0  # mean length of a ti masked span
 
 # Interval: half-open [start, end) over token positions. A zero-length
 # interval marks a bare-mask insertion point (ti only).
@@ -45,8 +47,6 @@ class CorruptionConfig:
     objective: str
     k_s: float = 0.4
     k_o: float = 0.2
-    mask_token: str = "<mask>"
-    poisson_lambda: float = 3.0
     seed: int = 0
 
     def __post_init__(self):
@@ -54,10 +54,6 @@ class CorruptionConfig:
             raise DataError(f"unknown objective {self.objective!r}; choose from {OBJECTIVES}")
         if not 0.0 <= self.k_s <= 1.0 or not 0.0 <= self.k_o <= 1.0:
             raise DataError(f"k_s and k_o must be probabilities, got {self.k_s}, {self.k_o}")
-        if self.poisson_lambda <= 0:
-            raise DataError(f"poisson_lambda must be > 0, got {self.poisson_lambda}")
-        if not self.mask_token:
-            raise DataError("mask_token must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -74,7 +70,7 @@ def _doc_rng(seed: int, doc_id: str) -> random.Random:
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
-    # Knuth's multiplication method; fine for the small lambdas used here.
+    # Knuth's multiplication method; fine for a small lambda such as ti's.
     threshold = math.exp(-lam)
     k = 0
     p = 1.0
@@ -160,7 +156,7 @@ def _check_plan(plan: Sequence[Interval]) -> None:
         prev_end = max(prev_end, end)
 
 
-def apply_mask(tokens: Sequence[str], plan: Sequence[Interval], mask_token: str) -> list[str]:
+def apply_mask(tokens: Sequence[str], plan: Sequence[Interval]) -> list[str]:
     """Replace each marked interval with exactly one mask token.
 
     Adjacent intervals each keep their own mask; zero-length intervals
@@ -171,7 +167,7 @@ def apply_mask(tokens: Sequence[str], plan: Sequence[Interval], mask_token: str)
     pos = 0
     for start, end in plan:
         out.extend(tokens[pos:start])
-        out.append(mask_token)
+        out.append(MASK_TOKEN)
         pos = end
     out.extend(tokens[pos:])
     return out
@@ -239,7 +235,7 @@ def _ti_plan(doc: TokenizedDoc, cfg: CorruptionConfig) -> tuple[Interval, ...]:
     max_attempts = 10 * n + 20
     while masked < budget and attempts < max_attempts:
         attempts += 1
-        length = _poisson(rng, cfg.poisson_lambda)
+        length = _poisson(rng, _TI_POISSON_LAMBDA)
         if length == 0:
             pos = rng.randrange(n + 1)
             inside = 0 < pos < n and claimed[pos - 1] and claimed[pos]
@@ -299,14 +295,14 @@ def _example_and_plan(
             target = doc.tokens
         plan = plan_corruption(doc, spans, cfg)
         if objective in _MASK_OBJECTIVES:
-            source = tuple(apply_mask(doc.tokens, plan, cfg.mask_token))
+            source = tuple(apply_mask(doc.tokens, plan))
         else:
             source = tuple(apply_delete(doc.tokens, plan))
             if not source:
                 logger.warning("document %s: corruption deleted every token", doc.doc_id)
     elif objective == "ti":
         plan = _ti_plan(doc, cfg)
-        source = tuple(apply_mask(doc.tokens, plan, cfg.mask_token))
+        source = tuple(apply_mask(doc.tokens, plan))
         target = doc.tokens
     elif objective == "tg":
         title = doc.tokens[: doc.title_len]

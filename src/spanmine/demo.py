@@ -155,7 +155,7 @@ def run_demo(out_dir, seed: int = DEMO_SEED, threads: int = 1, n_docs: int = 200
     save_index(index, index_path)
     index = load_index(index_path)
 
-    thresholds = DEFAULT_THRESHOLDS.scaled_to(len(loaded))
+    thresholds = DEFAULT_THRESHOLDS.scaled_to(index.num_docs)
     spans_path = out / "spans.jsonl"
     mining = mine_corpus(tokenized, index, spans_path, thresholds=thresholds, workers=threads)
     spans_by_id = load_spans(spans_path)

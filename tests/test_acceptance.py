@@ -229,7 +229,7 @@ def test_c4_corruption_invariants(tmp_path):
         spans = spans_by_id[doc.doc_id]
         cfg = CorruptionConfig(objective="ssr-m", k_s=0.5, k_o=0.3, seed=9)
         plan = plan_corruption(doc, spans, cfg)
-        masked = apply_mask(doc.tokens, plan, "<mask>")
+        masked = apply_mask(doc.tokens, plan)
         if masked.count("<mask>") != len(plan):
             ok, detail = False, f"mask count mismatch on {doc.doc_id}"
             break

@@ -45,27 +45,39 @@ class TestRetrievalSuccess:
         tokenized = [model_input(d) for d in docs]
         index = build_index(tokenized)
         brute = BruteBM25([list(t.tokens) for t in tokenized])
-        k = 5
-        report = retrieval_success(docs, index, k=k)
-        hits = {1: 0, 2: 0}
-        counts = {1: 0, 2: 0}
-        total = total_hits = 0
         from spanmine import keyphrase_set, split_present_absent, stem_phrase
 
+        pairs = []  # (source slot, present keyphrase)
         for slot, doc in enumerate(docs):
             present, _ = split_present_absent(
                 keyphrase_set(doc.keyphrases), stem_phrase(model_input(doc, max_tokens=None).tokens)
             )
-            for phrase in present.phrases:
-                total += 1
-                hit = slot in {s for s, _ in brute.top_k(list(phrase), k)}
-                total_hits += hit
-                if len(phrase) in counts:
-                    counts[len(phrase)] += 1
-                    hits[len(phrase)] += hit
-        assert report.overall == pytest.approx(total_hits / total)
-        for n in (1, 2):
-            assert report.by_length[n] == pytest.approx(hits[n] / counts[n] if counts[n] else 0.0)
+            pairs.extend((slot, phrase) for phrase in present.phrases)
+        for k in (1, 5, 1000):  # 1000 exceeds the 30-doc pool
+            report = retrieval_success(docs, index, k=k)
+            hits = [slot in {s for s, _ in brute.top_k(list(phrase), k)} for slot, phrase in pairs]
+            assert report.overall == pytest.approx(sum(hits) / len(hits))
+            for n in (1, 2):
+                of_n = [hit for hit, (_, phrase) in zip(hits, pairs) if len(phrase) == n]
+                assert report.by_length[n] == pytest.approx(sum(of_n) / len(of_n) if of_n else 0.0)
+
+    def test_tie_goes_to_the_lower_slot(self):
+        twin = dict(title="spectral codec", body="a spectral codec design", keyphrases=("spectral codec",))
+        docs = [Document(id="t0", **twin), Document(id="t1", **twin)]
+        index = build_index([model_input(d) for d in docs])
+        scores = index.scores(["spectral", "codec"])
+        assert scores[0] == scores[1] > 0
+        assert [retrieval_success([doc], index, k=1).overall for doc in docs] == [1.0, 0.0]
+        assert [retrieval_success([doc], index, k=2).overall for doc in docs] == [1.0, 1.0]
+        with pytest.raises(DataError, match="k must be >= 1"):
+            retrieval_success(docs, index, k=0)
+
+    def test_source_scoring_zero_is_a_miss(self):
+        # "pruned bound" is present by its stems, but neither raw token is indexed.
+        doc = Document(id="s0", title="lattice", body="lattice pruning bounds", keyphrases=("pruned bound",))
+        index = build_index([model_input(doc)])
+        report = retrieval_success([doc], index, k=1)
+        assert (report.total_keyphrases, report.overall) == (1, 0.0)
 
     def test_success_monotone_in_k(self):
         docs = _pool(seed=2)

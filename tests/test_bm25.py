@@ -14,7 +14,6 @@ from spanmine import (
     DataError,
     IndexFormatError,
     PostingList,
-    Query,
     build_index,
     load_index,
     save_index,
@@ -96,11 +95,11 @@ class TestScore:
             with pytest.raises(DataError):
                 toy_index.rank(["a"], source)
 
-    def test_query_validation(self):
-        with pytest.raises(DataError):
-            Query(())
-        with pytest.raises(DataError):
-            Query(("a b",))
+    def test_query_validation(self, toy_index):
+        with pytest.raises(DataError, match="at least one term"):
+            toy_index.scores([])
+        with pytest.raises(DataError, match="contains whitespace"):
+            toy_index.scores(["a", "a b"])
 
 
 class TestRank:
@@ -124,18 +123,18 @@ class TestRank:
                 assert index.rank(query, slot) == brute.rank(query, slot)
 
 
+def _top_k(index, query, k):
+    """The k best positive scores from ``scores()``, in retrieval_success's order: score desc, slot asc."""
+    positive = [(slot, s) for slot, s in index.scores(query).items() if s > 0.0]
+    return sorted(positive, key=lambda item: (-item[1], item[0]))[:k]
+
+
 class TestTopK:
     def test_k_exceeds_corpus(self, toy_index):
-        hits = toy_index.top_k(["a"], 100)
+        hits = _top_k(toy_index, ["a"], 100)
         assert [slot for slot, _ in hits] == [1, 0]
         assert all(score > 0 for _, score in hits)
-
-    def test_tie_breaks_by_slot(self):
-        docs = as_tokenized([["t", "u"], ["t", "v"], ["w"]])
-        index = build_index(docs)
-        hits = index.top_k(["t"], 5)
-        assert [slot for slot, _ in hits] == [0, 1]
-        assert hits[0][1] == hits[1][1]
+        assert [toy_index.rank(["a"], slot) for slot, _ in hits] == [0, 1]
 
     def test_matches_exhaustive_sort(self):
         rng = random.Random(7)
@@ -143,7 +142,7 @@ class TestTopK:
         index = build_index(as_tokenized(corpus))
         brute = BruteBM25(corpus)
         query = [corpus[0][0], corpus[-1][-1]]
-        assert index.top_k(query, 3) == pytest.approx(brute.top_k(query, 3))
+        assert _top_k(index, query, 3) == pytest.approx(brute.top_k(query, 3))
 
 
 class TestOracleEquivalence:
@@ -274,8 +273,10 @@ class TestPersistence:
             ("repeated-doc-id", "document id 'd0' appears twice"),
             ("repeated-doc-ref", "term 'a' repeats or reorders document 1"),
             ("descending-doc-ref", "term 'a' repeats or reorders document 0"),
+            ("zero-df", "term 'b' has no postings"),
         ],
-        ids=["zero-lengths", "posting-past-table", "repeated-doc-id", "repeated-doc-ref", "descending-doc-ref"],
+        ids=["zero-lengths", "posting-past-table", "repeated-doc-id", "repeated-doc-ref", "descending-doc-ref",
+             "zero-df"],
     )
     def test_inconsistent_file_is_index_format_error(self, tmp_path, toy_index, fault, message):
         if fault == "zero-lengths":
@@ -286,8 +287,10 @@ class TestPersistence:
             toy_index.doc_ids[1] = "d0"
         elif fault == "repeated-doc-ref":
             toy_index.postings["a"] = PostingList(array("I", [0, 1, 1]), array("I", [1, 2, 5]))
-        else:
+        elif fault == "descending-doc-ref":
             toy_index.postings["a"] = PostingList(array("I", [1, 0]), array("I", [2, 1]))
+        else:
+            toy_index.postings["b"] = PostingList(array("I"), array("I"))
         path = tmp_path / "idx.spmi"
         save_index(toy_index, path)
         with pytest.raises(IndexFormatError, match=message):
@@ -378,7 +381,7 @@ def _fuzz_load(path, data: bytes) -> None:
     assert len(set(loaded.doc_ids)) == loaded.num_docs and sum(loaded.doc_lens) > 0
     for term, plist in loaded.postings.items():
         refs = list(plist.refs)
-        assert refs == sorted(set(refs)) and len(plist.tfs) == len(refs) and all(tf >= 1 for tf in plist.tfs)
+        assert refs and refs == sorted(set(refs)) and len(plist.tfs) == len(refs) and all(tf >= 1 for tf in plist.tfs)
         assert set(loaded.term_weights(term).by_slot) == set(refs)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import spanmine
-from spanmine.cli import EXIT_DATA, EXIT_IO, EXIT_OK, run
+from spanmine import DEFAULT_THRESHOLDS, load_corpus, load_index, mine_corpus, model_input, write_corpus
+from spanmine.cli import EXIT_DATA, EXIT_IO, EXIT_OK, build_parser, run
+from spanmine.demo import generate_demo_corpus, run_demo
 from tests.conftest import V1_INDEX, V1_REFUSAL
 
 
@@ -155,8 +158,7 @@ class TestSubcommands:
 
     @pytest.mark.parametrize(
         "command, flag, value",
-        [("index", "--max-tokens", "0"), ("mine", "--max-tokens", "0"), ("corrupt", "--max-tokens", "0"),
-         ("mine", "--max-spans", "-1")],
+        [("index", "--max-tokens", "0"), ("corrupt", "--max-tokens", "0"), ("mine", "--max-spans", "-1")],
     )
     def test_out_of_range_count_is_data_error(self, corpus, tmp_path, capsys, command, flag, value):
         index = tmp_path / "idx.spmi"
@@ -192,6 +194,52 @@ class TestSubcommands:
         assert excinfo.value.code == 2
 
 
+class TestMineReadsTheIndex:
+    """`mine` tokenizes to the window the index holds and scales its default cutoffs to it."""
+
+    @pytest.fixture
+    def demo_corpus(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(generate_demo_corpus(), path)
+        return path
+
+    def test_window_comes_from_the_index(self, demo_corpus, tmp_path, capsys):
+        index = tmp_path / "idx.spmi"
+        spans = tmp_path / "spans.jsonl"
+        assert run(["-q", "index", "--corpus", str(demo_corpus), "--out", str(index), "--max-tokens", "20"]) == EXIT_OK
+        assert run([
+            "-q", "mine", "--index", str(index), "--corpus", str(demo_corpus), "--out", str(spans), "--threads", "1",
+        ]) == EXIT_OK
+        capsys.readouterr()
+        expected = tmp_path / "expected.jsonl"
+        docs = [model_input(doc, 20) for doc in load_corpus(demo_corpus)]
+        mine_corpus(docs, load_index(index), expected, thresholds=DEFAULT_THRESHOLDS.scaled_to(len(docs)))
+        assert spans.read_bytes() == expected.read_bytes()
+
+    def test_document_shorter_than_indexed_is_data_error(self, corpus, tmp_path, caplog, capsys):
+        index = tmp_path / "idx.spmi"
+        assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
+        capsys.readouterr()
+        lines = _corpus_lines()
+        lines[1]["abstract"] = "pruning graphs"
+        corpus.write_text("\n".join(json.dumps(r) for r in lines) + "\n", encoding="utf-8")
+        argv = ["-q", "mine", "--index", str(index), "--corpus", str(corpus), "--out", str(tmp_path / "spans.jsonl")]
+        assert run(argv) == EXIT_DATA
+        assert f"{corpus}: document 'c1' has 5 tokens but the index holds 8" in caplog.text
+
+    def test_cli_index_and_mine_reproduce_the_demo(self, tmp_path, capsys):
+        demo_dir = tmp_path / "demo"
+        run_demo(demo_dir)
+        index = tmp_path / "idx.spmi"
+        spans = tmp_path / "spans.jsonl"
+        corpus = str(demo_dir / "corpus.jsonl")
+        assert run(["-q", "index", "--corpus", corpus, "--out", str(index)]) == EXIT_OK
+        argv = ["-q", "mine", "--index", str(index), "--corpus", corpus, "--out", str(spans), "--threads", "1"]
+        assert run(argv) == EXIT_OK
+        capsys.readouterr()
+        assert spans.read_bytes() == (demo_dir / "spans.jsonl").read_bytes()
+
+
 class TestDemoDeterminism:
     def _hashes(self, out_dir):
         return {
@@ -219,3 +267,49 @@ def test_python_m_spanmine_version():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"spanmine {spanmine.__version__}"
+
+
+def _options(parser: argparse.ArgumentParser) -> set[str]:
+    return {opt for action in parser._actions for opt in action.option_strings}
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return actions[0].choices if actions else {}
+
+
+def _command_options(parser: argparse.ArgumentParser, words: list[str]) -> set[str]:
+    """Flags a `spanmine <words>` line may use: its subcommand's and the global ones."""
+    options = _options(parser)
+    for word in words:
+        parser = _subcommands(parser).get(word)
+        if parser is None:
+            break
+        options |= _options(parser)
+    return options
+
+
+def test_readme_names_only_real_flags():
+    """README.md names only flags the CLI takes: that subcommand's on a `spanmine ...` line, any in backticks."""
+    parser = build_parser()
+    any_command, pending = set(), [parser]
+    while pending:
+        sub = pending.pop()
+        any_command |= _options(sub)
+        pending.extend(_subcommands(sub).values())
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    unknown = []
+    for line in readme.replace("\\\n", " ").splitlines():
+        if line.split()[:1] in (["pip"], ["pytest"]):
+            continue
+        spans = re.findall(r"`([^`]+)`", line)
+        for text in [line, *spans]:
+            words = text.split()
+            if words[:1] == ["spanmine"]:
+                allowed = _command_options(parser, words[1:])
+            elif text in spans:
+                allowed = any_command
+            else:
+                continue
+            unknown += [(flag, text) for flag in re.findall(r"--[a-z][a-z0-9-]*", text) if flag not in allowed]
+    assert not unknown

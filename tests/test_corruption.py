@@ -108,16 +108,16 @@ class TestPlanCorruption:
 
 class TestApplyMaskDelete:
     def test_mask_single_interval(self):
-        assert apply_mask(["a", "b", "c", "d"], [(1, 3)], "<mask>") == ["a", "<mask>", "d"]
+        assert apply_mask(["a", "b", "c", "d"], [(1, 3)]) == ["a", "<mask>", "d"]
 
     def test_two_single_token_masks(self):
-        assert apply_mask(["a", "b", "c"], [(0, 1), (2, 3)], "<mask>") == ["<mask>", "b", "<mask>"]
+        assert apply_mask(["a", "b", "c"], [(0, 1), (2, 3)]) == ["<mask>", "b", "<mask>"]
 
     def test_adjacent_intervals_keep_own_masks(self):
-        assert apply_mask(["a", "b", "c"], [(0, 1), (1, 2)], "<mask>") == ["<mask>", "<mask>", "c"]
+        assert apply_mask(["a", "b", "c"], [(0, 1), (1, 2)]) == ["<mask>", "<mask>", "c"]
 
     def test_zero_length_interval_inserts(self):
-        assert apply_mask(["a", "b"], [(1, 1)], "<mask>") == ["a", "<mask>", "b"]
+        assert apply_mask(["a", "b"], [(1, 1)]) == ["a", "<mask>", "b"]
 
     def test_delete(self):
         assert apply_delete(["a", "b", "c", "d"], [(1, 3)]) == ["a", "d"]
@@ -130,7 +130,7 @@ class TestApplyMaskDelete:
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
-            apply_mask(["a", "b", "c"], [(0, 2), (1, 3)], "<mask>")
+            apply_mask(["a", "b", "c"], [(0, 2), (1, 3)])
 
     @given(
         st.lists(st.sampled_from("abcdef"), min_size=1, max_size=40),
@@ -141,7 +141,7 @@ class TestApplyMaskDelete:
         doc = doc_of(tokens, doc_id=f"h{seed}")
         spans = spans_of("a b", "c", ranks=[0, 1])
         plan = plan_corruption(doc, spans, cfg_for(k_s=0.6, k_o=0.3, seed=seed))
-        masked = apply_mask(tokens, plan, "<mask>")
+        masked = apply_mask(tokens, plan)
         assert masked.count("<mask>") == len(plan)
         kept = apply_delete(tokens, plan)
         removed = [t for start, end in plan for t in tokens[start:end]]
@@ -159,7 +159,7 @@ class TestApplyMaskDelete:
         doc = doc_of(tokens, doc_id=f"o{seed}")
         plan = plan_corruption(doc, spans_of("a b c"), cfg_for(k_s=0.5, k_o=0.5, seed=seed))
         unmarked = apply_delete(tokens, plan)
-        masked = apply_mask(tokens, plan, "<mask>")
+        masked = apply_mask(tokens, plan)
         assert [t for t in masked if t != "<mask>"] == unmarked
 
 
