@@ -116,6 +116,10 @@ def _cmd_mine(args) -> dict:
     tokenized = []
     for doc in docs:
         indexed = index.doc_lens[index.slot_of(doc.id)]
+        if not indexed:
+            raise DataError(
+                f"{args.index}: document {doc.id!r} has 0 tokens in the index; rebuild it with spanmine index"
+            )
         window = model_input(doc, indexed)
         if len(window.tokens) < indexed:
             raise DataError(

@@ -235,6 +235,8 @@ def evaluate(
     Documents with no gold phrases in a category are skipped for that
     category's macro average rather than scored zero.
     """
+    if not sep:
+        raise DataError("the prediction separator must not be empty")
     if len(predictions) != len(gold_docs):
         raise AlignmentError(
             f"{len(predictions)} prediction lines vs {len(gold_docs)} gold documents"

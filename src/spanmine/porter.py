@@ -6,103 +6,47 @@ step 2 rewrites "bli" -> "ble" (instead of "abli" -> "able"), step 2 gains
 the "logi" -> "log" rule, and words of length <= 2 are left alone. This is
 the variant the published test vocabulary was generated with.
 
+Each word is read once into its consonant/vowel form, a string of "c" and
+"v" as long as the word: one ``str.translate``, plus a short pass over the
+letters only when the word holds a "y" (a consonant first or after a vowel,
+a vowel after a consonant). A letter's class depends only on the letters
+before it, so the form of a stem is the form's prefix of the same length:
+the measure m of a stem is ``form[:len(stem)].count("vc")``, and *v*, *d
+and *o read off the form as well. The form is sliced with the word when a
+suffix is cut, and extended by the replacement's own form when letters are
+appended (replacements hold no "y"). Steps 2, 3 and 4 look up only the
+rules whose suffix ends in the word's last letter, as Porter's reference C
+code switches on a letter; within that bucket the first matching suffix in
+table order decides.
+
 Tokens containing anything other than ASCII letters (sentinels such as
 "<digit>", hyphenated forms, stray punctuation) are returned unchanged.
 """
 
 from __future__ import annotations
 
-_VOWELS = "aeiou"
+from string import ascii_lowercase
+
+# Every lowercase letter but "y" maps to its fixed class; "y" stays "y"
+# until _form resolves it from the letter before.
+_CV = str.maketrans({ch: "v" if ch in "aeiou" else "c" for ch in ascii_lowercase if ch != "y"})
 
 
-def _is_cons(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return i == 0 or not _is_cons(word, i - 1)
-    return True
+def _form(w: str) -> str:
+    """The consonant/vowel form of a lowercase ASCII word."""
+    form = w.translate(_CV)
+    if "y" in form:
+        chars = list(form)
+        for i, ch in enumerate(chars):
+            if ch == "y":
+                chars[i] = "v" if i and chars[i - 1] == "c" else "c"
+        form = "".join(chars)
+    return form
 
 
-def _measure(stem: str) -> int:
-    """Count VC sequences: [C](VC)^m[V] gives m."""
-    n = len(stem)
-    i = 0
-    while True:
-        if i >= n:
-            return 0
-        if not _is_cons(stem, i):
-            break
-        i += 1
-    i += 1
-    m = 0
-    while True:
-        while True:
-            if i >= n:
-                return m
-            if _is_cons(stem, i):
-                break
-            i += 1
-        i += 1
-        m += 1
-        while True:
-            if i >= n:
-                return m
-            if not _is_cons(stem, i):
-                break
-            i += 1
-        i += 1
-
-
-def _has_vowel(stem: str) -> bool:
-    return any(not _is_cons(stem, i) for i in range(len(stem)))
-
-
-def _ends_double_cons(stem: str) -> bool:
-    return len(stem) >= 2 and stem[-1] == stem[-2] and _is_cons(stem, len(stem) - 1)
-
-
-def _ends_cvc(stem: str) -> bool:
-    """True when the stem ends consonant-vowel-consonant, last not w/x/y."""
-    i = len(stem) - 1
-    if i < 2 or not _is_cons(stem, i) or _is_cons(stem, i - 1) or not _is_cons(stem, i - 2):
-        return False
-    return stem[i] not in "wxy"
-
-
-def _step1ab(w: str) -> str:
-    if w.endswith("sses"):
-        w = w[:-2]
-    elif w.endswith("ies"):
-        w = w[:-3] + "i"
-    elif w.endswith("ss"):
-        pass
-    elif w.endswith("s"):
-        w = w[:-1]
-    if w.endswith("eed"):
-        if _measure(w[:-3]) > 0:
-            w = w[:-1]
-    elif w.endswith("ed") and _has_vowel(w[:-2]):
-        w = _step1ab_fixup(w[:-2])
-    elif w.endswith("ing") and _has_vowel(w[:-3]):
-        w = _step1ab_fixup(w[:-3])
-    return w
-
-
-def _step1ab_fixup(stem: str) -> str:
-    if stem.endswith(("at", "bl", "iz")):
-        return stem + "e"
-    if _ends_double_cons(stem) and stem[-1] not in "lsz":
-        return stem[:-1]
-    if _measure(stem) == 1 and _ends_cvc(stem):
-        return stem + "e"
-    return stem
-
-
-def _step1c(w: str) -> str:
-    if w.endswith("y") and _has_vowel(w[:-1]):
-        w = w[:-1] + "i"
-    return w
+def _ends_cvc(w: str, form: str) -> bool:
+    """True when the word ends consonant-vowel-consonant, last not w/x/y."""
+    return form[-3:] == "cvc" and w[-1] not in "wxy"
 
 
 # (suffix, replacement) pairs; within each step, the first matching suffix
@@ -131,36 +75,47 @@ _STEP4 = (
 )
 
 
-def _apply_rules(w: str, rules) -> str:
+def _by_last_letter(rules) -> dict[str, tuple[tuple[str, ...], tuple[tuple[str, str, str], ...]]]:
+    """Last letter -> (its suffixes, its (suffix, replacement, replacement form) rules), in table order."""
+    buckets: dict[str, list[tuple[str, str, str]]] = {}
     for suffix, replacement in rules:
-        if w.endswith(suffix):
-            stem = w[: -len(suffix)]
-            if _measure(stem) > 0:
-                w = stem + replacement
-            break
-    return w
+        buckets.setdefault(suffix[-1], []).append((suffix, replacement, replacement.translate(_CV)))
+    return {letter: (tuple(rule[0] for rule in bucket), tuple(bucket)) for letter, bucket in buckets.items()}
 
 
-def _step4(w: str) -> str:
-    for suffix in _STEP4:
+_NO_RULES: tuple[tuple[str, ...], tuple[tuple[str, str, str], ...]] = ((), ())
+_STEP2_BY_LAST = _by_last_letter(_STEP2)
+_STEP3_BY_LAST = _by_last_letter(_STEP3)
+_STEP4_BY_LAST = _by_last_letter((suffix, "") for suffix in _STEP4)
+
+
+def _rewrite(w: str, form: str, buckets, bar: int) -> tuple[str, str]:
+    """Apply the first rule whose suffix ends ``w`` if its stem's measure exceeds ``bar``.
+
+    A stem left by "ion" must end in "s" or "t", or the rule does not match.
+    """
+    suffixes, rules = buckets.get(w[-1], _NO_RULES)
+    if not w.endswith(suffixes):
+        return w, form
+    for suffix, replacement, replacement_form in rules:
         if w.endswith(suffix):
-            stem = w[: -len(suffix)]
-            if suffix == "ion" and not stem.endswith(("s", "t")):
+            n = len(w) - len(suffix)
+            if suffix == "ion" and w[n - 1 : n] not in ("s", "t"):
                 continue
-            if _measure(stem) > 1:
-                w = stem
+            if form[:n].count("vc") > bar:
+                return w[:n] + replacement, form[:n] + replacement_form
             break
-    return w
+    return w, form
 
 
-def _step5(w: str) -> str:
-    if w.endswith("e"):
-        m = _measure(w)
-        if m > 1 or (m == 1 and not _ends_cvc(w[:-1])):
-            w = w[:-1]
-    if w.endswith("ll") and _measure(w) > 1:
-        w = w[:-1]
-    return w
+def _step1b_fixup(w: str, form: str) -> tuple[str, str]:
+    if w.endswith(("at", "bl", "iz")):
+        return w + "e", form + "v"
+    if len(w) > 1 and w[-1] == w[-2] and form[-1] == "c" and w[-1] not in "lsz":
+        return w[:-1], form[:-1]
+    if _ends_cvc(w, form) and form.count("vc") == 1:
+        return w + "e", form + "v"
+    return w, form
 
 
 def stem(token: str) -> str:
@@ -168,10 +123,33 @@ def stem(token: str) -> str:
     if len(token) <= 2 or not token.isascii() or not token.isalpha():
         return token
     w = token.lower()
-    w = _step1ab(w)
-    w = _step1c(w)
-    w = _apply_rules(w, _STEP2)
-    w = _apply_rules(w, _STEP3)
-    w = _step4(w)
-    w = _step5(w)
+    form = _form(w)
+    # Step 1a: "sses" -> "ss" and "ies" -> "i" both drop two letters.
+    if w[-1] == "s":
+        if w.endswith(("sses", "ies")):
+            w, form = w[:-2], form[:-2]
+        elif w[-2] != "s":
+            w, form = w[:-1], form[:-1]
+    # Step 1b.
+    if w[-1] == "d":
+        if w.endswith("eed"):
+            if form[:-3].count("vc"):
+                w, form = w[:-1], form[:-1]
+        elif w.endswith("ed") and "v" in form[:-2]:
+            w, form = _step1b_fixup(w[:-2], form[:-2])
+    elif w.endswith("ing") and "v" in form[:-3]:
+        w, form = _step1b_fixup(w[:-3], form[:-3])
+    # Step 1c.
+    if w[-1] == "y" and "v" in form[:-1]:
+        w, form = w[:-1] + "i", form[:-1] + "v"
+    w, form = _rewrite(w, form, _STEP2_BY_LAST, 0)
+    w, form = _rewrite(w, form, _STEP3_BY_LAST, 0)
+    w, form = _rewrite(w, form, _STEP4_BY_LAST, 1)
+    # Step 5: the final "e" adds no VC, so the word's measure is its stem's.
+    if w[-1] == "e":
+        m = form.count("vc")
+        if m > 1 or (m == 1 and not _ends_cvc(w[:-1], form[:-1])):
+            w, form = w[:-1], form[:-1]
+    if w.endswith("ll") and form.count("vc") > 1:
+        w = w[:-1]
     return w

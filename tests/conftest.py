@@ -1,4 +1,4 @@
-"""Shared fixtures and the independent brute-force scoring oracle."""
+"""Shared fixtures and the independent reference oracles (BM25 scoring, mining, spans, Porter stemming)."""
 
 from __future__ import annotations
 
@@ -143,6 +143,177 @@ def oracle_ssp_target(spans, sep=";"):
             out.append(sep)
         out.extend(span.tokens)
     return out
+
+
+# Reference Porter stemmer (oracle_stem below): the character-by-character
+# form of the algorithm, with its own copy of the suffix tables, so that a
+# change to spanmine.porter's tables or dispatch shows up as a mismatch.
+_porter_VOWELS = "aeiou"
+
+
+def _porter_is_cons(word: str, i: int) -> bool:
+    ch = word[i]
+    if ch in _porter_VOWELS:
+        return False
+    if ch == "y":
+        return i == 0 or not _porter_is_cons(word, i - 1)
+    return True
+
+
+def _porter_measure(stem: str) -> int:
+    """Count VC sequences: [C](VC)^m[V] gives m."""
+    n = len(stem)
+    i = 0
+    while True:
+        if i >= n:
+            return 0
+        if not _porter_is_cons(stem, i):
+            break
+        i += 1
+    i += 1
+    m = 0
+    while True:
+        while True:
+            if i >= n:
+                return m
+            if _porter_is_cons(stem, i):
+                break
+            i += 1
+        i += 1
+        m += 1
+        while True:
+            if i >= n:
+                return m
+            if not _porter_is_cons(stem, i):
+                break
+            i += 1
+        i += 1
+
+
+def _porter_has_vowel(stem: str) -> bool:
+    return any(not _porter_is_cons(stem, i) for i in range(len(stem)))
+
+
+def _porter_ends_double_cons(stem: str) -> bool:
+    return len(stem) >= 2 and stem[-1] == stem[-2] and _porter_is_cons(stem, len(stem) - 1)
+
+
+def _porter_ends_cvc(stem: str) -> bool:
+    """True when the stem ends consonant-vowel-consonant, last not w/x/y."""
+    i = len(stem) - 1
+    if i < 2 or not _porter_is_cons(stem, i) or _porter_is_cons(stem, i - 1) or not _porter_is_cons(stem, i - 2):
+        return False
+    return stem[i] not in "wxy"
+
+
+def _porter_step1ab(w: str) -> str:
+    if w.endswith("sses"):
+        w = w[:-2]
+    elif w.endswith("ies"):
+        w = w[:-3] + "i"
+    elif w.endswith("ss"):
+        pass
+    elif w.endswith("s"):
+        w = w[:-1]
+    if w.endswith("eed"):
+        if _porter_measure(w[:-3]) > 0:
+            w = w[:-1]
+    elif w.endswith("ed") and _porter_has_vowel(w[:-2]):
+        w = _porter_step1ab_fixup(w[:-2])
+    elif w.endswith("ing") and _porter_has_vowel(w[:-3]):
+        w = _porter_step1ab_fixup(w[:-3])
+    return w
+
+
+def _porter_step1ab_fixup(stem: str) -> str:
+    if stem.endswith(("at", "bl", "iz")):
+        return stem + "e"
+    if _porter_ends_double_cons(stem) and stem[-1] not in "lsz":
+        return stem[:-1]
+    if _porter_measure(stem) == 1 and _porter_ends_cvc(stem):
+        return stem + "e"
+    return stem
+
+
+def _porter_step1c(w: str) -> str:
+    if w.endswith("y") and _porter_has_vowel(w[:-1]):
+        w = w[:-1] + "i"
+    return w
+
+
+# (suffix, replacement) pairs; within each step, the first matching suffix
+# decides, and the rewrite fires only when the remaining stem's measure
+# clears the step's bar. Longer suffixes precede the suffixes they contain.
+ORACLE_STEP2 = (
+    ("ational", "ate"), ("tional", "tion"),
+    ("enci", "ence"), ("anci", "ance"),
+    ("izer", "ize"),
+    ("bli", "ble"), ("alli", "al"), ("entli", "ent"), ("eli", "e"), ("ousli", "ous"),
+    ("ization", "ize"), ("ation", "ate"), ("ator", "ate"),
+    ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"), ("ousness", "ous"),
+    ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
+    ("logi", "log"),
+)
+
+ORACLE_STEP3 = (
+    ("icate", "ic"), ("ative", ""), ("alize", "al"),
+    ("iciti", "ic"), ("ical", "ic"), ("ful", ""), ("ness", ""),
+)
+
+ORACLE_STEP4 = (
+    "al", "ance", "ence", "er", "ic", "able", "ible",
+    "ant", "ement", "ment", "ent", "ion", "ou",
+    "ism", "ate", "iti", "ous", "ive", "ize",
+)
+
+
+def _porter_apply_rules(w: str, rules) -> str:
+    for suffix, replacement in rules:
+        if w.endswith(suffix):
+            stem = w[: -len(suffix)]
+            if _porter_measure(stem) > 0:
+                w = stem + replacement
+            break
+    return w
+
+
+def _porter_step4(w: str) -> str:
+    for suffix in ORACLE_STEP4:
+        if w.endswith(suffix):
+            stem = w[: -len(suffix)]
+            if suffix == "ion" and not stem.endswith(("s", "t")):
+                continue
+            if _porter_measure(stem) > 1:
+                w = stem
+            break
+    return w
+
+
+def _porter_step5(w: str) -> str:
+    if w.endswith("e"):
+        m = _porter_measure(w)
+        if m > 1 or (m == 1 and not _porter_ends_cvc(w[:-1])):
+            w = w[:-1]
+    if w.endswith("ll") and _porter_measure(w) > 1:
+        w = w[:-1]
+    return w
+
+
+def oracle_stem(token: str) -> str:
+    """Reference Porter stemmer: recursive consonant tests and one str.endswith per suffix rule.
+
+    The stems of spanmine.porter.stem must equal it for every token.
+    """
+    if len(token) <= 2 or not token.isascii() or not token.isalpha():
+        return token
+    w = token.lower()
+    w = _porter_step1ab(w)
+    w = _porter_step1c(w)
+    w = _porter_apply_rules(w, ORACLE_STEP2)
+    w = _porter_apply_rules(w, ORACLE_STEP3)
+    w = _porter_step4(w)
+    w = _porter_step5(w)
+    return w
 
 
 def random_token_corpus(rng: random.Random, min_docs=5, max_docs=50, max_vocab=30, max_len=40):

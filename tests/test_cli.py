@@ -10,7 +10,17 @@ from pathlib import Path
 import pytest
 
 import spanmine
-from spanmine import DEFAULT_THRESHOLDS, load_corpus, load_index, mine_corpus, model_input, write_corpus
+from spanmine import (
+    DEFAULT_THRESHOLDS,
+    TokenizedDoc,
+    build_index,
+    load_corpus,
+    load_index,
+    mine_corpus,
+    model_input,
+    save_index,
+    write_corpus,
+)
 from spanmine.cli import EXIT_DATA, EXIT_IO, EXIT_OK, build_parser, run
 from spanmine.demo import generate_demo_corpus, run_demo
 from tests.conftest import V1_INDEX, V1_REFUSAL
@@ -98,6 +108,12 @@ class TestSubcommands:
         preds = tmp_path / "preds.txt"
         preds.write_text("one\ntwo\n", encoding="utf-8")  # 2 preds vs 3 gold
         assert run(["-q", "eval", "--preds", str(preds), "--gold", str(corpus)]) == EXIT_DATA
+
+    def test_eval_empty_separator_is_data_error(self, corpus, tmp_path, caplog):
+        preds = tmp_path / "preds.txt"
+        preds.write_text("sparse solvers\ngraph pruning\ncodec design\n", encoding="utf-8")
+        assert run(["-q", "eval", "--preds", str(preds), "--gold", str(corpus), "--sep", ""]) == EXIT_DATA
+        assert "the prediction separator must not be empty" in caplog.text
 
     @pytest.mark.parametrize(
         "record",
@@ -226,6 +242,16 @@ class TestMineReadsTheIndex:
         argv = ["-q", "mine", "--index", str(index), "--corpus", str(corpus), "--out", str(tmp_path / "spans.jsonl")]
         assert run(argv) == EXIT_DATA
         assert f"{corpus}: document 'c1' has 5 tokens but the index holds 8" in caplog.text
+
+    def test_zero_token_indexed_document_is_data_error(self, tmp_path, caplog):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(json.dumps(r) for r in _corpus_lines()[:2]) + "\n", encoding="utf-8")
+        first, second = load_corpus(corpus)
+        index = tmp_path / "idx.spmi"
+        save_index(build_index([TokenizedDoc(first.id, (), 0), model_input(second)]), index)
+        argv = ["-q", "mine", "--index", str(index), "--corpus", str(corpus), "--out", str(tmp_path / "spans.jsonl")]
+        assert run(argv) == EXIT_DATA
+        assert f"{index}: document 'c0' has 0 tokens in the index" in caplog.text
 
     def test_cli_index_and_mine_reproduce_the_demo(self, tmp_path, capsys):
         demo_dir = tmp_path / "demo"

@@ -209,6 +209,10 @@ class TestEvaluate:
         assert written["present"]["f1_at_m"] == pytest.approx(2 / 3)
         assert written["present"]["per_doc"][0]["id"] == "g0"
 
+    def test_empty_separator_rejected(self):
+        with pytest.raises(DataError, match="separator must not be empty"):
+            evaluate(["graph pruning"], [self._gold_doc()], sep="")
+
     def test_gold_without_keyphrases_rejected(self):
         with pytest.raises(DataError):
             evaluate(["x"], [Document("d", "t", "b", None)])
