@@ -48,7 +48,6 @@ from .evaluation import (
     keyphrase_set,
     parse_predictions,
     split_present_absent,
-    stem_phrase,
 )
 from .miner import (
     DEFAULT_THRESHOLDS,

@@ -182,8 +182,8 @@ def build_index(
     b: float = DEFAULT_B,
 ) -> BM25Index:
     """Index a tokenized corpus; document order defines slots."""
-    if k1 <= 0:
-        raise DataError(f"k1 must be > 0, got {k1}")
+    if not (math.isfinite(k1) and k1 > 0):
+        raise DataError(f"k1 must be finite and > 0, got {k1}")
     if not 0 <= b <= 1:
         raise DataError(f"b must be in [0, 1], got {b}")
     term_refs: dict[str, array] = {}
@@ -295,7 +295,7 @@ def load_index(path) -> BM25Index:
     if len(data) < _HEADER.size + 4 or zlib.crc32(memoryview(data)[:-4]) != int.from_bytes(data[-4:], "little"):
         raise ChecksumError("index file corrupt (checksum mismatch)")
     _, _, k1, b, num_docs, num_terms, num_postings = _HEADER.unpack_from(data)
-    if not (k1 > 0 and 0 <= b <= 1):
+    if not (math.isfinite(k1) and k1 > 0 and 0 <= b <= 1):
         raise IndexFormatError(f"index file corrupt (k1={k1}, b={b})")
     try:
         raw = zlib.decompress(memoryview(data)[_HEADER.size : -4])

@@ -16,8 +16,8 @@ import sys
 import time
 
 from . import __version__, analysis, demo
-from .bm25 import DEFAULT_B, DEFAULT_K1, build_index, load_index, save_index
-from .corpus import DEFAULT_MAX_TOKENS, Document, dataset_stats, load_corpus, model_input
+from .bm25 import DEFAULT_B, DEFAULT_K1, BM25Index, build_index, load_index, save_index
+from .corpus import DEFAULT_MAX_TOKENS, Document, TokenizedDoc, dataset_stats, load_corpus, model_input
 from .corruption import OBJECTIVES, SPAN_OBJECTIVES, CorruptionConfig, gen_corpus
 from .errors import DataError, SpanmineError
 from .evaluation import evaluate_file
@@ -60,18 +60,6 @@ def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _path_flag(parser: argparse.ArgumentParser, name: str, required: bool = True, help: str = "") -> None:
-    """Path option whose default can come from SPANMINE_<NAME>."""
-    env = "SPANMINE_" + name.lstrip("-").upper().replace("-", "_")
-    default = os.environ.get(env)
-    parser.add_argument(
-        name,
-        default=default,
-        required=required and default is None,
-        help=(help + " " if help else "") + f"(env: {env})",
-    )
-
-
 def _load_docs(args, path) -> tuple[list[Document], int]:
     """Documents at ``path`` under the schema flags, and how many load issues were logged."""
     issues = 0
@@ -108,11 +96,13 @@ def _cmd_index(args) -> dict:
     }
 
 
-def _cmd_mine(args) -> dict:
-    index = load_index(args.index)
+def _indexed_windows(args, index: BM25Index) -> list[TokenizedDoc]:
+    """Each document of ``args.corpus`` tokenized to the window ``index`` holds for it.
+
+    Truncation is a prefix cut, so each document's indexed length is the
+    token window the index was built with.
+    """
     docs, _ = _load_docs(args, args.corpus)
-    # Truncation is a prefix cut, so each document's indexed length is the
-    # token window the index was built with.
     tokenized = []
     for doc in docs:
         indexed = index.doc_lens[index.slot_of(doc.id)]
@@ -127,6 +117,12 @@ def _cmd_mine(args) -> dict:
                 f" {indexed}; rebuild the index from this corpus"
             )
         tokenized.append(window)
+    return tokenized
+
+
+def _cmd_mine(args) -> dict:
+    index = load_index(args.index)
+    tokenized = _indexed_windows(args, index)
     thresholds = (
         parse_thresholds(args.thresholds) if args.thresholds else DEFAULT_THRESHOLDS.scaled_to(index.num_docs)
     )
@@ -158,8 +154,6 @@ def _cmd_mine(args) -> dict:
 
 
 def _cmd_corrupt(args) -> dict:
-    docs, _ = _load_docs(args, args.corpus)
-    tokenized = [model_input(doc, args.max_tokens) for doc in docs]
     cfg = CorruptionConfig(
         objective=args.objective,
         k_s=args.ks,
@@ -171,6 +165,7 @@ def _cmd_corrupt(args) -> dict:
         if not args.spans:
             raise UsageError(f"objective {cfg.objective} requires --spans")
         spans_by_id = load_spans(args.spans)
+    tokenized = _indexed_windows(args, load_index(args.index))
     summary = gen_corpus(tokenized, spans_by_id, cfg, args.out, workers=args.threads)
     result = summary.to_dict()
     result["out"] = str(args.out)
@@ -221,23 +216,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="dataset label statistics")
-    _path_flag(p, "--corpus")
+    p.add_argument("--corpus", required=True, help="JSONL corpus")
     _add_schema_flags(p)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("index", help="build a BM25 index from a JSONL corpus")
-    _path_flag(p, "--corpus")
-    _path_flag(p, "--out")
+    p.add_argument("--corpus", required=True, help="JSONL corpus")
+    p.add_argument("--out", required=True, help="index file to write")
     p.add_argument("--k1", type=float, default=DEFAULT_K1)
     p.add_argument("--b", type=float, default=DEFAULT_B)
-    p.add_argument("--max-tokens", type=int, default=DEFAULT_MAX_TOKENS)
+    p.add_argument("--max-tokens", type=int, default=DEFAULT_MAX_TOKENS, help="token window; mine and corrupt read it")
     _add_schema_flags(p)
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("mine", help="mine salient spans for every document")
-    _path_flag(p, "--index")
-    _path_flag(p, "--corpus")
-    _path_flag(p, "--out")
+    p.add_argument("--index", required=True, help="index built from this corpus by spanmine index")
+    p.add_argument("--corpus", required=True, help="JSONL corpus")
+    p.add_argument("--out", required=True, help="spans file to write")
     p.add_argument(
         "--thresholds", default=None, help="e.g. '1:500,2:430,3:360' (the default, scaled from 500k docs to the index)"
     )
@@ -249,20 +244,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corrupt", help="emit (source, target) training pairs")
     p.add_argument("--objective", required=True, choices=OBJECTIVES)
-    _path_flag(p, "--corpus")
-    _path_flag(p, "--out")
-    _path_flag(p, "--spans", required=False, help="spans file (required for ssr-*/ssp-*)")
+    p.add_argument("--index", required=True, help="index built from this corpus by spanmine index")
+    p.add_argument("--corpus", required=True, help="JSONL corpus")
+    p.add_argument("--out", required=True, help="training pairs file to write")
+    p.add_argument("--spans", help="spans file (required for ssr-*/ssp-*)")
     p.add_argument("--ks", type=float, default=0.4, help="span corruption probability")
     p.add_argument("--ko", type=float, default=0.2, help="other-word corruption probability")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-tokens", type=int, default=DEFAULT_MAX_TOKENS)
     _add_schema_flags(p)
     _add_threads_flag(p)
     p.set_defaults(func=_cmd_corrupt)
 
     p = sub.add_parser("eval", help="score keyphrase predictions")
-    _path_flag(p, "--preds", help="text file, one prediction line per document")
-    _path_flag(p, "--gold", help="JSONL corpus with keyphrases")
+    p.add_argument("--preds", required=True, help="text file, one prediction line per document")
+    p.add_argument("--gold", required=True, help="JSONL corpus with keyphrases")
     p.add_argument("--sep", default=";")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--report", default=None, help="write the full JSON report here")
@@ -272,20 +267,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="span/keyphrase diagnostics")
     study = p.add_subparsers(dest="study", required=True)
     s = study.add_parser("success", help="keyphrase retrieval success rate")
-    _path_flag(s, "--gold")
-    _path_flag(s, "--index")
+    s.add_argument("--gold", required=True, help="JSONL corpus with keyphrases")
+    s.add_argument("--index", required=True, help="index to retrieve from")
     s.add_argument("--k", type=int, default=1000)
     s.add_argument("--report", default=None)
     _add_schema_flags(s)
     s.set_defaults(func=_cmd_analyze)
     s = study.add_parser("overlap", help="span vs keyphrase overlap measures")
-    _path_flag(s, "--gold")
-    _path_flag(s, "--spans")
+    s.add_argument("--gold", required=True, help="JSONL corpus with keyphrases")
+    s.add_argument("--spans", required=True, help="spans file")
     s.add_argument("--report", default=None)
     _add_schema_flags(s)
     s.set_defaults(func=_cmd_analyze)
     s = study.add_parser("spans", help="span population statistics")
-    _path_flag(s, "--spans")
+    s.add_argument("--spans", required=True, help="spans file")
     s.add_argument("--report", default=None)
     s.set_defaults(func=_cmd_analyze)
 

@@ -29,11 +29,6 @@ logger = logging.getLogger(__name__)
 REPORT_SCHEMA_VERSION = 1
 
 
-def stem_phrase(phrase: Sequence[str]) -> tuple[str, ...]:
-    """Porter-stem every token of a phrase (uncached)."""
-    return tuple(stem(token) for token in phrase)
-
-
 class StemMemo(dict):
     """Token -> Porter stem, computed on first lookup.
 

@@ -65,6 +65,9 @@ class ThresholdFn:
         missing = [n for n in range(1, MAX_NGRAM + 1) if n not in self.by_length]
         if missing:
             raise DataError(f"threshold map must cover lengths 1..{MAX_NGRAM}; missing {missing}")
+        extra = sorted(n for n in self.by_length if not 1 <= n <= MAX_NGRAM)
+        if extra:
+            raise DataError(f"threshold map must cover only lengths 1..{MAX_NGRAM}; got {extra}")
         bad = {n: v for n, v in self.by_length.items() if v < 0}
         if bad:
             raise DataError(f"thresholds must be >= 0, got {bad}")

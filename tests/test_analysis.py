@@ -45,12 +45,13 @@ class TestRetrievalSuccess:
         tokenized = [model_input(d) for d in docs]
         index = build_index(tokenized)
         brute = BruteBM25([list(t.tokens) for t in tokenized])
-        from spanmine import keyphrase_set, split_present_absent, stem_phrase
+        from spanmine import keyphrase_set, split_present_absent
+        from spanmine.evaluation import StemMemo
 
         pairs = []  # (source slot, present keyphrase)
         for slot, doc in enumerate(docs):
             present, _ = split_present_absent(
-                keyphrase_set(doc.keyphrases), stem_phrase(model_input(doc, max_tokens=None).tokens)
+                keyphrase_set(doc.keyphrases), StemMemo().phrase(model_input(doc, max_tokens=None).tokens)
             )
             pairs.extend((slot, phrase) for phrase in present.phrases)
         for k in (1, 5, 1000):  # 1000 exceeds the 30-doc pool

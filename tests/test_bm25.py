@@ -61,8 +61,9 @@ class TestBuildIndex:
 
     def test_param_validation(self):
         docs = as_tokenized([["a"]])
-        with pytest.raises(DataError):
-            build_index(docs, k1=0)
+        for k1 in (0, math.nan, math.inf):
+            with pytest.raises(DataError):
+                build_index(docs, k1=k1)
         with pytest.raises(DataError):
             build_index(docs, b=1.5)
 
@@ -326,6 +327,17 @@ class TestPersistence:
             body = body[:tfs_at] + struct.pack("<I", 0) + body[tfs_at + 4 :]
         _write_v2(path, header, body)
         with pytest.raises(IndexFormatError, match=message):
+            load_index(path)
+
+    @pytest.mark.parametrize("k1", [math.inf, math.nan])
+    def test_non_finite_k1_is_index_format_error(self, tmp_path, toy_index, k1):
+        path = tmp_path / "idx.spmi"
+        save_index(toy_index, path)
+        header, body = _read_v2(path)
+        fields = list(V2_HEADER.unpack(header))
+        fields[2] = k1
+        _write_v2(path, V2_HEADER.pack(*fields), body)
+        with pytest.raises(IndexFormatError, match=rf"k1={k1}"):
             load_index(path)
 
     def test_unsupported_version(self, tmp_path, toy_index):

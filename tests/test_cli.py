@@ -12,10 +12,13 @@ import pytest
 import spanmine
 from spanmine import (
     DEFAULT_THRESHOLDS,
+    CorruptionConfig,
     TokenizedDoc,
     build_index,
+    gen_corpus,
     load_corpus,
     load_index,
+    load_spans,
     mine_corpus,
     model_input,
     save_index,
@@ -72,7 +75,7 @@ class TestSubcommands:
 
         corrupted = tmp_path / "ssr.jsonl"
         assert run([
-            "-q", "corrupt", "--objective", "ssr-m", "--corpus", str(corpus),
+            "-q", "corrupt", "--objective", "ssr-m", "--index", str(index), "--corpus", str(corpus),
             "--spans", str(spans), "--out", str(corrupted), "--seed", "3", "--threads", "1",
         ]) == EXIT_OK
         assert _json_out(capsys)["examples_written"] == 3
@@ -174,7 +177,7 @@ class TestSubcommands:
 
     @pytest.mark.parametrize(
         "command, flag, value",
-        [("index", "--max-tokens", "0"), ("corrupt", "--max-tokens", "0"), ("mine", "--max-spans", "-1")],
+        [("index", "--max-tokens", "0"), ("mine", "--max-spans", "-1")],
     )
     def test_out_of_range_count_is_data_error(self, corpus, tmp_path, capsys, command, flag, value):
         index = tmp_path / "idx.spmi"
@@ -184,9 +187,24 @@ class TestSubcommands:
         argv = {
             "index": ["index", "--corpus", str(corpus), "--out", out],
             "mine": ["mine", "--index", str(index), "--corpus", str(corpus), "--out", out, "--threads", "1"],
-            "corrupt": ["corrupt", "--objective", "ti", "--corpus", str(corpus), "--out", out, "--threads", "1"],
         }[command]
         assert run(["-q", *argv, flag, value]) == EXIT_DATA
+
+    @pytest.mark.parametrize("k1", ["nan", "inf"])
+    def test_non_finite_k1_is_data_error(self, corpus, tmp_path, caplog, k1):
+        index = tmp_path / "idx.spmi"
+        assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index), "--k1", k1]) == EXIT_DATA
+        assert f"k1 must be finite and > 0, got {k1}" in caplog.text
+        assert not index.exists()
+
+    @pytest.mark.parametrize("extra", ["0:2", "4:2"])
+    def test_threshold_length_outside_the_miner_is_data_error(self, corpus, tmp_path, capsys, extra):
+        index = tmp_path / "idx.spmi"
+        assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
+        capsys.readouterr()
+        argv = ["-q", "mine", "--index", str(index), "--corpus", str(corpus), "--out", str(tmp_path / "spans.jsonl"),
+                "--thresholds", f"1:5,2:4,3:3,{extra}", "--threads", "1"]
+        assert run(argv) == EXIT_DATA
 
     def test_v1_index_is_refused(self, corpus, tmp_path, caplog):
         index = tmp_path / "idx.spmi"
@@ -198,20 +216,37 @@ class TestSubcommands:
     def test_io_error_exit_code(self, tmp_path):
         assert run(["-q", "stats", "--corpus", str(tmp_path / "nope.jsonl")]) == EXIT_IO
 
-    def test_env_var_supplies_default_path(self, corpus, capsys, monkeypatch):
+    def test_environment_supplies_no_path(self, corpus, tmp_path, capsys, monkeypatch):
+        index = tmp_path / "idx.spmi"
+        assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
+        capsys.readouterr()
+        before = index.read_bytes()
+        monkeypatch.setenv("SPANMINE_OUT", str(index))
         monkeypatch.setenv("SPANMINE_CORPUS", str(corpus))
-        assert run(["-q", "stats"]) == EXIT_OK
-        assert _json_out(capsys)["stats"]["num_docs"] == 3
+        for argv in (["stats"], ["mine", "--index", str(index), "--corpus", str(corpus), "--threads", "1"]):
+            with pytest.raises(SystemExit) as excinfo:
+                run(["-q", *argv])
+            assert excinfo.value.code == 2
+        assert index.read_bytes() == before
 
-    def test_corrupt_requires_spans_for_span_objectives(self, corpus, tmp_path):
+    def test_corrupt_requires_spans_for_span_objectives(self, corpus, tmp_path, capsys):
+        index = tmp_path / "idx.spmi"
+        assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
+        capsys.readouterr()
         with pytest.raises(SystemExit) as excinfo:
-            run(["-q", "corrupt", "--objective", "ssp-d", "--corpus", str(corpus),
+            run(["-q", "corrupt", "--objective", "ssp-d", "--index", str(index), "--corpus", str(corpus),
                  "--out", str(tmp_path / "x.jsonl")])
         assert excinfo.value.code == 2
 
 
+def _window_argv(command, index, corpus, out):
+    """A `mine` or `corrupt --objective ti` command line against ``index``."""
+    head = ["mine"] if command == "mine" else ["corrupt", "--objective", "ti"]
+    return ["-q", *head, "--index", str(index), "--corpus", str(corpus), "--out", str(out), "--threads", "1"]
+
+
 class TestMineReadsTheIndex:
-    """`mine` tokenizes to the window the index holds and scales its default cutoffs to it."""
+    """`mine` and `corrupt` tokenize to the window the index holds; `mine` scales its default cutoffs to it."""
 
     @pytest.fixture
     def demo_corpus(self, tmp_path):
@@ -232,25 +267,42 @@ class TestMineReadsTheIndex:
         mine_corpus(docs, load_index(index), expected, thresholds=DEFAULT_THRESHOLDS.scaled_to(len(docs)))
         assert spans.read_bytes() == expected.read_bytes()
 
-    def test_document_shorter_than_indexed_is_data_error(self, corpus, tmp_path, caplog, capsys):
+    @pytest.mark.parametrize("objective", ["ssr-m", "tg"])
+    def test_corrupt_window_comes_from_the_index(self, demo_corpus, tmp_path, capsys, objective):
+        index = tmp_path / "idx.spmi"
+        spans = tmp_path / "spans.jsonl"
+        out = tmp_path / "out.jsonl"
+        assert run(["-q", "index", "--corpus", str(demo_corpus), "--out", str(index), "--max-tokens", "20"]) == EXIT_OK
+        assert run(_window_argv("mine", index, demo_corpus, spans)) == EXIT_OK
+        assert run([
+            "-q", "corrupt", "--objective", objective, "--index", str(index), "--corpus", str(demo_corpus),
+            "--spans", str(spans), "--out", str(out), "--seed", "3", "--threads", "1",
+        ]) == EXIT_OK
+        capsys.readouterr()
+        expected = tmp_path / "expected.jsonl"
+        docs = [model_input(doc, 20) for doc in load_corpus(demo_corpus)]
+        gen_corpus(docs, load_spans(spans), CorruptionConfig(objective, seed=3), expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("command", ["mine", "corrupt"])
+    def test_document_shorter_than_indexed_is_data_error(self, corpus, tmp_path, caplog, capsys, command):
         index = tmp_path / "idx.spmi"
         assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
         capsys.readouterr()
         lines = _corpus_lines()
         lines[1]["abstract"] = "pruning graphs"
         corpus.write_text("\n".join(json.dumps(r) for r in lines) + "\n", encoding="utf-8")
-        argv = ["-q", "mine", "--index", str(index), "--corpus", str(corpus), "--out", str(tmp_path / "spans.jsonl")]
-        assert run(argv) == EXIT_DATA
+        assert run(_window_argv(command, index, corpus, tmp_path / "out.jsonl")) == EXIT_DATA
         assert f"{corpus}: document 'c1' has 5 tokens but the index holds 8" in caplog.text
 
-    def test_zero_token_indexed_document_is_data_error(self, tmp_path, caplog):
+    @pytest.mark.parametrize("command", ["mine", "corrupt"])
+    def test_zero_token_indexed_document_is_data_error(self, tmp_path, caplog, command):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text("\n".join(json.dumps(r) for r in _corpus_lines()[:2]) + "\n", encoding="utf-8")
         first, second = load_corpus(corpus)
         index = tmp_path / "idx.spmi"
         save_index(build_index([TokenizedDoc(first.id, (), 0), model_input(second)]), index)
-        argv = ["-q", "mine", "--index", str(index), "--corpus", str(corpus), "--out", str(tmp_path / "spans.jsonl")]
-        assert run(argv) == EXIT_DATA
+        assert run(_window_argv(command, index, corpus, tmp_path / "out.jsonl")) == EXIT_DATA
         assert f"{index}: document 'c0' has 0 tokens in the index" in caplog.text
 
     def test_cli_index_and_mine_reproduce_the_demo(self, tmp_path, capsys):

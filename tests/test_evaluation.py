@@ -16,8 +16,8 @@ from spanmine import (
     keyphrase_set,
     parse_predictions,
     split_present_absent,
-    stem_phrase,
 )
+from spanmine.evaluation import StemMemo
 
 
 class TestParsePredictions:
@@ -45,7 +45,7 @@ class TestParsePredictions:
 class TestPresentAbsentSplit:
     def test_structural_mechanics_document(self, labeled_doc, labeled_tokenized):
         gold = keyphrase_set(labeled_doc.keyphrases)
-        present, absent = split_present_absent(gold, stem_phrase(labeled_tokenized.tokens))
+        present, absent = split_present_absent(gold, StemMemo().phrase(labeled_tokenized.tokens))
         present_texts = {" ".join(p) for p in present.phrases}
         absent_texts = {" ".join(p) for p in absent.phrases}
         assert "mixed finite elements" in present_texts
@@ -58,7 +58,7 @@ class TestPresentAbsentSplit:
         from spanmine import model_input
 
         doc = model_input(Document("d", "", "graph networks at scale"), max_tokens=None)
-        present, absent = split_present_absent(keyphrase_set(["network"]), stem_phrase(doc.tokens))
+        present, absent = split_present_absent(keyphrase_set(["network"]), StemMemo().phrase(doc.tokens))
         assert len(present) == 1
         assert len(absent) == 0
 
@@ -66,7 +66,7 @@ class TestPresentAbsentSplit:
         from spanmine import model_input
 
         doc = model_input(Document("d", "", "alpha beta gamma"), max_tokens=None)
-        present, absent = split_present_absent(keyphrase_set(["alpha gamma"]), stem_phrase(doc.tokens))
+        present, absent = split_present_absent(keyphrase_set(["alpha gamma"]), StemMemo().phrase(doc.tokens))
         assert len(present) == 0
         assert len(absent) == 1
 

@@ -81,6 +81,11 @@ class TestThresholds:
         with pytest.raises(DataError):
             ThresholdFn({1: 5})
 
+    @pytest.mark.parametrize("length", [0, 4])
+    def test_rejects_lengths_outside_the_miner(self, length):
+        with pytest.raises(DataError, match=rf"only lengths 1\.\.3; got \[{length}\]"):
+            ThresholdFn({1: 5, 2: 4, 3: 3, length: 2})
+
     def test_rejects_negative(self):
         with pytest.raises(DataError):
             ThresholdFn({1: 5, 2: 5, 3: -1})

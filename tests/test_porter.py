@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanmine import stem_phrase
 from spanmine.evaluation import StemMemo
 from spanmine.porter import _STEP2_BY_LAST, _STEP3_BY_LAST, _STEP4_BY_LAST, stem
 from tests.conftest import ORACLE_STEP2, ORACLE_STEP3, ORACLE_STEP4, oracle_stem
@@ -55,8 +54,8 @@ class TestSpotBehavior:
         assert stem("self-stabilizing") == "self-stabilizing"
 
     def test_stem_phrase(self):
-        assert stem_phrase(["relational", "caches"]) == ("relat", "cach")
-        assert stem_phrase(["<digit>"]) == ("<digit>",)
+        assert StemMemo().phrase(["relational", "caches"]) == ("relat", "cach")
+        assert StemMemo().phrase(["<digit>"]) == ("<digit>",)
 
 
 # Words that reach every rule: a root of letters and clusters rich in
@@ -139,7 +138,7 @@ class TestStemMemo:
     def test_same_stems_as_uncached(self, phrases):
         stems = StemMemo()
         for phrase in phrases:
-            assert stems.phrase(phrase) == stem_phrase(phrase)
+            assert stems.phrase(phrase) == tuple(map(stem, phrase))
         assert set(stems) == {token for phrase in phrases for token in phrase}
 
     def test_lookup_fills_once(self):
