@@ -17,7 +17,7 @@ import time
 
 from . import __version__, analysis, demo
 from .bm25 import DEFAULT_B, DEFAULT_K1, BM25Index, build_index, load_index, save_index
-from .corpus import DEFAULT_MAX_TOKENS, Document, TokenizedDoc, dataset_stats, load_corpus, model_input
+from .corpus import DEFAULT_MAX_TOKENS, Document, TokenizedDoc, check_finite, dataset_stats, load_corpus, model_input
 from .corruption import OBJECTIVES, SPAN_OBJECTIVES, CorruptionConfig, gen_corpus
 from .errors import DataError, SpanmineError
 from .evaluation import evaluate_file
@@ -105,7 +105,12 @@ def _indexed_windows(args, index: BM25Index) -> list[TokenizedDoc]:
     docs, _ = _load_docs(args, args.corpus)
     tokenized = []
     for doc in docs:
-        indexed = index.doc_lens[index.slot_of(doc.id)]
+        try:
+            indexed = index.doc_lens[index.slot_of(doc.id)]
+        except DataError:
+            raise DataError(
+                f"{args.corpus}: document {doc.id!r} is not in the index {args.index}; rebuild the index from this corpus"
+            ) from None
         if not indexed:
             raise DataError(
                 f"{args.index}: document {doc.id!r} has 0 tokens in the index; rebuild it with spanmine index"
@@ -192,8 +197,9 @@ def _cmd_analyze(args) -> dict:
     else:
         result = analysis.span_characteristics(load_spans(args.spans)).to_dict()
     if args.report:
+        check_finite(result, f"report {args.report}")
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
+            json.dump(result, fh, indent=2, allow_nan=False)
             fh.write("\n")
     return result
 
@@ -306,6 +312,14 @@ def run(argv=None) -> int:
     started = time.perf_counter()
     try:
         result = args.func(args)
+        elapsed = time.perf_counter() - started
+        summary = {
+            "schema_version": SUMMARY_SCHEMA_VERSION,
+            "command": args.command,
+            "elapsed_sec": round(elapsed, 3),
+            **result,
+        }
+        check_finite(summary, "the run summary")
     except UsageError as exc:
         parser.error(str(exc))  # exits 2
     except DataError as exc:
@@ -314,15 +328,8 @@ def run(argv=None) -> int:
     except OSError as exc:
         logger.error("I/O error: %s", exc)
         return EXIT_IO
-    elapsed = time.perf_counter() - started
     logger.info("%s finished in %.2fs", args.command, elapsed)
-    summary = {
-        "schema_version": SUMMARY_SCHEMA_VERSION,
-        "command": args.command,
-        "elapsed_sec": round(elapsed, 3),
-        **result,
-    }
-    json.dump(summary, sys.stdout, indent=2)
+    json.dump(summary, sys.stdout, indent=2, allow_nan=False)
     sys.stdout.write("\n")
     return EXIT_OK
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -80,6 +81,19 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
             yield from enumerate(fh, start=1)
     except UnicodeDecodeError as exc:
         raise DataError(_where_utf8_fails(path)) from exc
+
+
+def check_finite(obj, what: str) -> None:
+    """Refuse a NaN or infinity anywhere in ``obj``, as strict JSON does, before any of it is written."""
+    stack = [obj]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, float) and not math.isfinite(item):
+            raise DataError(f"{what} holds {item}, which strict JSON cannot encode")
 
 
 # Undecodable bytes read with errors="surrogateescape" become U+DC80..U+DCFF,

@@ -20,7 +20,7 @@ import logging
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .corpus import Document, contains, model_input, normalize, read_lines, tokenize
+from .corpus import Document, check_finite, contains, model_input, normalize, read_lines, tokenize
 from .errors import AlignmentError, DataError
 from .porter import stem
 
@@ -278,7 +278,9 @@ def evaluate_file(
         predictions.pop()
     report = evaluate(predictions, gold_docs, sep=sep, k=k)
     if report_path is not None:
+        record = report.to_dict()
+        check_finite(record, f"report {report_path}")
         with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+            json.dump(record, fh, indent=2, allow_nan=False)
             fh.write("\n")
     return report

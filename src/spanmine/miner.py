@@ -14,12 +14,11 @@ import logging
 import zlib
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Collection, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, neg
+from operator import neg
 
-from .bm25 import BM25Index, TermWeights, check_term
+from .bm25 import BM25Index, check_term
 from .corpus import DIGIT_TOKEN, SEP_TOKEN, TokenizedDoc, read_lines
 from .errors import DataError
 from .pool import map_shared
@@ -182,10 +181,22 @@ def _mine_shard(
     shard crc32(text) % n_shards, which every process computes alike.
     Returns (position, query, rank) for every source document, by input
     position, whose rank clears the threshold, then the number of
-    distinct queries and of documents fully scored. A rank counts the
-    documents scoring strictly higher; only the best ``threshold + 1``
-    scores are ordered, so a rank past the threshold reads as
+    distinct queries and of documents fully scored.
+
+    A rank counts the documents scoring strictly higher. A query with one
+    source counts the scores above it; one with several orders only its
+    best ``threshold + 1`` scores, so a rank past the threshold reads as
     threshold + 1 and is dropped.
+
+    The kernel is written out per query length. A document's score sums
+    its terms' weights in query order, bitwise as BM25Index.scores() does.
+    Only documents that may outscore the weakest source, ``floor``, are
+    scored (MaxScore): query terms turn non-essential in ascending order of
+    their largest weight, ties by query position, while those largest
+    weights, summed in query order, stay at or below ``floor``. Weights are
+    non-negative and float addition is monotone, so a document that holds
+    only non-essential terms scores at most that sum and cannot outscore a
+    source. Every document of an essential term is scored in full.
     """
     eligible = _Eligibility(stoplist)
     sources: dict[tuple[str, ...], list[int]] = {}
@@ -193,65 +204,62 @@ def _mine_shard(
         for gram in _ngrams(doc, eligible):
             if n_shards == 1 or zlib.crc32(" ".join(gram).encode()) % n_shards == shard:
                 sources.setdefault(gram, []).append(pos)
+    weights = {}
     for token, ok in eligible.items():  # each eligible token is also a query term
         if ok:
             check_term(token)
+            by_slot, max_weight = index.term_weights(token)
+            weights[token] = by_slot, by_slot.get, max_weight
     kept = []
     docs_scored = 0
     for query, positions in sources.items():
+        source_slots = [slots[pos] for pos in positions]
+        if len(query) == 1:
+            by_a, get_a, max_a = weights[query[0]]
+            scores = [get_a(s, 0.0) for s in source_slots]
+            floor = min(scores)
+            totals = by_a.values() if max_a > floor else ()
+        elif len(query) == 2:
+            (by_a, get_a, max_a), (by_b, get_b, max_b) = weights[query[0]], weights[query[1]]
+            scores = [get_a(s, 0.0) + get_b(s, 0.0) for s in source_slots]
+            floor = min(scores)
+            if max_a + max_b <= floor:
+                keys = ()
+            elif min(max_a, max_b) > floor:
+                keys = by_a.keys() | by_b.keys()
+            else:  # ties make the lower query position non-essential first
+                keys = by_b if max_a <= max_b else by_a
+            totals = [get_a(s, 0.0) + get_b(s, 0.0) for s in keys]
+        else:
+            terms = weights[query[0]], weights[query[1]], weights[query[2]]
+            (by_a, get_a, max_a), (by_b, get_b, max_b), (by_c, get_c, max_c) = terms
+            scores = [get_a(s, 0.0) + get_b(s, 0.0) + get_c(s, 0.0) for s in source_slots]
+            floor = min(scores)
+            maxes = max_a, max_b, max_c
+            if max_a + max_b + max_c <= floor:
+                keys = ()
+            elif min(maxes) > floor:
+                keys = by_a.keys() | by_b.keys() | by_c.keys()
+            else:  # i turns non-essential first (lower position on ties), k last (higher position)
+                i, k = maxes.index(min(maxes)), 2 - maxes[::-1].index(max(maxes))
+                if (max_b + max_c, max_a + max_c, max_a + max_b)[k] > floor:  # all but k, in query order
+                    keys = terms[3 - i - k][0].keys() | terms[k][0].keys()
+                else:
+                    keys = terms[k][0]
+            totals = [get_a(s, 0.0) + get_b(s, 0.0) + get_c(s, 0.0) for s in keys]
+        docs_scored += len(totals)
         limit = thresholds(len(query))
-        terms = [index.term_weights(term) for term in query]
-        source_scores = [_score(terms, slots[pos]) for pos in positions]
-        scored = _scores_above(terms, min(source_scores))
-        docs_scored += len(scored)
-        top = heapq.nlargest(limit + 1, scored)  # descending
-        for pos, score in zip(positions, source_scores):
-            rank = bisect_left(top, -score, key=neg)
+        if len(positions) == 1:
+            rank = len([score for score in totals if score > floor])
             if rank <= limit:
-                kept.append((pos, query, rank))
+                kept.append((positions[0], query, rank))
+        else:
+            top = heapq.nlargest(limit + 1, totals)  # descending
+            for pos, score in zip(positions, scores):
+                rank = bisect_left(top, -score, key=neg)
+                if rank <= limit:
+                    kept.append((pos, query, rank))
     return kept, len(sources), docs_scored
-
-
-def _score(terms: list[TermWeights], slot: int) -> float:
-    """One document's score, summed in query-term order as BM25Index.scores() does."""
-    total = 0.0
-    for weights in terms:
-        total += weights.by_slot.get(slot, 0.0)
-    return total
-
-
-def _scores_above(terms: list[TermWeights], floor: float) -> Collection[float]:
-    """Scores of every document that may score above ``floor`` (MaxScore).
-
-    Query terms turn non-essential in ascending order of their largest
-    weight while those largest weights, summed in query order, stay at or
-    below ``floor``. Weights are positive and float addition is monotone,
-    so a document that holds only non-essential terms scores at most that
-    sum and cannot outscore a source scoring ``floor`` or more. Every
-    document of an essential term is scored in full, bitwise as
-    BM25Index.scores() does.
-    """
-    if len(terms) == 1:
-        return terms[0].by_slot.values() if terms[0].max_weight > floor else ()
-    maxes = [weights.max_weight for weights in terms]
-    non_essential: set[int] = set()
-    for i in sorted(range(len(terms)), key=maxes.__getitem__):
-        bound = 0.0
-        for j, max_weight in enumerate(maxes):
-            if j == i or j in non_essential:
-                bound += max_weight
-        if bound > floor:
-            break
-        non_essential.add(i)
-    essential = [w.by_slot for i, w in enumerate(terms) if i not in non_essential]
-    if not essential:
-        return ()
-    # _score()'s sum, term-major over the whole union: cheaper than one call per document.
-    union = list(set().union(*essential))
-    totals = map(terms[0].by_slot.get, union, repeat(0.0))
-    for weights in terms[1:]:
-        totals = map(add, totals, map(weights.by_slot.get, union, repeat(0.0)))
-    return list(totals)
 
 
 def _mine_docs(

@@ -24,6 +24,7 @@ from spanmine import (
     save_index,
     write_corpus,
 )
+from spanmine import cli
 from spanmine.cli import EXIT_DATA, EXIT_IO, EXIT_OK, build_parser, run
 from spanmine.demo import generate_demo_corpus, run_demo
 from tests.conftest import V1_INDEX, V1_REFUSAL
@@ -127,6 +128,22 @@ class TestSubcommands:
         spans = tmp_path / "spans.jsonl"
         spans.write_text(json.dumps(record) + "\n", encoding="utf-8")
         assert run(["-q", "analyze", "spans", "--spans", str(spans)]) == EXIT_DATA
+
+    def test_non_finite_summary_is_data_error(self, corpus, capsys, caplog, monkeypatch):
+        monkeypatch.setattr(cli, "_cmd_stats", lambda args: {"documents": float("nan")})
+        assert run(["-q", "stats", "--corpus", str(corpus)]) == EXIT_DATA
+        assert capsys.readouterr().out == ""
+        assert "data error: the run summary holds nan, which strict JSON cannot encode" in caplog.text
+
+    def test_non_finite_analyze_report_is_data_error(self, tmp_path, capsys, caplog, monkeypatch):
+        spans = tmp_path / "spans.jsonl"
+        spans.write_text(json.dumps({"id": "a", "spans": []}) + "\n", encoding="utf-8")
+        report = tmp_path / "report.json"
+        stats = argparse.Namespace(to_dict=lambda: {"avg_span_len": float("inf")})
+        monkeypatch.setattr(spanmine.analysis, "span_characteristics", lambda spans_by_id: stats)
+        assert run(["-q", "analyze", "spans", "--spans", str(spans), "--report", str(report)]) == EXIT_DATA
+        assert capsys.readouterr().out == "" and not report.exists()
+        assert f"data error: report {report} holds inf, which strict JSON cannot encode" in caplog.text
 
     def test_bad_utf8_corpus_is_data_error(self, corpus, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -304,6 +321,16 @@ class TestMineReadsTheIndex:
         save_index(build_index([TokenizedDoc(first.id, (), 0), model_input(second)]), index)
         assert run(_window_argv(command, index, corpus, tmp_path / "out.jsonl")) == EXIT_DATA
         assert f"{index}: document 'c0' has 0 tokens in the index" in caplog.text
+
+    @pytest.mark.parametrize("command", ["mine", "corrupt"])
+    def test_document_missing_from_the_index_names_both_files(self, corpus, tmp_path, caplog, command):
+        lines = _corpus_lines()
+        indexed = tmp_path / "indexed.jsonl"
+        indexed.write_text("\n".join(json.dumps(r) for r in lines[:2]) + "\n", encoding="utf-8")
+        index = tmp_path / "idx.spmi"
+        save_index(build_index(model_input(doc) for doc in load_corpus(indexed)), index)
+        assert run(_window_argv(command, index, corpus, tmp_path / "out.jsonl")) == EXIT_DATA
+        assert f"{corpus}: document 'c2' is not in the index {index}" in caplog.text
 
     def test_cli_index_and_mine_reproduce_the_demo(self, tmp_path, capsys):
         demo_dir = tmp_path / "demo"

@@ -17,7 +17,7 @@ from spanmine import (
     parse_predictions,
     split_present_absent,
 )
-from spanmine.evaluation import StemMemo
+from spanmine.evaluation import EvalReport, StemMemo
 
 
 class TestParsePredictions:
@@ -208,6 +208,15 @@ class TestEvaluate:
         assert written["schema_version"] == 1
         assert written["present"]["f1_at_m"] == pytest.approx(2 / 3)
         assert written["present"]["per_doc"][0]["id"] == "g0"
+
+    def test_non_finite_report_is_refused_before_writing(self, tmp_path, monkeypatch):
+        preds = tmp_path / "preds.txt"
+        preds.write_text("graph pruning\n", encoding="utf-8")
+        report_path = tmp_path / "report.json"
+        monkeypatch.setattr(EvalReport, "to_dict", lambda self, include_per_doc=True: {"f1": float("nan")})
+        with pytest.raises(DataError, match="holds nan, which strict JSON cannot encode"):
+            evaluate_file(preds, [self._gold_doc()], report_path=report_path)
+        assert not report_path.exists()
 
     def test_empty_separator_rejected(self):
         with pytest.raises(DataError, match="separator must not be empty"):

@@ -396,6 +396,34 @@ class TestPrunedMining:
         unions = [{ref for t in q if t in index.postings for ref in index.postings[t].refs} for q in queries]
         assert (summary.distinct_queries, summary.docs_scored) == (len(unions), sum(map(len, unions)))
 
+    @pytest.mark.parametrize("source, docs_scored", [(["a", "b"], 11), (["b", "a"], 7)], ids=["a-b-c", "b-a-c"])
+    def test_equal_largest_weights_turn_the_lower_position_non_essential_first(self, tmp_path, source, docs_scored):
+        # Every indexed document holds 4 tokens, and under this k1 the
+        # largest weights of a (df 1, tf 1) and b (df 2, tf 2 in d1) are
+        # bitwise equal; c (df 1, tf 4) outweighs both. The mined source
+        # holds a at its largest weight, b below its own, and c, which its
+        # indexed form lacks. Documents scored per query, a-b-c | b-a-c:
+        # a 0 | 0, b 2 | 2, c 1 | 1; "a b" 2 (a non-essential, b's 2) |
+        # "b a" 1 (b non-essential, a's 1); "b c" 3 (both essential) |
+        # "a c" 1 (a non-essential); "a b c" 3 (a non-essential, b's and
+        # c's) | "b a c" 2 (b non-essential, a's and c's).
+        corpus = [source + ["z", "z"], ["b", "b", "z", "z"], ["c"] * 4, ["z"] * 4]
+        index = build_index(as_tokenized(corpus), k1=5.603568033847864)
+        a, b, c = (index.term_weights(t) for t in "abc")
+        assert a.max_weight == b.max_weight < c.max_weight and b.by_slot[0] < b.max_weight
+        assert (len(a.by_slot), len(b.by_slot), len(c.by_slot)) == (1, 2, 1)
+        out = tmp_path / "spans.jsonl"
+        thresholds = ThresholdFn({1: 0, 2: 0, 3: 0})
+        summary = mine_corpus(as_tokenized([source + ["c"]]), index, out, thresholds, frozenset({"z"}))
+        assert (summary.distinct_queries, summary.docs_scored) == (6, docs_scored)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_demo_counters_are_pinned(self, tmp_path, workers):
+        docs = [model_input(doc) for doc in generate_demo_corpus(n_docs=400, seed=1)]
+        thresholds = DEFAULT_THRESHOLDS.scaled_to(400)
+        summary = mine_corpus(docs, build_index(docs), tmp_path / "spans.jsonl", thresholds, workers=workers)
+        assert (summary.distinct_queries, summary.docs_scored) == (5318, 154584)
+
     def test_repeated_terms_count_per_occurrence(self, tmp_path):
         corpus = [["a", "a", "b"], ["a", "a", "a", "x"], ["a", "b", "x", "x"], ["b", "x"], ["a", "x", "x"]]
         docs = as_tokenized(corpus)
