@@ -204,12 +204,13 @@ def _mine_shard(
         for gram in _ngrams(doc, eligible):
             if n_shards == 1 or zlib.crc32(" ".join(gram).encode()) % n_shards == shard:
                 sources.setdefault(gram, []).append(pos)
-    weights = {}
     for token, ok in eligible.items():  # each eligible token is also a query term
         if ok:
             check_term(token)
-            by_slot, max_weight = index.term_weights(token)
-            weights[token] = by_slot, by_slot.get, max_weight
+    weights = {}
+    for token in {token for query in sources for token in query}:  # this shard's terms only
+        by_slot, max_weight = index.term_weights(token)
+        weights[token] = by_slot, by_slot.get, max_weight
     kept = []
     docs_scored = 0
     for query, positions in sources.items():
