@@ -26,7 +26,6 @@ from .corruption import (
     CorruptionConfig,
     apply_delete,
     apply_mask,
-    build_example,
     build_ssp_target,
     gen_corpus,
     plan_corruption,
@@ -55,7 +54,6 @@ from .miner import (
     ThresholdFn,
     candidates,
     load_spans,
-    mine,
     mine_corpus,
 )
 from .stopwords import load_stoplist

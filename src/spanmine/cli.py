@@ -51,12 +51,17 @@ def _add_schema_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--keyphrases-field", default="keywords")
 
 
+def _worker_count(text: str) -> int:
+    """``--threads`` capped at the core count: a pool starts every worker at once, and output never depends on it."""
+    return min(int(text), os.cpu_count() or 1)
+
+
 def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_worker_count,
         default=os.cpu_count() or 1,
-        help="worker processes; mining shards distinct n-grams, corruption shards documents (default: cores)",
+        help="worker processes, at most the cores (default: cores); mining shards n-grams, corruption documents",
     )
 
 
@@ -125,6 +130,18 @@ def _indexed_windows(args, index: BM25Index) -> list[TokenizedDoc]:
     return tokenized
 
 
+def _spans_covering(args, doc_ids: list[str], corpus) -> dict:
+    """The spans file ``args.spans``, refused unless it has an entry for each document of ``corpus``."""
+    spans_by_id = load_spans(args.spans)
+    missing = [doc_id for doc_id in doc_ids if doc_id not in spans_by_id]
+    if missing:
+        raise DataError(
+            f"{corpus}: document {missing[0]!r} has no entry in the spans file {args.spans}"
+            f" ({len(missing)} of {len(doc_ids)} missing); mine the spans from this corpus"
+        )
+    return spans_by_id
+
+
 def _cmd_mine(args) -> dict:
     index = load_index(args.index)
     tokenized = _indexed_windows(args, index)
@@ -147,15 +164,7 @@ def _cmd_mine(args) -> dict:
         max_spans=args.max_spans,
         workers=args.threads,
     )
-    return {
-        "docs_processed": summary.docs_processed,
-        "total_spans": summary.total_spans,
-        "avg_spans_per_doc": summary.avg_spans_per_doc,
-        "length_distribution": {str(n): f for n, f in summary.length_distribution.items()},
-        "distinct_queries": summary.distinct_queries,
-        "docs_scored": summary.docs_scored,
-        "out": str(args.out),
-    }
+    return {**summary.to_dict(), "out": str(args.out)}
 
 
 def _cmd_corrupt(args) -> dict:
@@ -165,16 +174,14 @@ def _cmd_corrupt(args) -> dict:
         k_o=args.ko,
         seed=args.seed,
     )
+    if cfg.objective in SPAN_OBJECTIVES and not args.spans:
+        raise UsageError(f"objective {cfg.objective} requires --spans")
+    tokenized = _indexed_windows(args, load_index(args.index))
     spans_by_id = None
     if cfg.objective in SPAN_OBJECTIVES:
-        if not args.spans:
-            raise UsageError(f"objective {cfg.objective} requires --spans")
-        spans_by_id = load_spans(args.spans)
-    tokenized = _indexed_windows(args, load_index(args.index))
+        spans_by_id = _spans_covering(args, [doc.doc_id for doc in tokenized], args.corpus)
     summary = gen_corpus(tokenized, spans_by_id, cfg, args.out, workers=args.threads)
-    result = summary.to_dict()
-    result["out"] = str(args.out)
-    return result
+    return {**summary.to_dict(), "out": str(args.out)}
 
 
 def _cmd_eval(args) -> dict:
@@ -193,7 +200,8 @@ def _cmd_analyze(args) -> dict:
         result = analysis.retrieval_success(docs, index, k=args.k).to_dict()
     elif args.study == "overlap":
         docs, _ = _load_docs(args, args.gold)
-        result = analysis.overlap_metrics(docs, load_spans(args.spans)).to_dict()
+        spans_by_id = _spans_covering(args, [doc.id for doc in docs], args.gold)
+        result = analysis.overlap_metrics(docs, spans_by_id).to_dict()
     else:
         result = analysis.span_characteristics(load_spans(args.spans)).to_dict()
     if args.report:

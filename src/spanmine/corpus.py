@@ -227,9 +227,9 @@ def load_corpus(
         )
 
 
-def write_corpus(docs: Iterable[Document], path, schema: Mapping[str, str] | None = None) -> int:
-    """Serialize Documents back to JSONL; inverse of load_corpus."""
-    schema = dict(DEFAULT_SCHEMA, **(schema or {}))
+def write_corpus(docs: Iterable[Document], path) -> int:
+    """Serialize Documents back to JSONL under the default schema; inverse of load_corpus."""
+    schema = DEFAULT_SCHEMA
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         for doc in docs:

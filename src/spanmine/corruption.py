@@ -56,14 +56,6 @@ class CorruptionConfig:
             raise DataError(f"k_s and k_o must be probabilities, got {self.k_s}, {self.k_o}")
 
 
-@dataclass(frozen=True)
-class CorruptionExample:
-    doc_id: str
-    source: tuple[str, ...]
-    target: tuple[str, ...]
-    objective: str
-
-
 def _doc_rng(seed: int, doc_id: str) -> random.Random:
     digest = hashlib.blake2b(f"{seed}:{doc_id}".encode("utf-8"), digest_size=8).digest()
     return random.Random(int.from_bytes(digest, "big"))
@@ -258,41 +250,18 @@ def _ti_plan(doc: TokenizedDoc, cfg: CorruptionConfig) -> tuple[Interval, ...]:
     return tuple(intervals)
 
 
-def _body_tokens(doc: TokenizedDoc) -> tuple[str, ...]:
-    # tokens = title ++ [<sep>] ++ body; the separator survives truncation
-    # only if the title did, hence the +1 guard.
-    if len(doc.tokens) <= doc.title_len:
-        return ()
-    return doc.tokens[doc.title_len + 1 :]
-
-
-def build_example(
-    doc: TokenizedDoc,
-    spans: Sequence[SalientSpan] | None,
-    cfg: CorruptionConfig,
-) -> CorruptionExample:
-    """One (source, target) pair for the configured objective.
+def _corrupt(
+    doc: TokenizedDoc, spans: Sequence[SalientSpan], cfg: CorruptionConfig
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[Interval, ...]]:
+    """(source, target, plan) of ``doc`` under the configured objective.
 
     Raises SkipDocument when the document cannot yield an example (ssp
     with no spans, tg with an empty title or body).
     """
-    return _example_and_plan(doc, spans, cfg)[0]
-
-
-def _example_and_plan(
-    doc: TokenizedDoc,
-    spans: Sequence[SalientSpan] | None,
-    cfg: CorruptionConfig,
-) -> tuple[CorruptionExample, tuple[Interval, ...]]:
     objective = cfg.objective
     plan: tuple[Interval, ...] = ()
     if objective in SPAN_OBJECTIVES:
-        if spans is None:
-            raise DataError(f"objective {objective} needs mined spans for {doc.doc_id!r}")
-        if objective.startswith("ssp"):
-            target = tuple(build_ssp_target(spans))
-        else:
-            target = doc.tokens
+        target = tuple(build_ssp_target(spans)) if objective.startswith("ssp") else doc.tokens
         plan = plan_corruption(doc, spans, cfg)
         if objective in _MASK_OBJECTIVES:
             source = tuple(apply_mask(doc.tokens, plan))
@@ -305,18 +274,15 @@ def _example_and_plan(
         source = tuple(apply_mask(doc.tokens, plan))
         target = doc.tokens
     elif objective == "tg":
-        title = doc.tokens[: doc.title_len]
-        body = _body_tokens(doc)
-        if not title:
+        # tokens = title ++ [<sep>] ++ body, cut to the window; a cut inside the title leaves no body
+        source, target = doc.tokens[doc.title_len + 1 :], doc.tokens[: doc.title_len]
+        if not target:
             raise SkipDocument("empty title")
-        if not body:
+        if not source:
             raise SkipDocument("empty body")
-        source = body
-        target = title
     else:  # pragma: no cover - config validation rules this out
         raise DataError(f"unknown objective {objective!r}")
-    example = CorruptionExample(doc_id=doc.doc_id, source=source, target=target, objective=objective)
-    return example, plan
+    return source, target, plan
 
 
 @dataclass
@@ -354,23 +320,24 @@ class GenSummary:
 
 
 def _build_record(spans_by_id, cfg: CorruptionConfig, doc: TokenizedDoc):
-    spans = None
+    """(skip reason, JSON line, token stats) of one document; the line is None on a skip."""
+    spans = ()
     if cfg.objective in SPAN_OBJECTIVES:
         if spans_by_id is None or doc.doc_id not in spans_by_id:
             raise DataError(f"spans file has no entry for document {doc.doc_id!r}")
         spans = spans_by_id[doc.doc_id]
     try:
-        example, plan = _example_and_plan(doc, spans, cfg)
+        source, target, plan = _corrupt(doc, spans, cfg)
     except SkipDocument as skip:
-        return doc.doc_id, skip.reason, None, (len(doc.tokens), 0, 0, 0)
+        return skip.reason, None, (len(doc.tokens), 0, 0, 0)
     corrupted = sum(end - start for start, end in plan)
     masks = len(plan) if cfg.objective in _MASK_OBJECTIVES else 0
-    stats = (len(doc.tokens), corrupted, masks, len(example.source))
+    stats = (len(doc.tokens), corrupted, masks, len(source))
     line = json.dumps(
-        {"id": example.doc_id, "source": " ".join(example.source), "target": " ".join(example.target)},
+        {"id": doc.doc_id, "source": " ".join(source), "target": " ".join(target)},
         ensure_ascii=False,
     )
-    return doc.doc_id, None, line, stats
+    return None, line, stats
 
 
 def gen_corpus(
@@ -390,7 +357,7 @@ def gen_corpus(
 
     summary = GenSummary(objective=cfg.objective)
     with open(out_path, "w", encoding="utf-8") as fh:
-        for _, skip_reason, line, stats in results:
+        for skip_reason, line, stats in results:
             if skip_reason is not None:
                 summary.docs_skipped[skip_reason] = summary.docs_skipped.get(skip_reason, 0) + 1
                 continue

@@ -130,7 +130,7 @@ def generate_demo_predictions(docs: list[Document], seed: int = DEMO_SEED) -> li
     return lines
 
 
-def run_demo(out_dir, seed: int = DEMO_SEED, threads: int = 1, n_docs: int = 200) -> dict:
+def run_demo(out_dir, seed: int = DEMO_SEED, threads: int = 1) -> dict:
     """Run the full pipeline on the synthetic corpus; return a summary dict.
 
     Every stage writes into ``out_dir``; reruns with the same seed produce
@@ -142,7 +142,7 @@ def run_demo(out_dir, seed: int = DEMO_SEED, threads: int = 1, n_docs: int = 200
 
     corpus_path = out / "corpus.jsonl"
     preds_path = out / "predictions.txt"
-    docs = generate_demo_corpus(n_docs=n_docs, seed=seed)
+    docs = generate_demo_corpus(seed=seed)
     write_corpus(docs, corpus_path)
     preds_path.write_text("\n".join(generate_demo_predictions(docs, seed=seed)) + "\n", encoding="utf-8")
 
@@ -185,11 +185,7 @@ def run_demo(out_dir, seed: int = DEMO_SEED, threads: int = 1, n_docs: int = 200
         "elapsed_sec": round(time.perf_counter() - started, 3),
         "artifacts": sorted(p.name for p in out.iterdir()),
         "corpus_stats": vars(stats).copy(),
-        "mining": {
-            "docs_processed": mining.docs_processed,
-            "avg_spans_per_doc": mining.avg_spans_per_doc,
-            "length_distribution": {str(n): f for n, f in mining.length_distribution.items()},
-        },
+        "mining": mining.to_dict(),
         "corruption": corruption_summaries,
         "evaluation": report.to_dict(include_per_doc=False),
         "analysis": {

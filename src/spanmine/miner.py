@@ -150,21 +150,6 @@ def candidates(
     return [CandidateSpan(tokens=gram, first_occurrence=i) for gram, i in grams.items()]
 
 
-def mine(
-    doc: TokenizedDoc,
-    index: BM25Index,
-    thresholds: ThresholdFn = DEFAULT_THRESHOLDS,
-    stoplist: frozenset[str] | set[str] = DEFAULT_STOPWORDS,
-    max_spans: int | None = None,
-) -> list[SalientSpan]:
-    """Salient spans of one indexed document, rank ascending.
-
-    Ties order longer spans first, then lexicographically. ``max_spans``
-    optionally caps the list after sorting.
-    """
-    return _mine_docs([doc], index, thresholds, stoplist, max_spans)[0][0]
-
-
 def _mine_shard(
     doc_list: list[TokenizedDoc],
     slots: list[int],
@@ -263,41 +248,6 @@ def _mine_shard(
     return kept, len(sources), docs_scored
 
 
-def _mine_docs(
-    doc_list: list[TokenizedDoc],
-    index: BM25Index,
-    thresholds: ThresholdFn,
-    stoplist: frozenset[str] | set[str],
-    max_spans: int | None,
-    workers: int = 1,
-) -> tuple[list[list[SalientSpan]], int, int]:
-    """Salient spans of each input document, in input order.
-
-    Results map back by input position, not slot, so a document passed
-    twice gets two lists. Also returns the distinct queries ranked and the
-    documents fully scored, summed over shards.
-    """
-    if max_spans is not None and max_spans < 0:
-        raise DataError(f"max_spans must be >= 0, got {max_spans}")
-    slots = [index.slot_of(doc.doc_id) for doc in doc_list]
-    n_shards = max(workers, 1)
-    shared = (doc_list, slots, index, thresholds, stoplist, n_shards)
-    shards = map_shared(_mine_shard, shared, range(n_shards), n_shards)
-
-    span_lists: list[list[SalientSpan]] = [[] for _ in doc_list]
-    distinct_queries = docs_scored = 0
-    for kept, n_queries, n_scored in shards:
-        distinct_queries += n_queries
-        docs_scored += n_scored
-        for pos, query, rank in kept:
-            span_lists[pos].append(SalientSpan(tokens=query, rank=rank))
-    for spans in span_lists:
-        spans.sort(key=lambda s: (s.rank, -s.length, s.tokens))
-        if max_spans is not None:
-            del spans[max_spans:]
-    return span_lists, distinct_queries, docs_scored
-
-
 @dataclass(frozen=True)
 class MiningSummary:
     docs_processed: int
@@ -306,6 +256,16 @@ class MiningSummary:
     length_distribution: dict[int, float]
     distinct_queries: int  # candidate n-grams ranked, each once
     docs_scored: int  # documents fully scored over all queries, after pruning
+
+    def to_dict(self) -> dict:
+        return {
+            "docs_processed": self.docs_processed,
+            "total_spans": self.total_spans,
+            "avg_spans_per_doc": self.avg_spans_per_doc,
+            "length_distribution": {str(n): f for n, f in self.length_distribution.items()},
+            "distinct_queries": self.distinct_queries,
+            "docs_scored": self.docs_scored,
+        }
 
 
 def span_mix(span_lists: Iterable[Sequence[SalientSpan]]) -> tuple[int, dict[int, float]]:
@@ -327,17 +287,33 @@ def mine_corpus(
     """Mine every document and write one JSONL record per document.
 
     Record schema: {"id": ..., "spans": [{"text", "rank", "len"}, ...]};
-    documents with no passing spans still get a record. Output is byte
-    identical for identical inputs regardless of ``workers``, which shard
-    the distinct queries.
+    documents with no passing spans still get a record. Spans go rank
+    ascending, ties longer first, then lexicographically; ``max_spans``
+    optionally caps each list after sorting. Results map back by input
+    position, not slot, so a document passed twice gets two records.
+    Output is byte identical for identical inputs regardless of
+    ``workers``, which shard the distinct queries.
     """
+    if max_spans is not None and max_spans < 0:
+        raise DataError(f"max_spans must be >= 0, got {max_spans}")
     doc_list = list(docs)
-    span_lists, distinct_queries, docs_scored = _mine_docs(
-        doc_list, index, thresholds, stoplist, max_spans, workers
-    )
+    slots = [index.slot_of(doc.doc_id) for doc in doc_list]
+    n_shards = max(workers, 1)
+    shared = (doc_list, slots, index, thresholds, stoplist, n_shards)
+    shards = map_shared(_mine_shard, shared, range(n_shards), n_shards)
 
+    span_lists: list[list[SalientSpan]] = [[] for _ in doc_list]
+    distinct_queries = docs_scored = 0
+    for kept, n_queries, n_scored in shards:
+        distinct_queries += n_queries
+        docs_scored += n_scored
+        for pos, query, rank in kept:
+            span_lists[pos].append(SalientSpan(tokens=query, rank=rank))
     with open(out_path, "w", encoding="utf-8") as fh:
         for doc, spans in zip(doc_list, span_lists):
+            spans.sort(key=lambda s: (s.rank, -s.length, s.tokens))
+            if max_spans is not None:
+                del spans[max_spans:]
             record = {
                 "id": doc.doc_id,
                 "spans": [{"text": s.text, "rank": s.rank, "len": s.length} for s in spans],

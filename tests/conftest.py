@@ -2,28 +2,56 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import tempfile
 from bisect import bisect_left
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from spanmine import (
+    DEFAULT_THRESHOLDS,
     Document,
     SalientSpan,
     SkipDocument,
     TokenizedDoc,
     build_index,
     candidates,
+    gen_corpus,
+    load_spans,
+    mine_corpus,
     model_input,
 )
 from spanmine.corpus import contains
+from spanmine.stopwords import DEFAULT_STOPWORDS
 
 # A version-1 index file (front-coded terms, varint postings) of one
 # document "d" holding the token "a"; version 2 refuses it.
 V1_INDEX = bytes.fromhex("53504d490100333333333333f33f000000000000e83f0101640101000161010001eeb8d264")
 V1_REFUSAL = r"unsupported index version 1 \(expected 2\); rebuild it with spanmine index"
+
+
+def mine_one(doc, index, thresholds=DEFAULT_THRESHOLDS, stoplist=DEFAULT_STOPWORDS, max_spans=None):
+    """Salient spans of one indexed document, as mine_corpus writes them and load_spans reads them back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "spans.jsonl"
+        mine_corpus([doc], index, out, thresholds, stoplist, max_spans)
+        return load_spans(out)[doc.doc_id]
+
+
+def corrupt_one(doc, spans, cfg):
+    """(source, target) token tuples gen_corpus writes for one document, or its skip reason."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "pairs.jsonl"
+        summary = gen_corpus([doc], None if spans is None else {doc.doc_id: spans}, cfg, out)
+        if summary.docs_skipped:
+            [reason] = summary.docs_skipped
+            return reason
+        [record] = map(json.loads, out.read_text(encoding="utf-8").splitlines())
+    return tuple(record["source"].split()), tuple(record["target"].split())
 
 
 class BruteBM25:

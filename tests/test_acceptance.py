@@ -29,13 +29,12 @@ from spanmine import (
     candidates,
     evaluate,
     gen_corpus,
-    mine,
     plan_corruption,
 )
 from spanmine.corruption import locate_occurrences
 from spanmine.demo import run_demo
 from spanmine.porter import stem
-from tests.conftest import BruteBM25, as_tokenized, random_token_corpus
+from tests.conftest import BruteBM25, as_tokenized, mine_one, random_token_corpus
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -102,12 +101,12 @@ def test_c2_rank_threshold_behavior():
     brute = BruteBM25(corpus)
     thresholds = ThresholdFn({1: 500, 2: 430, 3: 360}).scaled_to(len(corpus))
 
-    mined7 = mine(docs[7], index, thresholds, stoplist=frozenset())
+    mined7 = mine_one(docs[7], index, thresholds, stoplist=frozenset())
     by_tokens = {s.tokens: s.rank for s in mined7}
     unique_ok = by_tokens.get(("zq", "qx")) == 0
 
     longest = docs[-1]
-    mined_longest = {s.tokens for s in mine(longest, index, thresholds, stoplist=frozenset())}
+    mined_longest = {s.tokens for s in mine_one(longest, index, thresholds, stoplist=frozenset())}
     omni_rank = brute.rank(["omni"], 19)
     ubiquitous_ok = ("omni",) not in mined_longest and omni_rank > thresholds(1)
 
@@ -118,7 +117,7 @@ def test_c2_rank_threshold_behavior():
             for cand in candidates(doc, frozenset())
             if brute.rank(list(cand.tokens), slot) <= thresholds(len(cand.tokens))
         }
-        got = {s.tokens for s in mine(doc, index, thresholds, stoplist=frozenset())}
+        got = {s.tokens for s in mine_one(doc, index, thresholds, stoplist=frozenset())}
         if got != expected:
             exact_ok = False
             _report("c2-rank-threshold", False, f"doc {slot}: {got ^ expected}")

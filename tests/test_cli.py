@@ -255,6 +255,35 @@ class TestSubcommands:
                  "--out", str(tmp_path / "x.jsonl")])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("command", ["corrupt", "analyze overlap"])
+    def test_spans_missing_a_document_names_both_files(self, corpus, tmp_path, caplog, capsys, command):
+        index = tmp_path / "idx.spmi"
+        spans = tmp_path / "spans.jsonl"
+        out = tmp_path / "out.jsonl"
+        assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
+        assert run(_window_argv("mine", index, corpus, spans)) == EXIT_OK
+        capsys.readouterr()
+        spans.write_text("".join(spans.read_text(encoding="utf-8").splitlines(keepends=True)[:2]), encoding="utf-8")
+        argv = {
+            "corrupt": ["corrupt", "--objective", "ssr-d", "--index", str(index), "--corpus", str(corpus),
+                        "--spans", str(spans), "--out", str(out), "--threads", "1"],
+            "analyze overlap": ["analyze", "overlap", "--gold", str(corpus), "--spans", str(spans)],
+        }[command]
+        assert run(["-q", *argv]) == EXIT_DATA
+        assert f"{corpus}: document 'c2' has no entry in the spans file {spans} (1 of 3 missing)" in caplog.text
+        assert capsys.readouterr().out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["mine", "corrupt", "demo"])
+    def test_threads_capped_at_core_count(self, command):
+        head = {
+            "mine": ["mine", "--index", "i", "--corpus", "c", "--out", "o"],
+            "corrupt": ["corrupt", "--objective", "ti", "--index", "i", "--corpus", "c", "--out", "o"],
+            "demo": ["demo"],
+        }[command]
+        parser = build_parser()
+        assert parser.parse_args([*head, "--threads", "100000"]).threads == (os.cpu_count() or 1)
+        assert parser.parse_args([*head, "--threads", "1"]).threads == 1
+
 
 def _window_argv(command, index, corpus, out):
     """A `mine` or `corrupt --objective ti` command line against ``index``."""
@@ -334,15 +363,18 @@ class TestMineReadsTheIndex:
 
     def test_cli_index_and_mine_reproduce_the_demo(self, tmp_path, capsys):
         demo_dir = tmp_path / "demo"
-        run_demo(demo_dir)
+        demo_mining = run_demo(demo_dir)["mining"]
         index = tmp_path / "idx.spmi"
         spans = tmp_path / "spans.jsonl"
         corpus = str(demo_dir / "corpus.jsonl")
         assert run(["-q", "index", "--corpus", corpus, "--out", str(index)]) == EXIT_OK
+        capsys.readouterr()
         argv = ["-q", "mine", "--index", str(index), "--corpus", corpus, "--out", str(spans), "--threads", "1"]
         assert run(argv) == EXIT_OK
-        capsys.readouterr()
+        mine_summary = _json_out(capsys)
         assert spans.read_bytes() == (demo_dir / "spans.jsonl").read_bytes()
+        assert list(mine_summary)[3:-1] == list(demo_mining)  # one serialization, between the header and "out"
+        assert {k: mine_summary[k] for k in demo_mining} == demo_mining
 
 
 class TestDemoDeterminism:

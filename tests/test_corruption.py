@@ -15,7 +15,6 @@ from spanmine import (
     TokenizedDoc,
     apply_delete,
     apply_mask,
-    build_example,
     build_index,
     build_ssp_target,
     gen_corpus,
@@ -29,7 +28,7 @@ from spanmine import (
 from spanmine.corruption import OBJECTIVES, SPAN_OBJECTIVES, _poisson, locate_occurrences
 from spanmine.demo import DEMO_SEED, generate_demo_corpus
 from spanmine.miner import DEFAULT_THRESHOLDS, MAX_NGRAM
-from tests.conftest import oracle_locate_occurrences, oracle_ssp_target
+from tests.conftest import corrupt_one, oracle_locate_occurrences, oracle_ssp_target
 
 
 def doc_of(tokens, doc_id="d", title_len=0):
@@ -56,8 +55,8 @@ class TestPlanCorruption:
         doc = doc_of(["a", "b", "c"])
         plan = plan_corruption(doc, spans_of("b"), cfg_for(k_s=0.0, k_o=0.0))
         assert plan == ()
-        example = build_example(doc, spans_of("b"), cfg_for("ssr-m", k_s=0.0, k_o=0.0))
-        assert example.source == doc.tokens == example.target
+        source, target = corrupt_one(doc, spans_of("b"), cfg_for("ssr-m", k_s=0.0, k_o=0.0))
+        assert source == doc.tokens == target
 
     def test_other_words_certain(self):
         doc = doc_of(["a", "b", "c", "d"])
@@ -215,46 +214,44 @@ class TestBuildExample:
         doc = doc_of(tokens, doc_id="bio")
         spans = spans_of("event trigger words", "text", ranks=[0, 3])
         # Force both spans corrupted, nothing else.
-        example = build_example(doc, spans, cfg_for("ssp-d", k_s=1.0, k_o=0.0))
-        assert example.source == ("identify", "in", "biomedical")
-        assert "biomedical" in example.source
-        assert example.target[:3] == ("event", "trigger", "words")
+        source, target = corrupt_one(doc, spans, cfg_for("ssp-d", k_s=1.0, k_o=0.0))
+        assert source == ("identify", "in", "biomedical")
+        assert "biomedical" in source
+        assert target[:3] == ("event", "trigger", "words")
 
     def test_ssr_target_is_original(self):
         doc = doc_of(["x", "y", "z"], doc_id="r")
-        example = build_example(doc, spans_of("y"), cfg_for("ssr-d", k_s=1.0, k_o=0.0))
-        assert example.target == doc.tokens
-        assert example.source == ("x", "z")
+        source, target = corrupt_one(doc, spans_of("y"), cfg_for("ssr-d", k_s=1.0, k_o=0.0))
+        assert target == doc.tokens
+        assert source == ("x", "z")
 
     def test_ssr_m_masks(self):
         doc = doc_of(["x", "y", "z"], doc_id="m")
-        example = build_example(doc, spans_of("y"), cfg_for("ssr-m", k_s=1.0, k_o=0.0))
-        assert example.source == ("x", "<mask>", "z")
+        source, _ = corrupt_one(doc, spans_of("y"), cfg_for("ssr-m", k_s=1.0, k_o=0.0))
+        assert source == ("x", "<mask>", "z")
 
     def test_tg(self):
         doc = doc_of(["t1", "t2", "<sep>", "b1"], doc_id="t", title_len=2)
-        example = build_example(doc, None, cfg_for("tg"))
-        assert example.source == ("b1",)
-        assert example.target == ("t1", "t2")
+        source, target = corrupt_one(doc, None, cfg_for("tg"))
+        assert source == ("b1",)
+        assert target == ("t1", "t2")
 
     def test_tg_empty_title_skips(self):
         doc = doc_of(["<sep>", "b1"], doc_id="t0", title_len=0)
-        with pytest.raises(SkipDocument):
-            build_example(doc, None, cfg_for("tg"))
+        assert corrupt_one(doc, None, cfg_for("tg")) == "empty title"
 
     def test_tg_empty_body_skips(self):
         doc = doc_of(["t1", "<sep>"], doc_id="t1", title_len=1)
-        with pytest.raises(SkipDocument):
-            build_example(doc, None, cfg_for("tg"))
+        assert corrupt_one(doc, None, cfg_for("tg")) == "empty body"
 
     def test_ti_masks_and_preserves_target(self):
         tokens = tuple(f"w{i}" for i in range(120))
         doc = doc_of(tokens, doc_id="ti")
-        example = build_example(doc, None, cfg_for("ti", seed=5))
-        assert example.target == tokens
-        n_masks = example.source.count("<mask>")
+        source, target = corrupt_one(doc, None, cfg_for("ti", seed=5))
+        assert target == tokens
+        n_masks = source.count("<mask>")
         assert n_masks >= 1
-        masked_originals = len(tokens) - (len(example.source) - n_masks)
+        masked_originals = len(tokens) - (len(source) - n_masks)
         assert masked_originals >= round(0.3 * len(tokens)) - 3  # last span may overshoot
 
     def test_ti_poisson_lengths(self):
@@ -266,14 +263,13 @@ class TestBuildExample:
 
     def test_ssp_without_spans_skips(self):
         doc = doc_of(["a"], doc_id="s")
-        with pytest.raises(SkipDocument):
-            build_example(doc, [], cfg_for("ssp-m"))
+        assert corrupt_one(doc, [], cfg_for("ssp-m")) == "no salient spans to predict"
 
     def test_full_coverage_delete_warns_but_emits(self, caplog):
         doc = doc_of(["a", "b"], doc_id="w")
         with caplog.at_level("WARNING", logger="spanmine.corruption"):
-            example = build_example(doc, spans_of("a b"), cfg_for("ssr-d", k_s=1.0, k_o=1.0))
-        assert example.source == ()
+            source, _ = corrupt_one(doc, spans_of("a b"), cfg_for("ssr-d", k_s=1.0, k_o=1.0))
+        assert source == ()
         assert any("deleted every token" in r.message for r in caplog.records)
 
 

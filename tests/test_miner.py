@@ -14,7 +14,6 @@ from spanmine import (
     candidates,
     load_index,
     load_spans,
-    mine,
     mine_corpus,
     model_input,
     save_index,
@@ -22,7 +21,7 @@ from spanmine import (
 from spanmine.analysis import span_characteristics
 from spanmine.demo import generate_demo_corpus
 from spanmine.miner import DEFAULT_THRESHOLDS, parse_thresholds
-from tests.conftest import BruteBM25, as_tokenized, oracle_mine, random_token_corpus
+from tests.conftest import BruteBM25, as_tokenized, mine_one, oracle_mine, random_token_corpus
 
 
 def doc_of(tokens, doc_id="d", title_len=0):
@@ -114,7 +113,7 @@ class TestMine:
         corpus = build_synthetic()
         index = build_index(as_tokenized(corpus))
         thresholds = ThresholdFn({1: 0, 2: 0, 3: 0})
-        spans = mine(as_tokenized(corpus)[7], index, thresholds, stoplist=frozenset())
+        spans = mine_one(as_tokenized(corpus)[7], index, thresholds, stoplist=frozenset())
         mined = {s.tokens: s.rank for s in spans}
         assert mined[("zq", "qx")] == 0
 
@@ -129,7 +128,7 @@ class TestMine:
         }
         cut = sorted(set(all_ranks.values()))[len(set(all_ranks.values())) // 2]
         thresholds = ThresholdFn({1: cut, 2: cut, 3: cut})
-        mined = {s.tokens for s in mine(doc, index, thresholds, stoplist=frozenset())}
+        mined = {s.tokens for s in mine_one(doc, index, thresholds, stoplist=frozenset())}
         expected = {tokens for tokens, r in all_ranks.items() if r <= cut}
         assert mined == expected
 
@@ -140,21 +139,21 @@ class TestMine:
         brute = BruteBM25(corpus)
         assert brute.rank(["omni"], 9) == 9
         thresholds = ThresholdFn({1: 3, 2: 3, 3: 3})
-        mined = {s.tokens for s in mine(as_tokenized(corpus)[9], index, thresholds, frozenset())}
+        mined = {s.tokens for s in mine_one(as_tokenized(corpus)[9], index, thresholds, frozenset())}
         assert ("omni",) not in mined
 
     def test_spans_sorted_rank_then_longer_first(self):
         corpus = build_synthetic()
         index = build_index(as_tokenized(corpus))
         doc = as_tokenized(corpus)[7]
-        spans = mine(doc, index, ThresholdFn({1: 30, 2: 30, 3: 30}), frozenset())
+        spans = mine_one(doc, index, ThresholdFn({1: 30, 2: 30, 3: 30}), frozenset())
         keys = [(s.rank, -s.length, s.tokens) for s in spans]
         assert keys == sorted(keys)
 
     def test_doc_not_in_index(self):
         index = build_index(as_tokenized([["a"]]))
         with pytest.raises(DataError):
-            mine(doc_of(["a"], doc_id="ghost"), index)
+            mine_one(doc_of(["a"], doc_id="ghost"), index)
 
     def test_ranks_match_brute_force(self):
         corpus = build_synthetic(seed=11)
@@ -162,7 +161,7 @@ class TestMine:
         brute = BruteBM25(corpus)
         for slot in (0, 7, 13):
             doc = as_tokenized(corpus)[slot]
-            for span in mine(doc, index, ThresholdFn({1: 50, 2: 50, 3: 50}), frozenset()):
+            for span in mine_one(doc, index, ThresholdFn({1: 50, 2: 50, 3: 50}), frozenset()):
                 assert span.rank == brute.rank(list(span.tokens), slot)
 
     def test_mined_spans_are_contiguous_subsequences(self):
@@ -170,7 +169,7 @@ class TestMine:
         index = build_index(as_tokenized(corpus))
         doc = as_tokenized(corpus)[4]
         text = list(doc.tokens)
-        for span in mine(doc, index, ThresholdFn({1: 25, 2: 25, 3: 25}), frozenset()):
+        for span in mine_one(doc, index, ThresholdFn({1: 25, 2: 25, 3: 25}), frozenset()):
             n = len(span.tokens)
             assert any(tuple(text[i : i + n]) == span.tokens for i in range(len(text) - n + 1))
 
@@ -178,8 +177,8 @@ class TestMine:
         corpus = build_synthetic(seed=9)
         index = build_index(as_tokenized(corpus))
         doc = as_tokenized(corpus)[7]
-        small = {s.tokens for s in mine(doc, index, ThresholdFn({1: 2, 2: 2, 3: 2}), frozenset())}
-        large = {s.tokens for s in mine(doc, index, ThresholdFn({1: 9, 2: 9, 3: 9}), frozenset())}
+        small = {s.tokens for s in mine_one(doc, index, ThresholdFn({1: 2, 2: 2, 3: 2}), frozenset())}
+        large = {s.tokens for s in mine_one(doc, index, ThresholdFn({1: 9, 2: 9, 3: 9}), frozenset())}
         assert small <= large
 
     def test_reorder_invariance(self):
@@ -191,8 +190,8 @@ class TestMine:
         doc_b = [d for d in as_tokenized(shuffled) if d.tokens == doc_a.tokens]
         # Renaming slots: find doc 7's position in the reversed corpus.
         assert doc_b, "doc 7 must exist in the shuffled corpus"
-        spans_a = {(s.tokens, s.rank) for s in mine(doc_a, idx_a, ThresholdFn({1: 8, 2: 8, 3: 8}), frozenset())}
-        spans_b = {(s.tokens, s.rank) for s in mine(doc_b[0], idx_b, ThresholdFn({1: 8, 2: 8, 3: 8}), frozenset())}
+        spans_a = {(s.tokens, s.rank) for s in mine_one(doc_a, idx_a, ThresholdFn({1: 8, 2: 8, 3: 8}), frozenset())}
+        spans_b = {(s.tokens, s.rank) for s in mine_one(doc_b[0], idx_b, ThresholdFn({1: 8, 2: 8, 3: 8}), frozenset())}
         assert spans_a == spans_b
 
     def test_max_spans_cap(self, tmp_path):
@@ -200,10 +199,10 @@ class TestMine:
         index = build_index(as_tokenized(corpus))
         doc = as_tokenized(corpus)[7]
         thresholds = ThresholdFn({1: 50, 2: 50, 3: 50})
-        spans = mine(doc, index, thresholds, frozenset(), max_spans=3)
+        spans = mine_one(doc, index, thresholds, frozenset(), max_spans=3)
         assert len(spans) == 3
         with pytest.raises(DataError, match="max_spans"):
-            mine(doc, index, thresholds, frozenset(), max_spans=-1)
+            mine_one(doc, index, thresholds, frozenset(), max_spans=-1)
         with pytest.raises(DataError, match="max_spans"):
             mine_corpus([doc], index, tmp_path / "spans.jsonl", thresholds, frozenset(), max_spans=-1)
 
@@ -332,7 +331,7 @@ class TestQueryMajorOracle:
             index = build_index(docs)
             mine_corpus(subset, index, out, thresholds, stoplist=frozenset(), max_spans=max_spans)
             _assert_matches_oracles(out, subset, index, _cached_brute(corpus), thresholds, max_spans=max_spans)
-            assert mine(subset[0], index, thresholds, frozenset(), max_spans) == oracle_mine(
+            assert mine_one(subset[0], index, thresholds, frozenset(), max_spans) == oracle_mine(
                 subset[0], index, thresholds, frozenset(), max_spans
             )
 
