@@ -92,12 +92,11 @@ def locate_occurrences(
     """
     tokens = tuple(tokens)
     unique: dict[tuple[str, ...], SalientSpan] = {}
-    for span in sorted(spans, key=lambda s: (-s.length, s.rank, s.tokens)):
+    for span in sorted(spans, key=lambda s: (-len(s.tokens), s.rank, s.tokens)):
         unique.setdefault(span.tokens, span)
     starts: defaultdict[tuple[str, ...], list[int]] = defaultdict(list)
     for n in {len(gram) for gram in unique}:
-        for i in range(len(tokens) - n + 1):
-            gram = tokens[i : i + n]
+        for i, gram in enumerate(zip(*(tokens[k:] for k in range(n)))):
             if gram in unique:
                 starts[gram].append(i)
     claimed = [False] * len(tokens)
@@ -121,19 +120,14 @@ def plan_corruption(
     with probability k_s), then every uncovered position ascending (kept
     with probability k_o).
     """
-    rng = _doc_rng(cfg.seed, doc.doc_id)
+    draw = _doc_rng(cfg.seed, doc.doc_id).random
     occurrences = locate_occurrences(doc.tokens, spans)
     covered = [False] * len(doc.tokens)
     for (start, end), _ in occurrences:
-        for j in range(start, end):
-            covered[j] = True
-    marks: list[Interval] = []
-    for (start, end), _ in occurrences:
-        if rng.random() < cfg.k_s:
-            marks.append((start, end))
-    for pos in range(len(doc.tokens)):
-        if not covered[pos] and rng.random() < cfg.k_o:
-            marks.append((pos, pos + 1))
+        covered[start:end] = [True] * (end - start)
+    k_s, k_o = cfg.k_s, cfg.k_o
+    marks = [interval for interval, _ in occurrences if draw() < k_s]
+    marks += [(pos, pos + 1) for pos, hit in enumerate(covered) if not hit and draw() < k_o]
     marks.sort()
     return tuple(marks)
 

@@ -116,15 +116,38 @@ class _Eligibility(dict):
         return ok
 
 
-def _ngrams(doc: TokenizedDoc, eligible: _Eligibility) -> dict[tuple[str, ...], int]:
-    """Distinct eligible 1..3-grams of ``doc`` -> offset of their first occurrence."""
+class _Ownership(dict):
+    """Token -> whether n-grams starting with it belong to ``shard`` of ``n_shards``.
+
+    Ownership is crc32(token) % n_shards == shard, decided once per token.
+    Equal n-grams have equal first tokens, so shards never share a query.
+    """
+
+    def __init__(self, n_shards: int, shard: int):
+        super().__init__()
+        self.n_shards = n_shards
+        self.shard = shard
+
+    def __missing__(self, token: str) -> bool:
+        owned = self[token] = zlib.crc32(token.encode()) % self.n_shards == self.shard
+        return owned
+
+
+def _ngrams(
+    doc: TokenizedDoc, eligible: _Eligibility, owned: _Ownership | None = None
+) -> dict[tuple[str, ...], int]:
+    """Distinct eligible 1..3-grams of ``doc`` -> offset of their first occurrence.
+
+    With ``owned``, only n-grams whose first token it owns.
+    """
     tokens = tuple(doc.tokens)
     if not tokens:
         raise DataError(f"document {doc.doc_id!r} has no tokens")
     ok = [eligible[tok] for tok in tokens]
     seen: dict[tuple[str, ...], int] = {}
     n_tokens = len(tokens)
-    for i in range(n_tokens):
+    starts = range(n_tokens) if owned is None else [i for i, tok in enumerate(tokens) if owned[tok]]
+    for i in starts:
         if not ok[i]:
             continue
         for n in range(1, MAX_NGRAM + 1):
@@ -162,8 +185,9 @@ def _mine_shard(
     """Rank one shard of the distinct candidate queries of ``doc_list``.
 
     Candidates are grouped by distinct query across all documents, so a
-    query shared by many documents is scored once. A query belongs to
-    shard crc32(text) % n_shards, which every process computes alike.
+    query shared by many documents is scored once. A query belongs to the
+    shard that owns its first token (``_Ownership``), so a shard slices only
+    its own n-grams, and every process decides alike.
     Returns (position, query, rank) for every source document, by input
     position, whose rank clears the threshold, then the number of
     distinct queries and of documents fully scored.
@@ -184,11 +208,11 @@ def _mine_shard(
     source. Every document of an essential term is scored in full.
     """
     eligible = _Eligibility(stoplist)
+    owned = _Ownership(n_shards, shard) if n_shards > 1 else None
     sources: dict[tuple[str, ...], list[int]] = {}
     for pos, doc in enumerate(doc_list):
-        for gram in _ngrams(doc, eligible):
-            if n_shards == 1 or zlib.crc32(" ".join(gram).encode()) % n_shards == shard:
-                sources.setdefault(gram, []).append(pos)
+        for gram in _ngrams(doc, eligible, owned):
+            sources.setdefault(gram, []).append(pos)
     for token, ok in eligible.items():  # each eligible token is also a query term
         if ok:
             check_term(token)

@@ -416,7 +416,7 @@ class TestPrunedMining:
         summary = mine_corpus(as_tokenized([source + ["c"]]), index, out, thresholds, frozenset({"z"}))
         assert (summary.distinct_queries, summary.docs_scored) == (6, docs_scored)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_demo_counters_are_pinned(self, tmp_path, workers):
         docs = [model_input(doc) for doc in generate_demo_corpus(n_docs=400, seed=1)]
         thresholds = DEFAULT_THRESHOLDS.scaled_to(400)
