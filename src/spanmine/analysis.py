@@ -22,7 +22,7 @@ from .bm25 import BM25Index
 from .corpus import Document, model_input
 from .errors import DataError
 from .evaluation import StemMemo, keyphrase_set, split_present_absent
-from .miner import MAX_NGRAM, SalientSpan, span_mix
+from .miner import MAX_NGRAM, SalientSpan, length_mix
 
 logger = logging.getLogger(__name__)
 
@@ -216,7 +216,7 @@ def overlap_metrics(
 def span_characteristics(spans_by_id: Mapping[str, list[SalientSpan]]) -> SpanStats:
     """Spans per document (empty documents included) and the length mix."""
     n_docs = len(spans_by_id)
-    total, mix = span_mix(spans_by_id.values())
+    total, mix = length_mix(len(span.tokens) for spans in spans_by_id.values() for span in spans)
     return SpanStats(
         documents=n_docs,
         total_spans=total,

@@ -79,6 +79,25 @@ def _load_docs(args, path) -> tuple[list[Document], int]:
     return docs, issues
 
 
+# Path flags a command reads, and those it writes.
+_INPUT_FLAGS = ("corpus", "index", "spans", "stoplist", "preds", "gold")
+_OUTPUT_FLAGS = ("out", "report")
+
+
+def _refuse_output_over_input(args) -> None:
+    """Refuse an output path that is the same file as one of the command's inputs."""
+    for out_flag in _OUTPUT_FLAGS:
+        out = getattr(args, out_flag, None)
+        if not out or not os.path.exists(out):
+            continue
+        for in_flag in _INPUT_FLAGS:
+            src = getattr(args, in_flag, None)
+            if src and os.path.exists(src) and os.path.samefile(out, src):
+                raise DataError(
+                    f"--{out_flag} {out} is the same file as --{in_flag} {src}; writing it would overwrite that input"
+                )
+
+
 def _cmd_stats(args) -> dict:
     docs, issues = _load_docs(args, args.corpus)
     stats = dataset_stats(docs)
@@ -319,6 +338,7 @@ def run(argv=None) -> int:
     logger.info("%s parameters: %s", args.command, params)
     started = time.perf_counter()
     try:
+        _refuse_output_over_input(args)
         result = args.func(args)
         elapsed = time.perf_counter() - started
         summary = {

@@ -150,6 +150,23 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text)
 
 
+def text_tokens(text: str) -> list[str]:
+    """``tokenize(normalize(text))``, one whitespace chunk at a time.
+
+    No token, digit run or ``<digit>`` spans whitespace, and ``str.split``
+    splits on exactly what ``\\s`` matches, so each chunk tokenizes alone.
+    A letters-only chunk holds no ASCII digit and is one ``\\w+`` match, so
+    it is its own token and neither rule runs on it.
+    """
+    tokens: list[str] = []
+    for chunk in text.lower().split():
+        if chunk.isalpha():
+            tokens.append(chunk)
+        else:
+            tokens += _TOKEN.findall(_DIGIT_RUN.sub(DIGIT_TOKEN, chunk))
+    return tokens
+
+
 def model_input(doc: Document, max_tokens: int | None = DEFAULT_MAX_TOKENS) -> TokenizedDoc:
     """Build the token sequence ``title ++ [<sep>] ++ body``, truncated.
 
@@ -158,8 +175,8 @@ def model_input(doc: Document, max_tokens: int | None = DEFAULT_MAX_TOKENS) -> T
     """
     if max_tokens is not None and max_tokens < 1:
         raise DataError(f"max_tokens must be >= 1, got {max_tokens}")
-    title_tokens = tokenize(normalize(doc.title))
-    body_tokens = tokenize(normalize(doc.body))
+    title_tokens = text_tokens(doc.title)
+    body_tokens = text_tokens(doc.body)
     tokens = [*title_tokens, SEP_TOKEN, *body_tokens]
     if max_tokens is not None:
         tokens = tokens[:max_tokens]

@@ -189,8 +189,8 @@ def build_ssp_target(spans: Sequence[SalientSpan]) -> list[str]:
     inside_longer = {
         span.tokens[i : i + n]
         for span in unique
-        for n in range(1, span.length)
-        for i in range(span.length - n + 1)
+        for n in range(1, len(span.tokens))
+        for i in range(len(span.tokens) - n + 1)
     }
     kept = [span for span in unique if span.tokens not in inside_longer]
     if not kept:

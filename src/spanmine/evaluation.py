@@ -20,7 +20,7 @@ import logging
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .corpus import Document, check_finite, contains, model_input, normalize, read_lines, tokenize
+from .corpus import Document, check_finite, contains, model_input, read_lines, text_tokens
 from .errors import AlignmentError, DataError
 from .porter import stem
 
@@ -75,7 +75,7 @@ def keyphrase_set(raw_phrases: Iterable[str], stems: StemMemo | None = None) -> 
     stems = StemMemo() if stems is None else stems
     phrases = []
     for raw in raw_phrases:
-        tokens = tuple(tokenize(normalize(raw)))
+        tokens = tuple(text_tokens(raw))
         if tokens:
             phrases.append(tokens)
     return KeyphraseSet(

@@ -14,7 +14,7 @@ import logging
 import zlib
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from operator import neg
 
@@ -292,9 +292,9 @@ class MiningSummary:
         }
 
 
-def span_mix(span_lists: Iterable[Sequence[SalientSpan]]) -> tuple[int, dict[int, float]]:
-    """Total spans over ``span_lists`` and the share of each length 1..MAX_NGRAM."""
-    counts = Counter(span.length for spans in span_lists for span in spans)
+def length_mix(lengths: Iterable[int]) -> tuple[int, dict[int, float]]:
+    """Number of span ``lengths`` and the share of each length 1..MAX_NGRAM."""
+    counts = Counter(lengths)
     total = sum(counts.values())
     return total, {n: counts[n] / total if total else 0.0 for n in range(1, MAX_NGRAM + 1)}
 
@@ -326,24 +326,25 @@ def mine_corpus(
     shared = (doc_list, slots, index, thresholds, stoplist, n_shards)
     shards = map_shared(_mine_shard, shared, range(n_shards), n_shards)
 
-    span_lists: list[list[SalientSpan]] = [[] for _ in doc_list]
+    # (rank, -length, tokens) per kept span: the record order, sorted natively.
+    span_lists: list[list[tuple[int, int, tuple[str, ...]]]] = [[] for _ in doc_list]
     distinct_queries = docs_scored = 0
     for kept, n_queries, n_scored in shards:
         distinct_queries += n_queries
         docs_scored += n_scored
         for pos, query, rank in kept:
-            span_lists[pos].append(SalientSpan(tokens=query, rank=rank))
+            span_lists[pos].append((rank, -len(query), query))
     with open(out_path, "w", encoding="utf-8") as fh:
         for doc, spans in zip(doc_list, span_lists):
-            spans.sort(key=lambda s: (s.rank, -s.length, s.tokens))
+            spans.sort()
             if max_spans is not None:
                 del spans[max_spans:]
             record = {
                 "id": doc.doc_id,
-                "spans": [{"text": s.text, "rank": s.rank, "len": s.length} for s in spans],
+                "spans": [{"text": " ".join(query), "rank": rank, "len": -neg_len} for rank, neg_len, query in spans],
             }
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-    total_spans, mix = span_mix(span_lists)
+    total_spans, mix = length_mix(-neg_len for spans in span_lists for _, neg_len, _ in spans)
     n_docs = len(doc_list)
     return MiningSummary(
         docs_processed=n_docs,

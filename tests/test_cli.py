@@ -273,6 +273,51 @@ class TestSubcommands:
         assert f"{corpus}: document 'c2' has no entry in the spans file {spans} (1 of 3 missing)" in caplog.text
         assert capsys.readouterr().out == "" and not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,victim",
+        [
+            ("index", "corpus"),
+            ("mine", "index"),
+            ("corrupt", "spans"),
+            ("eval", "preds"),
+            ("analyze success", "index"),
+            ("analyze overlap", "gold"),
+            ("analyze spans", "spans"),
+        ],
+    )
+    def test_output_naming_an_input_is_refused(self, corpus, tmp_path, caplog, capsys, command, victim):
+        index = tmp_path / "idx.spmi"
+        spans = tmp_path / "spans.jsonl"
+        preds = tmp_path / "preds.txt"
+        preds.write_text("sparse solvers\ngraph pruning\ncodec design\n", encoding="utf-8")
+        assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
+        assert run(_window_argv("mine", index, corpus, spans)) == EXIT_OK
+        capsys.readouterr()
+        path = {"corpus": corpus, "gold": corpus, "index": index, "spans": spans, "preds": preds}[victim]
+        before = path.read_bytes()
+        out_flag = "--out" if command in ("index", "mine", "corrupt") else "--report"
+        argv = {
+            "index": ["index", "--corpus", str(corpus)],
+            "mine": ["mine", "--index", str(index), "--corpus", str(corpus), "--threads", "1"],
+            "corrupt": ["corrupt", "--objective", "ssp-m", "--index", str(index), "--corpus", str(corpus),
+                        "--spans", str(spans), "--threads", "1"],
+            "eval": ["eval", "--preds", str(preds), "--gold", str(corpus)],
+            "analyze success": ["analyze", "success", "--gold", str(corpus), "--index", str(index)],
+            "analyze overlap": ["analyze", "overlap", "--gold", str(corpus), "--spans", str(spans)],
+            "analyze spans": ["analyze", "spans", "--spans", str(spans)],
+        }[command]
+        assert run(["-q", *argv, out_flag, str(path)]) == EXIT_DATA
+        assert f"{out_flag} {path} is the same file as --{victim} {path}" in caplog.text
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == before
+
+    def test_output_through_another_path_to_an_input_is_refused(self, corpus, tmp_path, caplog, monkeypatch):
+        before = corpus.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        assert run(["-q", "index", "--corpus", str(corpus), "--out", f"../{tmp_path.name}/{corpus.name}"]) == EXIT_DATA
+        assert "is the same file as --corpus" in caplog.text
+        assert corpus.read_bytes() == before
+
     @pytest.mark.parametrize("command", ["mine", "corrupt", "demo"])
     def test_threads_capped_at_core_count(self, command):
         head = {

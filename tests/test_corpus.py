@@ -9,6 +9,7 @@ from spanmine import (
     DuplicateIdError,
     dataset_stats,
     evaluate_file,
+    keyphrase_set,
     load_corpus,
     load_spans,
     load_stoplist,
@@ -17,7 +18,7 @@ from spanmine import (
     tokenize,
     write_corpus,
 )
-from spanmine.corpus import contains
+from spanmine.corpus import contains, text_tokens
 
 
 class TestNormalize:
@@ -93,6 +94,42 @@ class TestModelInput:
         out = model_input(doc, max_tokens)
         assert len(out.tokens) <= max_tokens
         assert out.title_len <= len(out.tokens)
+
+
+def _oracle(text):
+    """The tokenizer's rule definitions applied to the whole text at once."""
+    return tokenize(normalize(text))
+
+
+# Letters, digits and word joiners; sentinel fragments; whitespace that
+# str.split() and the regex's \s must agree on; letters whose case mapping
+# changes length or is not a letter's; a combining mark; CJK.
+_FRAGMENTS = [
+    *"aZq09_-.", "<digit>", "<sep>", "<", ">", "dig", "it", "sep", "12", "x-1",
+    "\t", "\n", "\x0b", "\x1c", "\x85", "\xa0", " ", "\u2009", "\u2028", "\u3000",
+    "\u00b2", "\u00df", "\u0130", "\u03a3", "\u0301", "\u4e2d\u6587",
+]
+_mixed_text = st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join)
+
+
+class TestChunkedTokenizer:
+    """``text_tokens`` tokenizes one whitespace chunk at a time; the rules say what it must return."""
+
+    @given(_mixed_text, _mixed_text, st.lists(_mixed_text, max_size=4))
+    @settings(max_examples=500)
+    @example("Top 100 Results", "cnn-2019a v1.2.3 <sep>", ["self-stabilizing clocks", "  "])
+    def test_matches_whole_text_rules(self, title, body, phrases):
+        assert text_tokens(title) == _oracle(title)
+        out = model_input(Document("x", title, body), None)
+        assert out.tokens == (*_oracle(title), "<sep>", *_oracle(body))
+        assert out.title_len == len(_oracle(title))
+        expected = tuple(tuple(_oracle(p)) for p in phrases if _oracle(p))
+        assert keyphrase_set(phrases).phrases == expected
+
+    def test_every_bmp_code_point(self):
+        for cp in range(0x10000):
+            for text in (chr(cp), f"a{chr(cp)}b"):
+                assert text_tokens(text) == _oracle(text), f"U+{cp:04X} in {text!r}"
 
 
 class TestLoadCorpus:
