@@ -102,9 +102,6 @@ class BM25Index:
     b: float
     _slot_by_id: dict[str, int] = field(init=False, repr=False)
     _norms: list[float] = field(init=False, repr=False)
-    # Per-term weights by slot, filled on first use so that building or
-    # loading an index does no scoring work.
-    _weights: dict[str, TermWeights] = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self._slot_by_id = {doc_id: slot for slot, doc_id in enumerate(self.doc_ids)}
@@ -131,19 +128,17 @@ class BM25Index:
     def term_weights(self, term: str) -> TermWeights:
         """Each posting's score contribution, idf * tf * (k1 + 1) / (tf + norm).
 
-        Cached per indexed term; a term the index lacks weighs nothing.
+        Computed on each call; a caller that reuses terms keeps its own
+        memo. A term the index lacks weighs nothing.
         """
-        cached = self._weights.get(term)
-        if cached is None:
-            plist = self.postings.get(term)
-            if not plist:
-                return TermWeights({}, 0.0)
-            idf = self.idf(term)
-            norms = self._norms
-            k1p1 = self.k1 + 1.0
-            by_slot = {ref: idf * tf * k1p1 / (tf + norms[ref]) for ref, tf in zip(plist.refs, plist.tfs)}
-            cached = self._weights[term] = TermWeights(by_slot, max(by_slot.values()))
-        return cached
+        plist = self.postings.get(term)
+        if not plist:
+            return TermWeights({}, 0.0)
+        idf = self.idf(term)
+        norms = self._norms
+        k1p1 = self.k1 + 1.0
+        by_slot = {ref: idf * tf * k1p1 / (tf + norms[ref]) for ref, tf in zip(plist.refs, plist.tfs)}
+        return TermWeights(by_slot, max(by_slot.values()))
 
     def scores(self, query: Sequence[str]) -> dict[int, float]:
         """Sparse scores over the union of the query terms' postings.
@@ -156,15 +151,11 @@ class BM25Index:
             raise DataError("query must contain at least one term")
         for term in query:
             check_term(term)
-        acc: dict[int, float] = {}
+        acc = self.term_weights(query[0]).by_slot  # a new dict on each call, so it can hold the sums
         get = acc.get
-        for term in query:
-            by_slot = self.term_weights(term).by_slot
-            if acc:
-                for doc_ref, weight in by_slot.items():
-                    acc[doc_ref] = get(doc_ref, 0.0) + weight
-            else:  # 0.0 + weight == weight, so the first term seeds the sums
-                acc.update(by_slot)
+        for term in query[1:]:
+            for doc_ref, weight in self.term_weights(term).by_slot.items():
+                acc[doc_ref] = get(doc_ref, 0.0) + weight
         return acc
 
     def rank(self, query: Sequence[str], source: int) -> int:

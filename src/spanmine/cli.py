@@ -120,6 +120,16 @@ def _cmd_index(args) -> dict:
     }
 
 
+def _slot_in_index(args, corpus, index: BM25Index, doc_id: str) -> int:
+    """The slot of ``doc_id``, a document of ``corpus``, in the index ``args.index``."""
+    try:
+        return index.slot_of(doc_id)
+    except DataError:
+        raise DataError(
+            f"{corpus}: document {doc_id!r} is not in the index {args.index}; rebuild the index from this corpus"
+        ) from None
+
+
 def _indexed_windows(args, index: BM25Index) -> list[TokenizedDoc]:
     """Each document of ``args.corpus`` tokenized to the window ``index`` holds for it.
 
@@ -129,12 +139,7 @@ def _indexed_windows(args, index: BM25Index) -> list[TokenizedDoc]:
     docs, _ = _load_docs(args, args.corpus)
     tokenized = []
     for doc in docs:
-        try:
-            indexed = index.doc_lens[index.slot_of(doc.id)]
-        except DataError:
-            raise DataError(
-                f"{args.corpus}: document {doc.id!r} is not in the index {args.index}; rebuild the index from this corpus"
-            ) from None
+        indexed = index.doc_lens[_slot_in_index(args, args.corpus, index, doc.id)]
         if not indexed:
             raise DataError(
                 f"{args.index}: document {doc.id!r} has 0 tokens in the index; rebuild it with spanmine index"
@@ -216,6 +221,8 @@ def _cmd_analyze(args) -> dict:
     if args.study == "success":
         docs, _ = _load_docs(args, args.gold)
         index = load_index(args.index)
+        for doc in docs:
+            _slot_in_index(args, args.gold, index, doc.id)
         result = analysis.retrieval_success(docs, index, k=args.k).to_dict()
     elif args.study == "overlap":
         docs, _ = _load_docs(args, args.gold)

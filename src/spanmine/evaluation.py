@@ -232,6 +232,8 @@ def evaluate(
     """
     if not sep:
         raise DataError("the prediction separator must not be empty")
+    if k < 1:
+        raise DataError(f"k must be >= 1, got {k}")
     if len(predictions) != len(gold_docs):
         raise AlignmentError(
             f"{len(predictions)} prediction lines vs {len(gold_docs)} gold documents"

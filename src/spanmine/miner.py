@@ -187,7 +187,8 @@ def _mine_shard(
     Candidates are grouped by distinct query across all documents, so a
     query shared by many documents is scored once. A query belongs to the
     shard that owns its first token (``_Ownership``), so a shard slices only
-    its own n-grams, and every process decides alike.
+    its own n-grams, and every process decides alike. ``weights`` is the
+    shard's memo: each of its terms is weighed once, and freed on return.
     Returns (position, query, rank) for every source document, by input
     position, whose rank clears the threshold, then the number of
     distinct queries and of documents fully scored.

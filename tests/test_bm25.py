@@ -1,5 +1,6 @@
 import gc
 import math
+import pickle
 import random
 import struct
 import zlib
@@ -16,8 +17,12 @@ from spanmine import (
     PostingList,
     build_index,
     load_index,
+    mine_corpus,
+    model_input,
     save_index,
 )
+from spanmine.analysis import retrieval_success
+from spanmine.demo import generate_demo_corpus
 from tests.conftest import V1_INDEX, V1_REFUSAL, BruteBM25, as_tokenized, oracle_score, random_token_corpus
 
 V2_HEADER = struct.Struct("<4sHddIII")  # magic, version, k1, b, documents, terms, postings
@@ -464,5 +469,18 @@ def test_term_weights_are_single_term_scores():
             if oracle_score(index, [term], slot) > 0
         }
         assert weights.max_weight == max(weights.by_slot.values())
-        assert index.term_weights(term) is weights
+        assert index.term_weights(term) == weights
     assert index.term_weights("absent") == ({}, 0.0)
+
+
+def test_scoring_leaves_the_index_unchanged(tmp_path):
+    docs = generate_demo_corpus(n_docs=30)
+    tokenized = [model_input(doc) for doc in docs]
+    index = build_index(tokenized)
+    before = pickle.dumps(index)
+    mine_corpus(tokenized, index, tmp_path / "spans.jsonl", workers=1)
+    query = list(tokenized[0].tokens[:2])
+    index.scores(query)
+    index.rank(query, 0)
+    retrieval_success(docs, index, k=5)
+    assert pickle.dumps(index) == before

@@ -331,7 +331,9 @@ class TestSubcommands:
 
 
 def _window_argv(command, index, corpus, out):
-    """A `mine` or `corrupt --objective ti` command line against ``index``."""
+    """A `mine`, `corrupt --objective ti` or `analyze success` command line against ``index``."""
+    if command == "analyze success":
+        return ["-q", "analyze", "success", "--index", str(index), "--gold", str(corpus)]
     head = ["mine"] if command == "mine" else ["corrupt", "--objective", "ti"]
     return ["-q", *head, "--index", str(index), "--corpus", str(corpus), "--out", str(out), "--threads", "1"]
 
@@ -396,7 +398,7 @@ class TestMineReadsTheIndex:
         assert run(_window_argv(command, index, corpus, tmp_path / "out.jsonl")) == EXIT_DATA
         assert f"{index}: document 'c0' has 0 tokens in the index" in caplog.text
 
-    @pytest.mark.parametrize("command", ["mine", "corrupt"])
+    @pytest.mark.parametrize("command", ["mine", "corrupt", "analyze success"])
     def test_document_missing_from_the_index_names_both_files(self, corpus, tmp_path, caplog, command):
         lines = _corpus_lines()
         indexed = tmp_path / "indexed.jsonl"

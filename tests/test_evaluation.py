@@ -222,6 +222,11 @@ class TestEvaluate:
         with pytest.raises(DataError, match="separator must not be empty"):
             evaluate(["graph pruning"], [self._gold_doc()], sep="")
 
+    def test_k_below_one_rejected_without_gold(self):
+        # No category has gold, so f1_at_k never runs; k is still checked.
+        with pytest.raises(DataError, match="k must be >= 1"):
+            evaluate(["x"], [Document("d", "t", "b", ())], k=0)
+
     def test_gold_without_keyphrases_rejected(self):
         with pytest.raises(DataError):
             evaluate(["x"], [Document("d", "t", "b", None)])
