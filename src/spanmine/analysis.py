@@ -19,9 +19,9 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .bm25 import BM25Index
-from .corpus import Document, model_input
+from .corpus import Document
 from .errors import DataError
-from .evaluation import StemMemo, keyphrase_set, split_present_absent
+from .evaluation import StemMemo, gold_split
 from .miner import MAX_NGRAM, SalientSpan, length_mix
 
 logger = logging.getLogger(__name__)
@@ -115,8 +115,7 @@ def retrieval_success(
         if not doc.keyphrases:
             raise DataError(f"document {doc.id!r} has no keyphrases")
         slot = index.slot_of(doc.id)
-        doc_stemmed = stems.phrase(model_input(doc, max_tokens=None).tokens)
-        present, _ = split_present_absent(keyphrase_set(doc.keyphrases, stems), doc_stemmed)
+        _, _, present, _ = gold_split(doc, stems)
         for phrase in present.phrases:
             total += 1
             sparse = index.scores(phrase)
@@ -191,9 +190,7 @@ def overlap_metrics(
             raise DataError(f"document {doc.id!r} has no keyphrases")
         if doc.id not in spans_by_id:
             raise DataError(f"spans file has no entry for document {doc.id!r}")
-        doc_stemmed = stems.phrase(model_input(doc, max_tokens=None).tokens)
-        gold = keyphrase_set(doc.keyphrases, stems)
-        present, _ = split_present_absent(gold, doc_stemmed)
+        _, gold, present, _ = gold_split(doc, stems)
         present_stemmed = list(present.stemmed)
         all_gold_stemmed = list(gold.stemmed)
         span_stemmed = [stems.phrase(s.tokens) for s in spans_by_id[doc.id]]

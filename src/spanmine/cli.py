@@ -3,13 +3,12 @@
 Subcommands: stats, index, mine, corrupt, eval, analyze, demo. Every run
 prints a machine-readable JSON summary to stdout and logs parameters and
 wall time to stderr. Exit codes: 0 ok, 1 data error, 2 usage error, 3 I/O
-error.
+error, 4 internal error (a bug; the traceback is logged).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -17,7 +16,7 @@ import time
 
 from . import __version__, analysis, demo
 from .bm25 import DEFAULT_B, DEFAULT_K1, BM25Index, build_index, load_index, save_index
-from .corpus import DEFAULT_MAX_TOKENS, Document, TokenizedDoc, check_finite, dataset_stats, load_corpus, model_input
+from .corpus import DEFAULT_MAX_TOKENS, Document, TokenizedDoc, dataset_stats, load_corpus, model_input, write_json
 from .corruption import OBJECTIVES, SPAN_OBJECTIVES, CorruptionConfig, gen_corpus
 from .errors import DataError, SpanmineError
 from .evaluation import evaluate_file
@@ -32,6 +31,7 @@ EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def _schema_from_args(args) -> dict[str, str]:
@@ -231,10 +231,7 @@ def _cmd_analyze(args) -> dict:
     else:
         result = analysis.span_characteristics(load_spans(args.spans)).to_dict()
     if args.report:
-        check_finite(result, f"report {args.report}")
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        write_json(result, args.report, f"report {args.report}")
     return result
 
 
@@ -354,7 +351,7 @@ def run(argv=None) -> int:
             "elapsed_sec": round(elapsed, 3),
             **result,
         }
-        check_finite(summary, "the run summary")
+        write_json(summary, sys.stdout, "the run summary")
     except UsageError as exc:
         parser.error(str(exc))  # exits 2
     except DataError as exc:
@@ -363,9 +360,10 @@ def run(argv=None) -> int:
     except OSError as exc:
         logger.error("I/O error: %s", exc)
         return EXIT_IO
+    except Exception:
+        logger.exception("internal error in %s; please report this traceback", args.command)
+        return EXIT_INTERNAL
     logger.info("%s finished in %.2fs", args.command, elapsed)
-    json.dump(summary, sys.stdout, indent=2, allow_nan=False)
-    sys.stdout.write("\n")
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ import logging
 import math
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .errors import CorpusFormatError, DataError, DuplicateIdError
@@ -83,9 +84,13 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
         raise DataError(_where_utf8_fails(path)) from exc
 
 
-def check_finite(obj, what: str) -> None:
-    """Refuse a NaN or infinity anywhere in ``obj``, as strict JSON does, before any of it is written."""
-    stack = [obj]
+def write_json(record, dest, what: str) -> None:
+    """Stream ``record`` as indented strict JSON and a newline to ``dest``, a path or an open text stream.
+
+    A NaN or infinity anywhere in ``record`` raises DataError naming
+    ``what`` before ``dest`` is opened or written.
+    """
+    stack = [record]
     while stack:
         item = stack.pop()
         if isinstance(item, dict):
@@ -94,6 +99,9 @@ def check_finite(obj, what: str) -> None:
             stack.extend(item)
         elif isinstance(item, float) and not math.isfinite(item):
             raise DataError(f"{what} holds {item}, which strict JSON cannot encode")
+    with nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 # Undecodable bytes read with errors="surrogateescape" become U+DC80..U+DCFF,
@@ -265,10 +273,10 @@ def write_corpus(docs: Iterable[Document], path) -> int:
 def dataset_stats(corpus: Iterable[Document]) -> CorpusStats:
     """Per-corpus label statistics: #KP, |KP|, %AKP, and document length.
 
-    Requires every document to carry keyphrases; absence is decided by the
-    same stemmed-containment test the evaluator uses.
+    Requires every document to carry keyphrases; absence is decided by
+    ``evaluation.gold_split``, the split the evaluator uses.
     """
-    from .evaluation import StemMemo, keyphrase_set, split_present_absent
+    from .evaluation import StemMemo, gold_split
 
     stems = StemMemo()
     num_docs = 0
@@ -280,12 +288,10 @@ def dataset_stats(corpus: Iterable[Document]) -> CorpusStats:
         if not doc.keyphrases:
             raise DataError(f"document {doc.id!r} has no keyphrases; stats need a labeled corpus")
         num_docs += 1
-        tokenized = model_input(doc, max_tokens=None)
-        total_doc_tokens += len(tokenized.tokens)
-        gold = keyphrase_set(doc.keyphrases, stems)
+        doc_stemmed, gold, _, absent = gold_split(doc, stems)
+        total_doc_tokens += len(doc_stemmed)
         total_kp += len(gold.phrases)
         total_kp_tokens += sum(len(p) for p in gold.phrases)
-        _, absent = split_present_absent(gold, stems.phrase(tokenized.tokens))
         total_absent += len(absent.phrases)
     if num_docs == 0:
         raise DataError("corpus contains no labeled documents")

@@ -142,33 +142,31 @@ def _check_plan(plan: Sequence[Interval]) -> None:
         prev_end = max(prev_end, end)
 
 
+def _splice(tokens: Sequence[str], plan: Sequence[Interval], filler: tuple[str, ...]) -> list[str]:
+    """``tokens`` with each interval of ``plan`` replaced by ``filler``."""
+    _check_plan(plan)
+    out: list[str] = []
+    pos = 0
+    for start, end in plan:
+        out += tokens[pos:start]
+        out += filler
+        pos = end
+    out += tokens[pos:]
+    return out
+
+
 def apply_mask(tokens: Sequence[str], plan: Sequence[Interval]) -> list[str]:
     """Replace each marked interval with exactly one mask token.
 
     Adjacent intervals each keep their own mask; zero-length intervals
     insert a bare mask at their position.
     """
-    _check_plan(plan)
-    out: list[str] = []
-    pos = 0
-    for start, end in plan:
-        out.extend(tokens[pos:start])
-        out.append(MASK_TOKEN)
-        pos = end
-    out.extend(tokens[pos:])
-    return out
+    return _splice(tokens, plan, (MASK_TOKEN,))
 
 
 def apply_delete(tokens: Sequence[str], plan: Sequence[Interval]) -> list[str]:
     """Drop the marked intervals; the result is a subsequence of the input."""
-    _check_plan(plan)
-    out: list[str] = []
-    pos = 0
-    for start, end in plan:
-        out.extend(tokens[pos:start])
-        pos = end
-    out.extend(tokens[pos:])
-    return out
+    return _splice(tokens, plan, ())
 
 
 def build_ssp_target(spans: Sequence[SalientSpan]) -> list[str]:

@@ -1,7 +1,8 @@
 """Exception taxonomy shared by all subcommands.
 
 The CLI maps these onto exit codes: usage errors exit 2 (argparse),
-DataError and subclasses exit 1, OSError exits 3.
+DataError and subclasses exit 1, OSError exits 3, and any other exception
+exits 4 as an internal error (a bug) with its traceback logged.
 """
 
 

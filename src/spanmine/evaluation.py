@@ -5,6 +5,11 @@ contiguously in the stemmed document tokens. Predictions and gold are
 both split this way, then present predictions score against present gold
 and absent against absent. Matching is exact stemmed-sequence equality.
 
+``gold_split`` owns the gold side of that split: it stems the untruncated
+``title <sep> body`` and splits the gold phrases against it, and every
+labeled-data stage (``stats``, ``eval`` and the ``success`` and
+``overlap`` studies) decides presence only through it.
+
 Each top-level call that stems owns one StemMemo, so a distinct token is
 stemmed once per call and each document once for both of its splits.
 
@@ -15,12 +20,11 @@ convention of the evaluation scripts this protocol follows.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .corpus import Document, check_finite, contains, model_input, read_lines, text_tokens
+from .corpus import Document, contains, model_input, read_lines, text_tokens, write_json
 from .errors import AlignmentError, DataError
 from .porter import stem
 
@@ -104,6 +108,19 @@ def split_present_absent(
     return pick(True), pick(False)
 
 
+def gold_split(
+    doc: Document, stems: StemMemo
+) -> tuple[tuple[str, ...], KeyphraseSet, KeyphraseSet, KeyphraseSet]:
+    """``(document stems, gold, present gold, absent gold)`` of a labeled document.
+
+    The document is the untruncated ``title <sep> body``, so a phrase past
+    any model window still counts as present.
+    """
+    doc_stemmed = stems.phrase(model_input(doc, max_tokens=None).tokens)
+    gold = keyphrase_set(doc.keyphrases, stems)
+    return (doc_stemmed, gold, *split_present_absent(gold, doc_stemmed))
+
+
 @dataclass(frozen=True)
 class MetricScores:
     precision: float
@@ -152,32 +169,10 @@ class DocScores:
 
 @dataclass
 class CategoryReport:
-    """Macro-averaged scores for one category (present or absent)."""
+    """The scored documents of one category (present or absent); ``EvalReport.to_dict`` averages them."""
 
-    f1_at_k: float = 0.0
-    f1_at_m: float = 0.0
-    precision_at_k: float = 0.0
-    recall_at_k: float = 0.0
-    precision_at_m: float = 0.0
-    recall_at_m: float = 0.0
-    docs_scored: int = 0
     docs_skipped: int = 0
     per_doc: list[DocScores] = field(default_factory=list)
-
-    def add(self, doc_id: str, at_k: MetricScores, at_m: MetricScores) -> None:
-        self.per_doc.append(DocScores(doc_id, at_k, at_m))
-
-    def finalize(self) -> None:
-        n = len(self.per_doc)
-        self.docs_scored = n
-        if not n:
-            return
-        self.f1_at_k = sum(d.at_k.f1 for d in self.per_doc) / n
-        self.f1_at_m = sum(d.at_m.f1 for d in self.per_doc) / n
-        self.precision_at_k = sum(d.at_k.precision for d in self.per_doc) / n
-        self.recall_at_k = sum(d.at_k.recall for d in self.per_doc) / n
-        self.precision_at_m = sum(d.at_m.precision for d in self.per_doc) / n
-        self.recall_at_m = sum(d.at_m.recall for d in self.per_doc) / n
 
 
 @dataclass
@@ -189,14 +184,20 @@ class EvalReport:
 
     def to_dict(self, include_per_doc: bool = True) -> dict:
         def cat(report: CategoryReport) -> dict:
+            rows = report.per_doc
+            n = len(rows)
+
+            def mean(values) -> float:
+                return sum(values) / n if n else 0.0
+
             out = {
-                f"f1_at_{self.k}": report.f1_at_k,
-                "f1_at_m": report.f1_at_m,
-                f"precision_at_{self.k}": report.precision_at_k,
-                f"recall_at_{self.k}": report.recall_at_k,
-                "precision_at_m": report.precision_at_m,
-                "recall_at_m": report.recall_at_m,
-                "docs_scored": report.docs_scored,
+                f"f1_at_{self.k}": mean(d.at_k.f1 for d in rows),
+                "f1_at_m": mean(d.at_m.f1 for d in rows),
+                f"precision_at_{self.k}": mean(d.at_k.precision for d in rows),
+                f"recall_at_{self.k}": mean(d.at_k.recall for d in rows),
+                "precision_at_m": mean(d.at_m.precision for d in rows),
+                "recall_at_m": mean(d.at_m.recall for d in rows),
+                "docs_scored": n,
                 "docs_skipped": report.docs_skipped,
             }
             if include_per_doc:
@@ -244,11 +245,8 @@ def evaluate(
     for line, doc in zip(predictions, gold_docs):
         if doc.keyphrases is None:
             raise DataError(f"gold document {doc.id!r} has no keyphrases")
-        doc_stemmed = stems.phrase(model_input(doc, max_tokens=None).tokens)
-        preds = parse_predictions(line, sep, stems)
-        gold = keyphrase_set(doc.keyphrases, stems)
-        pred_present, pred_absent = split_present_absent(preds, doc_stemmed)
-        gold_present, gold_absent = split_present_absent(gold, doc_stemmed)
+        doc_stemmed, _, gold_present, gold_absent = gold_split(doc, stems)
+        pred_present, pred_absent = split_present_absent(parse_predictions(line, sep, stems), doc_stemmed)
         for report, pred_cat, gold_cat in (
             (present_report, pred_present, gold_present),
             (absent_report, pred_absent, gold_absent),
@@ -256,9 +254,7 @@ def evaluate(
             if not len(gold_cat):
                 report.docs_skipped += 1
                 continue
-            report.add(doc.id, f1_at_k(pred_cat, gold_cat, k), f1_at_m(pred_cat, gold_cat))
-    present_report.finalize()
-    absent_report.finalize()
+            report.per_doc.append(DocScores(doc.id, f1_at_k(pred_cat, gold_cat, k), f1_at_m(pred_cat, gold_cat)))
     return EvalReport(
         k=k,
         num_docs=len(gold_docs),
@@ -280,9 +276,5 @@ def evaluate_file(
         predictions.pop()
     report = evaluate(predictions, gold_docs, sep=sep, k=k)
     if report_path is not None:
-        record = report.to_dict()
-        check_finite(record, f"report {report_path}")
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        write_json(report.to_dict(), report_path, f"report {report_path}")
     return report

@@ -442,15 +442,33 @@ class TestDemoDeterminism:
         assert self._hashes(a) == self._hashes(b)
 
 
-def test_python_m_spanmine_version():
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's spanmine."""
     src = str(Path(spanmine.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "spanmine", "--version"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_m_spanmine_version():
+    proc = _python("-m", "spanmine", "--version")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"spanmine {spanmine.__version__}"
+
+
+def test_internal_error_exits_4_with_its_traceback(corpus):
+    # In a fresh interpreter, so that the CLI's own stderr logging is what reports the bug.
+    script = (
+        "import sys\n"
+        "from spanmine import cli\n"
+        "def boom(args):\n"
+        "    raise RuntimeError('boom')\n"
+        "cli._cmd_stats = boom\n"
+        f"sys.exit(cli.run(['-q', 'stats', '--corpus', {str(corpus)!r}]))\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" in proc.stderr and "RuntimeError: boom" in proc.stderr
 
 
 def _options(parser: argparse.ArgumentParser) -> set[str]:

@@ -9,14 +9,19 @@ from spanmine import (
     AlignmentError,
     DataError,
     Document,
+    SalientSpan,
+    build_index,
+    dataset_stats,
     evaluate,
     evaluate_file,
     f1_at_k,
     f1_at_m,
     keyphrase_set,
+    model_input,
     parse_predictions,
     split_present_absent,
 )
+from spanmine.analysis import overlap_metrics, retrieval_success
 from spanmine.evaluation import EvalReport, StemMemo
 
 
@@ -55,20 +60,29 @@ class TestPresentAbsentSplit:
         assert present_texts.isdisjoint(absent_texts)
 
     def test_stem_match_counts_as_present(self):
-        from spanmine import model_input
-
         doc = model_input(Document("d", "", "graph networks at scale"), max_tokens=None)
         present, absent = split_present_absent(keyphrase_set(["network"]), StemMemo().phrase(doc.tokens))
         assert len(present) == 1
         assert len(absent) == 0
 
     def test_contiguity_required(self):
-        from spanmine import model_input
-
         doc = model_input(Document("d", "", "alpha beta gamma"), max_tokens=None)
         present, absent = split_present_absent(keyphrase_set(["alpha gamma"]), StemMemo().phrase(doc.tokens))
         assert len(present) == 0
         assert len(absent) == 1
+
+    @pytest.mark.parametrize("stage", ["stats", "eval", "success", "overlap"])
+    def test_presence_uses_the_untruncated_text(self, stage):
+        # The gold phrase starts at token 703, past the default 512-token model window.
+        doc = Document("late", "long note", "filler " * 700 + "quantum sieve", ("quantum sieve",))
+        span = SalientSpan(("quantum", "sieve"), 0)
+        counts_present = {
+            "stats": lambda: dataset_stats([doc]).pct_absent_kp == 0.0,
+            "eval": lambda: evaluate(["x"], [doc]).to_dict()["present"]["docs_scored"] == 1,
+            "success": lambda: retrieval_success([doc], build_index([model_input(doc)])).total_keyphrases == 1,
+            "overlap": lambda: overlap_metrics([doc], {doc.id: [span]}).overall.phrase_recall == 1.0,
+        }[stage]
+        assert counts_present()
 
 
 class TestF1AtM:
@@ -167,10 +181,10 @@ class TestEvaluate:
 
     def test_empty_category_skipped_not_zeroed(self):
         doc = Document("d", "t", "alpha beta", keyphrases=("alpha beta",))  # no absent gold
-        report = evaluate(["alpha beta"], [doc])
-        assert report.absent.docs_skipped == 1
-        assert report.absent.docs_scored == 0
-        assert report.present.f1_at_m == 1.0
+        report = evaluate(["alpha beta"], [doc]).to_dict()
+        assert report["absent"]["docs_skipped"] == 1
+        assert report["absent"]["docs_scored"] == 0
+        assert report["present"]["f1_at_m"] == 1.0
 
     def test_misalignment_rejected(self):
         docs = [self._gold_doc()]
@@ -184,8 +198,8 @@ class TestEvaluate:
         ]
         report = evaluate(["alpha", "nothing"], docs)
         f1s = [d.at_m.f1 for d in report.present.per_doc]
-        assert report.present.f1_at_m == pytest.approx(sum(f1s) / 2)
-        assert report.present.f1_at_m == pytest.approx(0.5)
+        assert report.to_dict()["present"]["f1_at_m"] == pytest.approx(sum(f1s) / 2)
+        assert report.to_dict()["present"]["f1_at_m"] == pytest.approx(0.5)
 
     def test_document_order_invariance_of_macro(self):
         docs = [
@@ -193,10 +207,10 @@ class TestEvaluate:
             Document("d2", "", "gamma delta", ("gamma", "delta")),
         ]
         preds = ["alpha", "gamma ; delta"]
-        forward = evaluate(preds, docs)
-        backward = evaluate(list(reversed(preds)), list(reversed(docs)))
-        assert forward.present.f1_at_m == pytest.approx(backward.present.f1_at_m)
-        assert forward.absent.docs_skipped == backward.absent.docs_skipped
+        forward = evaluate(preds, docs).to_dict(include_per_doc=False)
+        backward = evaluate(list(reversed(preds)), list(reversed(docs))).to_dict(include_per_doc=False)
+        assert forward["present"]["f1_at_m"] == pytest.approx(backward["present"]["f1_at_m"])
+        assert forward["absent"]["docs_skipped"] == backward["absent"]["docs_skipped"]
 
     def test_evaluate_file_and_report(self, tmp_path):
         preds = tmp_path / "preds.txt"
@@ -235,8 +249,7 @@ class TestEvaluate:
 @pytest.fixture(scope="module")
 def demo_scores(tmp_path_factory):
     """Every stemming call's output on the 200-document demo corpus."""
-    from spanmine import build_index, dataset_stats, load_index, load_spans, mine_corpus, model_input, save_index
-    from spanmine.analysis import overlap_metrics, retrieval_success
+    from spanmine import load_index, load_spans, mine_corpus, save_index
     from spanmine.demo import generate_demo_corpus, generate_demo_predictions
     from spanmine.miner import DEFAULT_THRESHOLDS
 
