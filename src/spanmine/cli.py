@@ -4,6 +4,9 @@ Subcommands: stats, index, mine, corrupt, eval, analyze, demo. Every run
 prints a machine-readable JSON summary to stdout and logs parameters and
 wall time to stderr. Exit codes: 0 ok, 1 data error, 2 usage error, 3 I/O
 error, 4 internal error (a bug; the traceback is logged).
+
+``demo`` writes a synthetic corpus and predictions, then runs the other
+subcommands on them in order, each parsed and checked as on the command line.
 """
 
 from __future__ import annotations
@@ -13,10 +16,20 @@ import logging
 import os
 import sys
 import time
+from pathlib import Path
 
 from . import __version__, analysis, demo
 from .bm25 import DEFAULT_B, DEFAULT_K1, BM25Index, build_index, load_index, save_index
-from .corpus import DEFAULT_MAX_TOKENS, Document, TokenizedDoc, dataset_stats, load_corpus, model_input, write_json
+from .corpus import (
+    DEFAULT_MAX_TOKENS,
+    Document,
+    TokenizedDoc,
+    dataset_stats,
+    load_corpus,
+    model_input,
+    write_corpus,
+    write_json,
+)
 from .corruption import OBJECTIVES, SPAN_OBJECTIVES, CorruptionConfig, gen_corpus
 from .errors import DataError, SpanmineError
 from .evaluation import evaluate_file
@@ -53,7 +66,13 @@ def _add_schema_flags(parser: argparse.ArgumentParser) -> None:
 
 def _worker_count(text: str) -> int:
     """``--threads`` capped at the core count: a pool starts every worker at once, and output never depends on it."""
-    return min(int(text), os.cpu_count() or 1)
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
+    return min(n, os.cpu_count() or 1)
 
 
 def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
@@ -236,7 +255,57 @@ def _cmd_analyze(args) -> dict:
 
 
 def _cmd_demo(args) -> dict:
-    return demo.run_demo(args.out, seed=args.seed, threads=args.threads)
+    """Write the synthetic corpus and predictions into ``args.out``, then run each subcommand on them.
+
+    Each stage is a command line, parsed, checked and run as ``run()`` would;
+    the summary keeps each stage's result without the paths it wrote.
+    """
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    corpus, preds, index, spans = (
+        out / name for name in ("corpus.jsonl", "predictions.txt", "index.spmi", "spans.jsonl")
+    )
+    docs = demo.generate_demo_corpus(seed=args.seed)
+    write_corpus(docs, corpus)
+    preds.write_text("\n".join(demo.generate_demo_predictions(docs, seed=args.seed)) + "\n", encoding="utf-8")
+    written = {corpus.name, preds.name}
+
+    def stage(*argv: str) -> dict:
+        logger.info("demo: spanmine %s", " ".join(argv))
+        stage_args = build_parser().parse_args(argv)
+        _refuse_output_over_input(stage_args)
+        result = stage_args.func(stage_args)
+        written.update(Path(path).name for flag in _OUTPUT_FLAGS if (path := getattr(stage_args, flag, None)))
+        return {key: value for key, value in result.items() if key not in _OUTPUT_FLAGS}
+
+    # Paths go in as --flag=path, so a path that starts with "-" still parses as a value.
+    threads = f"--threads={args.threads}"
+    stats = stage("stats", f"--corpus={corpus}")
+    stage("index", f"--corpus={corpus}", f"--out={index}")
+    mining = stage("mine", f"--index={index}", f"--corpus={corpus}", f"--out={spans}", threads)
+    corruption = {}
+    for objective in OBJECTIVES:
+        target = out / f"corrupt_{objective.replace('-', '_')}.jsonl"
+        corruption[objective] = stage(
+            "corrupt", f"--objective={objective}", f"--index={index}", f"--corpus={corpus}", f"--spans={spans}",
+            f"--seed={args.seed}", threads, f"--out={target}",
+        )
+    evaluation = stage("eval", f"--preds={preds}", f"--gold={corpus}", f"--report={out / 'eval_report.json'}")
+    analyses = {
+        "retrieval_success": stage("analyze", "success", f"--gold={corpus}", f"--index={index}", "--k=20"),
+        "overlap": stage("analyze", "overlap", f"--gold={corpus}", f"--spans={spans}"),
+        "span_characteristics": stage("analyze", "spans", f"--spans={spans}"),
+    }
+    return {
+        "out_dir": str(out),
+        "seed": args.seed,
+        "artifacts": sorted(written),
+        "corpus_stats": stats["stats"],
+        "mining": mining,
+        "corruption": corruption,
+        "evaluation": evaluation,
+        "analysis": analyses,
+    }
 
 
 class UsageError(SpanmineError):

@@ -1,5 +1,7 @@
-"""Self-contained demo: generate a synthetic labeled corpus, run every
-pipeline stage on it, and score toy predictions.
+"""The demo's data: a synthetic labeled corpus and toy predictions for it.
+
+``spanmine demo`` writes both, then runs the same subcommands as the
+README's command lines on them, in order, with the same checks.
 
 The corpus is generated from a seeded RNG (license-free, ~200 short
 documents). Each document plants a few rare concept phrases that both
@@ -9,20 +11,10 @@ to find; absent keyphrases use words reserved away from the document.
 
 from __future__ import annotations
 
-import logging
 import random
-import time
-from pathlib import Path
 
-from . import analysis
-from .bm25 import build_index, load_index, save_index
-from .corpus import Document, dataset_stats, load_corpus, model_input, write_corpus
-from .corruption import OBJECTIVES, SPAN_OBJECTIVES, CorruptionConfig, gen_corpus
-from .evaluation import evaluate_file
-from .miner import DEFAULT_THRESHOLDS, load_spans, mine_corpus
+from .corpus import Document
 from .porter import stem
-
-logger = logging.getLogger(__name__)
 
 DEMO_SEED = 20160
 
@@ -129,68 +121,3 @@ def generate_demo_predictions(docs: list[Document], seed: int = DEMO_SEED) -> li
         lines.append(" ; ".join(picks))
     return lines
 
-
-def run_demo(out_dir, seed: int = DEMO_SEED, threads: int = 1) -> dict:
-    """Run the full pipeline on the synthetic corpus; return a summary dict.
-
-    Every stage writes into ``out_dir``; reruns with the same seed produce
-    byte-identical artifacts.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
-
-    corpus_path = out / "corpus.jsonl"
-    preds_path = out / "predictions.txt"
-    docs = generate_demo_corpus(seed=seed)
-    write_corpus(docs, corpus_path)
-    preds_path.write_text("\n".join(generate_demo_predictions(docs, seed=seed)) + "\n", encoding="utf-8")
-
-    loaded = list(load_corpus(corpus_path))
-    stats = dataset_stats(loaded)
-
-    tokenized = [model_input(doc) for doc in loaded]
-    index = build_index(tokenized)
-    index_path = out / "index.spmi"
-    save_index(index, index_path)
-    index = load_index(index_path)
-
-    thresholds = DEFAULT_THRESHOLDS.scaled_to(index.num_docs)
-    spans_path = out / "spans.jsonl"
-    mining = mine_corpus(tokenized, index, spans_path, thresholds=thresholds, workers=threads)
-    spans_by_id = load_spans(spans_path)
-
-    corruption_summaries = {}
-    for objective in OBJECTIVES:
-        cfg = CorruptionConfig(objective=objective, seed=seed)
-        target = out / f"corrupt_{objective.replace('-', '_')}.jsonl"
-        summary = gen_corpus(
-            tokenized,
-            spans_by_id if objective in SPAN_OBJECTIVES else None,
-            cfg,
-            target,
-            workers=threads,
-        )
-        corruption_summaries[objective] = summary.to_dict()
-
-    report = evaluate_file(preds_path, loaded, report_path=out / "eval_report.json")
-
-    success = analysis.retrieval_success(loaded, index, k=20)
-    overlap = analysis.overlap_metrics(loaded, spans_by_id)
-    span_stats = analysis.span_characteristics(spans_by_id)
-
-    return {
-        "out_dir": str(out),
-        "seed": seed,
-        "elapsed_sec": round(time.perf_counter() - started, 3),
-        "artifacts": sorted(p.name for p in out.iterdir()),
-        "corpus_stats": vars(stats).copy(),
-        "mining": mining.to_dict(),
-        "corruption": corruption_summaries,
-        "evaluation": report.to_dict(include_per_doc=False),
-        "analysis": {
-            "retrieval_success": success.to_dict(),
-            "overlap": overlap.to_dict(),
-            "span_characteristics": span_stats.to_dict(),
-        },
-    }

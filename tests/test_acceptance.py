@@ -32,7 +32,7 @@ from spanmine import (
     plan_corruption,
 )
 from spanmine.corruption import locate_occurrences
-from spanmine.demo import run_demo
+from spanmine.cli import EXIT_OK, run
 from spanmine.porter import stem
 from tests.conftest import BruteBM25, as_tokenized, mine_one, random_token_corpus
 
@@ -388,9 +388,8 @@ def _tree_hashes(root: Path) -> dict[str, str]:
 
 def test_c6_demo_determinism(tmp_path):
     started = time.perf_counter()
-    run_demo(tmp_path / "one", threads=1)
-    run_demo(tmp_path / "two", threads=1)
-    run_demo(tmp_path / "par", threads=4)
+    for name, threads in (("one", "1"), ("two", "1"), ("par", "4")):
+        assert run(["-q", "demo", "--out", str(tmp_path / name), "--threads", threads]) == EXIT_OK
     h1 = _tree_hashes(tmp_path / "one")
     h2 = _tree_hashes(tmp_path / "two")
     hp = _tree_hashes(tmp_path / "par")

@@ -26,8 +26,10 @@ from spanmine import (
 )
 from spanmine import cli
 from spanmine.cli import EXIT_DATA, EXIT_IO, EXIT_OK, build_parser, run
-from spanmine.demo import generate_demo_corpus, run_demo
+from spanmine.corruption import OBJECTIVES
+from spanmine.demo import generate_demo_corpus
 from tests.conftest import V1_INDEX, V1_REFUSAL
+from tests.test_corruption import CORRUPTION_DIGESTS
 
 
 def _corpus_lines():
@@ -318,16 +320,29 @@ class TestSubcommands:
         assert "is the same file as --corpus" in caplog.text
         assert corpus.read_bytes() == before
 
+    # A parsable command line of each subcommand that takes --threads.
+    THREADS_HEADS = {
+        "mine": ["mine", "--index", "i", "--corpus", "c", "--out", "o"],
+        "corrupt": ["corrupt", "--objective", "ti", "--index", "i", "--corpus", "c", "--out", "o"],
+        "demo": ["demo"],
+    }
+
     @pytest.mark.parametrize("command", ["mine", "corrupt", "demo"])
     def test_threads_capped_at_core_count(self, command):
-        head = {
-            "mine": ["mine", "--index", "i", "--corpus", "c", "--out", "o"],
-            "corrupt": ["corrupt", "--objective", "ti", "--index", "i", "--corpus", "c", "--out", "o"],
-            "demo": ["demo"],
-        }[command]
+        head = self.THREADS_HEADS[command]
         parser = build_parser()
         assert parser.parse_args([*head, "--threads", "100000"]).threads == (os.cpu_count() or 1)
         assert parser.parse_args([*head, "--threads", "1"]).threads == 1
+
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5"])
+    @pytest.mark.parametrize("command", ["mine", "corrupt", "demo"])
+    def test_threads_below_one_or_fractional_is_usage_error(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*self.THREADS_HEADS[command], f"--threads={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --threads: expected a whole number of at least 1, got {value!r}" in err
+        assert "_worker_count" not in err
 
 
 def _window_argv(command, index, corpus, out):
@@ -410,7 +425,8 @@ class TestMineReadsTheIndex:
 
     def test_cli_index_and_mine_reproduce_the_demo(self, tmp_path, capsys):
         demo_dir = tmp_path / "demo"
-        demo_mining = run_demo(demo_dir)["mining"]
+        assert run(["-q", "demo", "--out", str(demo_dir)]) == EXIT_OK
+        demo_mining = _json_out(capsys)["mining"]
         index = tmp_path / "idx.spmi"
         spans = tmp_path / "spans.jsonl"
         corpus = str(demo_dir / "corpus.jsonl")
@@ -440,6 +456,29 @@ class TestDemoDeterminism:
         assert run(["-q", "demo", "--out", str(b), "--threads", "1"]) == EXIT_OK
         capsys.readouterr()
         assert self._hashes(a) == self._hashes(b)
+
+    # sha256 of every file `spanmine demo` writes at the default seed.
+    DEMO_DIGESTS = {
+        "corpus.jsonl": "aeb3d5f1a6bf822d5c2c04c97919e3591a7e0c967e278ec9daa999e00f52b358",
+        "predictions.txt": "276976767f4b16925695a81a1282ea98fee909ea73621940a38e10ec9012516e",
+        "index.spmi": "21a84551a4afcb41c102e732e182a124136654c7082267a658a10fb8f6638eb3",
+        "spans.jsonl": "08baabdf77f82da7cf0689a2dc47de92123ebf08fd0f48e4c6f41ae2eeccc282",
+        "eval_report.json": "f1b3fcf0f3937bc892ec305c97b5ae206dbf11f784ea61e57e880789c7a2611e",
+        **{f"corrupt_{objective.replace('-', '_')}.jsonl": CORRUPTION_DIGESTS[objective] for objective in OBJECTIVES},
+    }
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_demo_artifacts_golden_digest(self, tmp_path, capsys, threads):
+        assert run(["-q", "demo", "--out", str(tmp_path), "--threads", threads]) == EXIT_OK
+        assert _json_out(capsys)["artifacts"] == sorted(self.DEMO_DIGESTS)
+        assert self._hashes(tmp_path) == self.DEMO_DIGESTS
+
+    def test_demo_lists_only_the_files_it_wrote(self, tmp_path, capsys):
+        notes = tmp_path / "notes.txt"
+        notes.write_text("kept\n", encoding="utf-8")
+        assert run(["-q", "demo", "--out", str(tmp_path), "--threads", "1"]) == EXIT_OK
+        assert _json_out(capsys)["artifacts"] == sorted(self.DEMO_DIGESTS)
+        assert notes.read_text(encoding="utf-8") == "kept\n"
 
 
 def _python(*argv: str) -> subprocess.CompletedProcess:
