@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bm25 import BM25Index
 from .corpus import Document
@@ -30,21 +30,13 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class SuccessReport:
     top_k: int
-    by_length: dict[int, float]
-    overall: float
-    counts_by_length: dict[int, int]
+    success_rate_by_length: dict[int, float]
+    success_rate_overall: float
+    keyphrases_by_length: dict[int, int]
     total_keyphrases: int
     documents: int
 
-    def to_dict(self) -> dict:
-        return {
-            "top_k": self.top_k,
-            "success_rate_by_length": {str(n): rate for n, rate in self.by_length.items()},
-            "success_rate_overall": self.overall,
-            "keyphrases_by_length": {str(n): c for n, c in self.counts_by_length.items()},
-            "total_keyphrases": self.total_keyphrases,
-            "documents": self.documents,
-        }
+    to_dict = asdict  # field names are the JSON keys, in output order
 
 
 @dataclass(frozen=True)
@@ -60,19 +52,7 @@ class OverlapReport:
     overall: OverlapCell
     documents: int
 
-    def to_dict(self) -> dict:
-        def cell(c: OverlapCell) -> dict:
-            return {
-                "phrase_recall": c.phrase_recall,
-                "word_recall": c.word_recall,
-                "word_precision": c.word_precision,
-            }
-
-        return {
-            "by_length": {str(n): cell(c) for n, c in self.by_length.items()},
-            "overall": cell(self.overall),
-            "documents": self.documents,
-        }
+    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -82,13 +62,7 @@ class SpanStats:
     avg_spans_per_doc: float
     length_distribution: dict[int, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "documents": self.documents,
-            "total_spans": self.total_spans,
-            "avg_spans_per_doc": self.avg_spans_per_doc,
-            "length_distribution": {str(n): f for n, f in self.length_distribution.items()},
-        }
+    to_dict = asdict
 
 
 def retrieval_success(
@@ -128,9 +102,9 @@ def retrieval_success(
                 hits[n] += hit
     return SuccessReport(
         top_k=k,
-        by_length={n: (hits[n] / counts[n] if counts[n] else 0.0) for n in counts},
-        overall=total_hits / total if total else 0.0,
-        counts_by_length=counts,
+        success_rate_by_length={n: (hits[n] / counts[n] if counts[n] else 0.0) for n in counts},
+        success_rate_overall=total_hits / total if total else 0.0,
+        keyphrases_by_length=counts,
         total_keyphrases=total,
         documents=len(gold_docs),
     )

@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, analysis, demo
@@ -120,7 +121,7 @@ def _refuse_output_over_input(args) -> None:
 def _cmd_stats(args) -> dict:
     docs, issues = _load_docs(args, args.corpus)
     stats = dataset_stats(docs)
-    return {"documents": len(docs), "load_issues": issues, "stats": vars(stats).copy()}
+    return {"documents": len(docs), "load_issues": issues, "stats": asdict(stats)}
 
 
 def _cmd_index(args) -> dict:

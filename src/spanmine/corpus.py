@@ -72,13 +72,13 @@ _TOKEN = re.compile(r"<digit>|<sep>|\w+(?:-\w+)*|[^\w\s]")
 
 
 def read_lines(path) -> Iterator[tuple[int, str]]:
-    """Yield ``(line number, line)`` from a UTF-8 text file.
+    """Yield ``(line number, line)`` from a UTF-8 text file, less a leading byte-order mark.
 
     Bytes that are not valid UTF-8 raise DataError naming the file, the
     line and the first bad byte.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield from enumerate(fh, start=1)
     except UnicodeDecodeError as exc:
         raise DataError(_where_utf8_fails(path)) from exc
@@ -192,13 +192,31 @@ def model_input(doc: Document, max_tokens: int | None = DEFAULT_MAX_TOKENS) -> T
     return TokenizedDoc(doc_id=doc.id, tokens=tuple(tokens), title_len=title_len)
 
 
-def _parse_keyphrases(raw, path, line_no: int) -> tuple[str, ...] | None:
+def _text_field(record: dict, key: str, path, line_no: int) -> str:
+    """The string at ``key``; "" when it is missing or null."""
+    value = record.get(key)
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        raise CorpusFormatError(
+            f"{path}: line {line_no}: field {key!r} must be a string or null, got {type(value).__name__}"
+        )
+    return value
+
+
+def _parse_keyphrases(record: dict, key: str, path, line_no: int) -> tuple[str, ...] | None:
+    raw = record.get(key)
     if raw is None:
         return None
     if isinstance(raw, str):
         parts = raw.split(";")
     elif isinstance(raw, list):
-        parts = [str(p) for p in raw]
+        parts = raw
+        for item in parts:
+            if not isinstance(item, str):
+                raise CorpusFormatError(
+                    f"{path}: line {line_no}: field {key!r} must list only strings, got {type(item).__name__}"
+                )
     else:
         raise CorpusFormatError(
             f"{path}: line {line_no}: keyphrase field must be a list or string, got {type(raw).__name__}"
@@ -239,8 +257,8 @@ def load_corpus(
         missing = [name for name in ("title", "body") if schema[name] not in record]
         if missing:
             report(line_no, f"id {doc_id!r}: missing field(s) {', '.join(schema[m] for m in missing)}")
-        title = str(record.get(schema["title"], "") or "")
-        body = str(record.get(schema["body"], "") or "")
+        title = _text_field(record, schema["title"], path, line_no)
+        body = _text_field(record, schema["body"], path, line_no)
         if not title and not body:
             report(line_no, f"id {doc_id!r}: both title and body empty; record skipped")
             continue
@@ -248,7 +266,7 @@ def load_corpus(
             id=doc_id,
             title=title,
             body=body,
-            keyphrases=_parse_keyphrases(record.get(schema["keyphrases"]), path, line_no),
+            keyphrases=_parse_keyphrases(record, schema["keyphrases"], path, line_no),
         )
 
 

@@ -19,7 +19,7 @@ import math
 import random
 from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .corpus import TokenizedDoc
 from .errors import DataError, SkipDocument
@@ -277,38 +277,16 @@ def _corrupt(
     return source, target, plan
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenSummary:
     objective: str
-    examples_written: int = 0
-    docs_skipped: dict[str, int] = field(default_factory=dict)
-    original_tokens: int = 0
-    corrupted_tokens: int = 0
-    mask_tokens: int = 0
-    source_tokens: int = 0
+    examples_written: int
+    docs_skipped: dict[str, int]  # by reason, in order of first skip
+    corrupted_token_pct: float  # of the original tokens of the written examples
+    mask_token_pct: float  # of the emitted (corrupted) source tokens
+    mask_per_original_pct: float
 
-    @property
-    def corrupted_token_pct(self) -> float:
-        return 100.0 * self.corrupted_tokens / self.original_tokens if self.original_tokens else 0.0
-
-    @property
-    def mask_token_pct(self) -> float:
-        """Mask tokens as a share of the emitted (corrupted) source text."""
-        return 100.0 * self.mask_tokens / self.source_tokens if self.source_tokens else 0.0
-
-    @property
-    def mask_per_original_pct(self) -> float:
-        return 100.0 * self.mask_tokens / self.original_tokens if self.original_tokens else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "examples_written": self.examples_written,
-            "docs_skipped": dict(self.docs_skipped),
-            "corrupted_token_pct": self.corrupted_token_pct,
-            "mask_token_pct": self.mask_token_pct,
-            "mask_per_original_pct": self.mask_per_original_pct,
-        }
+    to_dict = asdict  # field names are the JSON keys, in output order
 
 
 def _build_record(spans_by_id, cfg: CorruptionConfig, doc: TokenizedDoc):
@@ -347,17 +325,24 @@ def gen_corpus(
     shared = (dict(spans_by_id) if spans_by_id is not None else None, cfg)
     results = map_shared(_build_record, shared, list(docs), workers, chunksize=64)
 
-    summary = GenSummary(objective=cfg.objective)
+    examples = original = corrupted = masks = source = 0
+    skipped: dict[str, int] = {}
     with open(out_path, "w", encoding="utf-8") as fh:
-        for skip_reason, line, stats in results:
+        for skip_reason, line, (n_original, n_corrupted, n_masks, n_source) in results:
             if skip_reason is not None:
-                summary.docs_skipped[skip_reason] = summary.docs_skipped.get(skip_reason, 0) + 1
+                skipped[skip_reason] = skipped.get(skip_reason, 0) + 1
                 continue
-            original, corrupted, masks, source_len = stats
             fh.write(line + "\n")
-            summary.examples_written += 1
-            summary.original_tokens += original
-            summary.corrupted_tokens += corrupted
-            summary.mask_tokens += masks
-            summary.source_tokens += source_len
-    return summary
+            examples += 1
+            original += n_original
+            corrupted += n_corrupted
+            masks += n_masks
+            source += n_source
+    return GenSummary(
+        objective=cfg.objective,
+        examples_written=examples,
+        docs_skipped=skipped,
+        corrupted_token_pct=100.0 * corrupted / original if original else 0.0,
+        mask_token_pct=100.0 * masks / source if source else 0.0,
+        mask_per_original_pct=100.0 * masks / original if original else 0.0,
+    )

@@ -15,7 +15,7 @@ import zlib
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import neg
 
 from .bm25 import BM25Index, check_term
@@ -282,15 +282,7 @@ class MiningSummary:
     distinct_queries: int  # candidate n-grams ranked, each once
     docs_scored: int  # documents fully scored over all queries, after pruning
 
-    def to_dict(self) -> dict:
-        return {
-            "docs_processed": self.docs_processed,
-            "total_spans": self.total_spans,
-            "avg_spans_per_doc": self.avg_spans_per_doc,
-            "length_distribution": {str(n): f for n, f in self.length_distribution.items()},
-            "distinct_queries": self.distinct_queries,
-            "docs_scored": self.docs_scored,
-        }
+    to_dict = asdict  # field names are the JSON keys, in output order
 
 
 def length_mix(lengths: Iterable[int]) -> tuple[int, dict[int, float]]:

@@ -444,7 +444,7 @@ def test_c7_kp20k_reproduction(tmp_path):
             pool_docs = pool_docs + list(load_corpus(base / extra))
     labeled = [d for d in pool_docs if d.keyphrases]
     success = retrieval_success(labeled[: len(labeled)], build_index([model_input(d) for d in pool_docs]), k=1000)
-    print(f"[acceptance] c7 success overall: {success.overall:.3f} (reference 0.805 +/-0.05)")
+    print(f"[acceptance] c7 success overall: {success.success_rate_overall:.3f} (reference 0.805 +/-0.05)")
 
     overlap = overlap_metrics([d for d in train if d.keyphrases], load_spans(spans_path))
     print(

@@ -38,7 +38,7 @@ class TestRetrievalSuccess:
         docs = _pool()
         index = build_index([model_input(d) for d in docs])
         report = retrieval_success(docs, index, k=1000)
-        assert report.by_length[2] == 1.0
+        assert report.success_rate_by_length[2] == 1.0
 
     def test_matches_brute_force(self):
         docs = _pool(seed=5)
@@ -57,10 +57,10 @@ class TestRetrievalSuccess:
         for k in (1, 5, 1000):  # 1000 exceeds the 30-doc pool
             report = retrieval_success(docs, index, k=k)
             hits = [slot in {s for s, _ in brute.top_k(list(phrase), k)} for slot, phrase in pairs]
-            assert report.overall == pytest.approx(sum(hits) / len(hits))
+            assert report.success_rate_overall == pytest.approx(sum(hits) / len(hits))
             for n in (1, 2):
                 of_n = [hit for hit, (_, phrase) in zip(hits, pairs) if len(phrase) == n]
-                assert report.by_length[n] == pytest.approx(sum(of_n) / len(of_n) if of_n else 0.0)
+                assert report.success_rate_by_length[n] == pytest.approx(sum(of_n) / len(of_n) if of_n else 0.0)
 
     def test_tie_goes_to_the_lower_slot(self):
         twin = dict(title="spectral codec", body="a spectral codec design", keyphrases=("spectral codec",))
@@ -68,8 +68,8 @@ class TestRetrievalSuccess:
         index = build_index([model_input(d) for d in docs])
         scores = index.scores(["spectral", "codec"])
         assert scores[0] == scores[1] > 0
-        assert [retrieval_success([doc], index, k=1).overall for doc in docs] == [1.0, 0.0]
-        assert [retrieval_success([doc], index, k=2).overall for doc in docs] == [1.0, 1.0]
+        assert [retrieval_success([doc], index, k=1).success_rate_overall for doc in docs] == [1.0, 0.0]
+        assert [retrieval_success([doc], index, k=2).success_rate_overall for doc in docs] == [1.0, 1.0]
         with pytest.raises(DataError, match="k must be >= 1"):
             retrieval_success(docs, index, k=0)
 
@@ -78,12 +78,12 @@ class TestRetrievalSuccess:
         doc = Document(id="s0", title="lattice", body="lattice pruning bounds", keyphrases=("pruned bound",))
         index = build_index([model_input(doc)])
         report = retrieval_success([doc], index, k=1)
-        assert (report.total_keyphrases, report.overall) == (1, 0.0)
+        assert (report.total_keyphrases, report.success_rate_overall) == (1, 0.0)
 
     def test_success_monotone_in_k(self):
         docs = _pool(seed=2)
         index = build_index([model_input(d) for d in docs])
-        rates = [retrieval_success(docs, index, k=k).overall for k in (1, 3, 10, 1000)]
+        rates = [retrieval_success(docs, index, k=k).success_rate_overall for k in (1, 3, 10, 1000)]
         assert rates == sorted(rates)
 
     def test_absent_doc_rejected(self):

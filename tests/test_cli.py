@@ -467,11 +467,18 @@ class TestDemoDeterminism:
         **{f"corrupt_{objective.replace('-', '_')}.jsonl": CORRUPTION_DIGESTS[objective] for objective in OBJECTIVES},
     }
 
+    # sha256 of the demo's stdout less elapsed_sec and out_dir, re-serialized in its own key order:
+    # pins the keys, order and values of every stage's summary.
+    DEMO_SUMMARY_DIGEST = "8582f9f7eb4bb595cf3d56466175c707c5ea56cbadf542d4d1eabf990754275e"
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_demo_artifacts_golden_digest(self, tmp_path, capsys, threads):
         assert run(["-q", "demo", "--out", str(tmp_path), "--threads", threads]) == EXIT_OK
-        assert _json_out(capsys)["artifacts"] == sorted(self.DEMO_DIGESTS)
+        summary = _json_out(capsys)
+        assert summary["artifacts"] == sorted(self.DEMO_DIGESTS)
         assert self._hashes(tmp_path) == self.DEMO_DIGESTS
+        del summary["elapsed_sec"], summary["out_dir"]
+        assert hashlib.sha256(json.dumps(summary, indent=2).encode()).hexdigest() == self.DEMO_SUMMARY_DIGEST
 
     def test_demo_lists_only_the_files_it_wrote(self, tmp_path, capsys):
         notes = tmp_path / "notes.txt"

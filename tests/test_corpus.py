@@ -19,6 +19,7 @@ from spanmine import (
     write_corpus,
 )
 from spanmine.corpus import contains, text_tokens
+from spanmine.demo import generate_demo_corpus, generate_demo_predictions
 
 
 class TestNormalize:
@@ -166,13 +167,41 @@ class TestLoadCorpus:
         [
             ("[1, 2]", "line is not a JSON object"),
             ('{"id":"a2","title":"T","abstract":"B","keywords":3}', "keyphrase field must be a list or string"),
+            ('{"id":"a2","title":["a","b"],"abstract":"B"}', "field 'title' must be a string or null, got list"),
+            ('{"id":"a2","title":"T","abstract":0}', "field 'abstract' must be a string or null, got int"),
+            ('{"id":"a2","title":true,"abstract":"B"}', "field 'title' must be a string or null, got bool"),
+            (
+                '{"id":"a2","title":"T","abstract":"B","keywords":[null,"graph pruning",{"x":1}]}',
+                "field 'keywords' must list only strings, got NoneType",
+            ),
+            (
+                '{"id":"a2","title":"T","abstract":"B","keywords":["p",{"x":1}]}',
+                "field 'keywords' must list only strings, got dict",
+            ),
         ],
-        ids=["non-object-line", "keyphrases-not-list-or-string"],
+        ids=[
+            "non-object-line",
+            "keyphrases-not-list-or-string",
+            "title-list",
+            "body-zero",
+            "title-boolean",
+            "keyphrase-null",
+            "keyphrase-object",
+        ],
     )
     def test_bad_record_names_file_and_line(self, tmp_path, line, message):
         path = self._write(tmp_path, ['{"id":"a1","title":"T","abstract":"B"}', line])
         with pytest.raises(CorpusFormatError, match=rf"corpus\.jsonl: line 2: {message}"):
             list(load_corpus(path))
+
+    def test_null_title_or_body_loads_as_empty(self, tmp_path):
+        path = self._write(
+            tmp_path, ['{"id":"a1","title":null,"abstract":"B"}', '{"id":"a2","title":"T","abstract":null}']
+        )
+        issues = []
+        docs = list(load_corpus(path, on_issue=lambda n, m: issues.append((n, m))))
+        assert docs == [Document("a1", "", "B", None), Document("a2", "T", "", None)]
+        assert issues == []
 
     def test_missing_fields_reported_not_dropped_silently(self, tmp_path):
         path = self._write(tmp_path, ['{"id":"a1","title":"only title"}', '{"title":"no id","abstract":"b"}'])
@@ -320,3 +349,35 @@ class TestBadUtf8:
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "a", "title": "x\\udce9", "abstract": "b"}\n', encoding="utf-8")
         assert [d.title for d in load_corpus(path)] == ["x\udce9"]
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is not part of any input file's first line."""
+
+    BOM = "\ufeff"
+
+    def test_predictions_give_the_same_report_bytes(self, tmp_path):
+        docs = generate_demo_corpus()
+        text = "\n".join(generate_demo_predictions(docs)) + "\n"
+        (tmp_path / "plain.txt").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.txt").write_text(self.BOM + text, encoding="utf-8")
+        evaluate_file(tmp_path / "plain.txt", docs, report_path=tmp_path / "plain.json")
+        evaluate_file(tmp_path / "bom.txt", docs, report_path=tmp_path / "bom.json")
+        assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    def test_stoplist(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text(self.BOM + "the\n", encoding="utf-8")
+        assert load_stoplist(path) == {"the"}
+
+    def test_corpus(self, tmp_path):
+        docs = [Document("a1", "Title", "body text", ("k1",)), Document("a2", "T", "B", None)]
+        write_corpus(docs, tmp_path / "corpus.jsonl")
+        bom = tmp_path / "bom.jsonl"
+        bom.write_text(self.BOM + (tmp_path / "corpus.jsonl").read_text(encoding="utf-8"), encoding="utf-8")
+        assert list(load_corpus(bom)) == docs
+
+    def test_spans(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        path.write_text(self.BOM + '{"id": "a", "spans": [{"text": "graph", "rank": 0}]}\n', encoding="utf-8")
+        assert list(load_spans(path)) == ["a"]

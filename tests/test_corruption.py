@@ -346,7 +346,8 @@ class TestGenCorpus:
         expected = cfg.k_s * coverage + cfg.k_o * (1 - coverage)
         # Bernoulli mixture variance bound: p(1-p) per token.
         sigma = math.sqrt(expected * (1 - expected) / total)
-        assert abs(summary.corrupted_tokens / total - expected) <= 3 * sigma
+        assert summary.examples_written == len(docs)  # so the percentage is of every token
+        assert abs(summary.corrupted_token_pct - 100.0 * expected) <= 3 * 100.0 * sigma
 
 
 @st.composite
