@@ -66,7 +66,7 @@ def _add_schema_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _worker_count(text: str) -> int:
-    """``--threads`` capped at the core count: a pool starts every worker at once, and output never depends on it."""
+    """``--threads`` capped at the core count: every worker runs at once, and output never depends on it."""
     try:
         n = int(text)
     except ValueError:

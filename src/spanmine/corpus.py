@@ -248,7 +248,11 @@ def load_corpus(
         if not isinstance(record, dict):
             raise CorpusFormatError(f"{path}: line {line_no}: line is not a JSON object")
         doc_id = record.get(schema["id"])
-        if not doc_id or not isinstance(doc_id, str):
+        if doc_id is not None and not isinstance(doc_id, str):
+            raise CorpusFormatError(
+                f"{path}: line {line_no}: field {schema['id']!r} must be a string, got {type(doc_id).__name__}"
+            )
+        if not doc_id:
             report(line_no, f"missing or empty {schema['id']!r} field; record skipped")
             continue
         if doc_id in seen:

@@ -323,7 +323,7 @@ def gen_corpus(
     identical files across runs and worker counts.
     """
     shared = (dict(spans_by_id) if spans_by_id is not None else None, cfg)
-    results = map_shared(_build_record, shared, list(docs), workers, chunksize=64)
+    results = map_shared(_build_record, shared, list(docs), workers)
 
     examples = original = corrupted = masks = source = 0
     skipped: dict[str, int] = {}

@@ -13,6 +13,7 @@ import spanmine
 from spanmine import (
     DEFAULT_THRESHOLDS,
     CorruptionConfig,
+    DataError,
     TokenizedDoc,
     build_index,
     gen_corpus,
@@ -136,6 +137,24 @@ class TestSubcommands:
         assert run(["-q", "stats", "--corpus", str(corpus)]) == EXIT_DATA
         assert capsys.readouterr().out == ""
         assert "data error: the run summary holds nan, which strict JSON cannot encode" in caplog.text
+
+    def test_data_error_in_a_worker_block_exits_1(self, corpus, tmp_path, caplog, capsys, monkeypatch):
+        index = tmp_path / "idx.spmi"
+        assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
+        capsys.readouterr()
+
+        corrupt = spanmine.corruption._corrupt
+
+        def corrupt_all_but_the_last(doc, spans, cfg):  # c2 is in the forked worker's block
+            if doc.doc_id == "c2":
+                raise DataError("planted failure in c2")
+            return corrupt(doc, spans, cfg)
+
+        monkeypatch.setattr(spanmine.corruption, "_corrupt", corrupt_all_but_the_last)
+        out = tmp_path / "out.jsonl"
+        argv = ["-q", "corrupt", "--objective", "ti", "--index", str(index), "--corpus", str(corpus)]
+        assert run([*argv, "--out", str(out), "--threads", "2"]) == EXIT_DATA
+        assert "planted failure in c2" in caplog.text
 
     def test_non_finite_analyze_report_is_data_error(self, tmp_path, capsys, caplog, monkeypatch):
         spans = tmp_path / "spans.jsonl"

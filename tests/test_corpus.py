@@ -178,6 +178,8 @@ class TestLoadCorpus:
                 '{"id":"a2","title":"T","abstract":"B","keywords":["p",{"x":1}]}',
                 "field 'keywords' must list only strings, got dict",
             ),
+            ('{"id":5,"title":"T","abstract":"B"}', "field 'id' must be a string, got int"),
+            ('{"id":["a2"],"title":"T","abstract":"B"}', "field 'id' must be a string, got list"),
         ],
         ids=[
             "non-object-line",
@@ -187,6 +189,8 @@ class TestLoadCorpus:
             "title-boolean",
             "keyphrase-null",
             "keyphrase-object",
+            "id-int",
+            "id-list",
         ],
     )
     def test_bad_record_names_file_and_line(self, tmp_path, line, message):
@@ -210,6 +214,21 @@ class TestLoadCorpus:
         assert [d.id for d in docs] == ["a1"]
         assert docs[0].body == ""
         assert len(issues) == 2  # missing abstract on line 1, missing id on line 2
+
+    def test_missing_null_or_empty_id_is_skipped_with_a_warning(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            [
+                '{"title":"T","abstract":"B"}',
+                '{"id":null,"title":"T","abstract":"B"}',
+                '{"id":"","title":"T","abstract":"B"}',
+                '{"id":"a4","title":"T","abstract":"B"}',
+            ],
+        )
+        issues = []
+        docs = list(load_corpus(path, on_issue=lambda n, m: issues.append((n, m))))
+        assert [d.id for d in docs] == ["a4"]
+        assert issues == [(n, "missing or empty 'id' field; record skipped") for n in (1, 2, 3)]
 
     def test_keywords_as_string_or_list(self, tmp_path):
         path = self._write(

@@ -306,6 +306,12 @@ class TestGenCorpus:
         with pytest.raises(DataError, match="g1"):
             gen_corpus(docs, spans, cfg_for("ssr-d"), tmp_path / "x.jsonl")
 
+    def test_missing_span_entry_in_a_worker_block_is_hard_error(self, tmp_path):
+        docs, spans = self._docs(n=10)
+        del spans["g9"]  # the last document falls in the forked worker's block
+        with pytest.raises(DataError, match="g9"):
+            gen_corpus(docs, spans, cfg_for("ssp-m"), tmp_path / "x.jsonl", workers=2)
+
     def test_record_schema(self, tmp_path):
         docs, spans = self._docs(n=2)
         out = tmp_path / "out.jsonl"

@@ -1,8 +1,16 @@
-import multiprocessing
+import os
 
 import pytest
 
+from spanmine.errors import DataError
 from spanmine.pool import map_shared
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _affine(scale, offset, item):
@@ -21,16 +29,57 @@ def _value(scale, item):
     return scale * item.value
 
 
-@pytest.mark.parametrize("n_items", [0, 1, 65, 130])
-@pytest.mark.parametrize("chunksize", [1, 64])
+class _BadItem(DataError):
+    pass
+
+
+class _UnpicklableError(Exception):
+    def __reduce__(self):
+        raise TypeError("this exception does not pickle")
+
+
+def _raise_at(bad, exc_type, item):
+    if item == bad:
+        raise exc_type(f"bad item {item}")
+    return item
+
+
+def _exit_at(bad, item):
+    if item == bad:
+        os._exit(1)
+    return item
+
+
+@pytest.mark.parametrize("n_items", [0, 1, 2, 65, 130])
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_matches_the_serial_list_in_order(workers, chunksize, n_items):
+def test_matches_the_serial_list_in_order(workers, n_items):
     items = list(range(n_items))
     expected = [3 * item + 1 for item in items]
-    assert map_shared(_affine, (3, 1), items, workers, chunksize=chunksize) == expected
+    assert map_shared(_affine, (3, 1), items, workers) == expected
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="workers inherit items only under fork")
 def test_items_are_inherited_not_pickled():
     items = [_Unpicklable(value) for value in range(10)]
-    assert map_shared(_value, (2,), items, workers=2, chunksize=3) == [2 * value for value in range(10)]
+    assert map_shared(_value, (2,), items, workers=2) == [2 * value for value in range(10)]
+
+
+@pytest.mark.parametrize("bad", [0, 9], ids=["parent-block", "child-block"])
+def test_data_error_keeps_its_type(bad):
+    with pytest.raises(_BadItem, match=f"bad item {bad}"):
+        map_shared(_raise_at, (bad, _BadItem), range(10), workers=2)
+
+
+def test_child_error_carries_its_traceback():
+    with pytest.raises(_BadItem) as info:
+        map_shared(_raise_at, (9, _BadItem), range(10), workers=2)
+    assert "_raise_at" in str(info.value.__cause__)
+
+
+def test_unpicklable_exception_still_surfaces():
+    with pytest.raises(RuntimeError, match="_UnpicklableError: bad item 9"):
+        map_shared(_raise_at, (9, _UnpicklableError), range(10), workers=2)
+
+
+def test_child_that_exits_without_a_result_raises():
+    with pytest.raises(ChildProcessError, match="exited with status 1"):
+        map_shared(_exit_at, (9,), range(10), workers=2)
