@@ -13,10 +13,6 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _affine(scale, offset, item):
-    return scale * item + offset
-
-
 class _Unpicklable:
     def __init__(self, value):
         self.value = value
@@ -50,12 +46,19 @@ def _exit_at(bad, item):
     return item
 
 
+def _affine_padded(scale, offset, pad_bytes, item):
+    return scale * item + offset, bytes(pad_bytes)
+
+
 @pytest.mark.parametrize("n_items", [0, 1, 2, 65, 130])
+@pytest.mark.parametrize("result_kib", [1, 64])
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_matches_the_serial_list_in_order(workers, n_items):
+def test_matches_the_serial_list_in_order(workers, result_kib, n_items):
+    # 64 KiB results fill a child's pipe, so it blocks writing until the parent reads.
     items = list(range(n_items))
-    expected = [3 * item + 1 for item in items]
-    assert map_shared(_affine, (3, 1), items, workers) == expected
+    pad_bytes = 1024 * result_kib
+    expected = [(3 * item + 1, bytes(pad_bytes)) for item in items]
+    assert map_shared(_affine_padded, (3, 1, pad_bytes), items, workers) == expected
 
 
 def test_items_are_inherited_not_pickled():
