@@ -86,10 +86,8 @@ def retrieval_success(
     total_hits = 0
     stems = StemMemo()
     for doc in gold_docs:
-        if not doc.keyphrases:
-            raise DataError(f"document {doc.id!r} has no keyphrases")
-        slot = index.slot_of(doc.id)
         _, _, present, _ = gold_split(doc, stems)
+        slot = index.slot_of(doc.id)
         for phrase in present.phrases:
             total += 1
             sparse = index.scores(phrase)
@@ -160,11 +158,9 @@ def overlap_metrics(
     length_rows: dict[int, list[tuple]] = {n: [] for n in range(1, MAX_NGRAM + 1)}
     stems = StemMemo()
     for doc in gold_docs:
-        if not doc.keyphrases:
-            raise DataError(f"document {doc.id!r} has no keyphrases")
+        _, gold, present, _ = gold_split(doc, stems)
         if doc.id not in spans_by_id:
             raise DataError(f"spans file has no entry for document {doc.id!r}")
-        _, gold, present, _ = gold_split(doc, stems)
         present_stemmed = list(present.stemmed)
         all_gold_stemmed = list(gold.stemmed)
         span_stemmed = [stems.phrase(s.tokens) for s in spans_by_id[doc.id]]

@@ -343,7 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--thresholds", default=None, help="e.g. '1:500,2:430,3:360' (the default, scaled from 500k docs to the index)"
     )
-    p.add_argument("--stoplist", default=None, help="stop word file (default: bundled list)")
+    p.add_argument(
+        "--stoplist",
+        default=None,
+        help="stop word file, one word per line (default: bundled list); an entry that tokenizes "
+        "into other tokens, such as COVID-19, stops nothing, and one warning counts them",
+    )
     p.add_argument("--max-spans", type=int, default=None)
     _add_schema_flags(p)
     _add_threads_flag(p)

@@ -20,6 +20,7 @@ import random
 from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass
+from functools import partial
 
 from .corpus import TokenizedDoc
 from .errors import DataError, SkipDocument
@@ -322,8 +323,7 @@ def gen_corpus(
     Output depends only on (docs, spans, cfg); same seed means byte
     identical files across runs and worker counts.
     """
-    shared = (dict(spans_by_id) if spans_by_id is not None else None, cfg)
-    results = map_shared(_build_record, shared, list(docs), workers)
+    results = map_shared(partial(_build_record, spans_by_id, cfg), list(docs), workers)
 
     examples = original = corrupted = masks = source = 0
     skipped: dict[str, int] = {}

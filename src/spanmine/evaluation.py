@@ -113,9 +113,13 @@ def gold_split(
 ) -> tuple[tuple[str, ...], KeyphraseSet, KeyphraseSet, KeyphraseSet]:
     """``(document stems, gold, present gold, absent gold)`` of a labeled document.
 
-    The document is the untruncated ``title <sep> body``, so a phrase past
-    any model window still counts as present.
+    This is the one rule for "labeled": ``keyphrases is None`` raises
+    ``DataError``, while an empty tuple is a labeled document with no gold
+    phrases. The document is the untruncated ``title <sep> body``, so a
+    phrase past any model window still counts as present.
     """
+    if doc.keyphrases is None:
+        raise DataError(f"document {doc.id!r} is unlabeled: it has no keyphrases field")
     doc_stemmed = stems.phrase(model_input(doc, max_tokens=None).tokens)
     gold = keyphrase_set(doc.keyphrases, stems)
     return (doc_stemmed, gold, *split_present_absent(gold, doc_stemmed))
@@ -243,8 +247,6 @@ def evaluate(
     absent_report = CategoryReport()
     stems = StemMemo()
     for line, doc in zip(predictions, gold_docs):
-        if doc.keyphrases is None:
-            raise DataError(f"gold document {doc.id!r} has no keyphrases")
         doc_stemmed, _, gold_present, gold_absent = gold_split(doc, stems)
         pred_present, pred_absent = split_present_absent(parse_predictions(line, sep, stems), doc_stemmed)
         for report, pred_cat, gold_cat in (

@@ -16,6 +16,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass
+from functools import partial
 from operator import neg
 
 from .bm25 import BM25Index, check_term
@@ -316,8 +317,8 @@ def mine_corpus(
     doc_list = list(docs)
     slots = [index.slot_of(doc.doc_id) for doc in doc_list]
     n_shards = max(workers, 1)
-    shared = (doc_list, slots, index, thresholds, stoplist, n_shards)
-    shards = map_shared(_mine_shard, shared, range(n_shards), n_shards)
+    shard_fn = partial(_mine_shard, doc_list, slots, index, thresholds, stoplist, n_shards)
+    shards = map_shared(shard_fn, range(n_shards), n_shards)
 
     # (rank, -length, tokens) per kept span: the record order, sorted natively.
     span_lists: list[list[tuple[int, int, tuple[str, ...]]]] = [[] for _ in doc_list]

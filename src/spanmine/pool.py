@@ -1,14 +1,13 @@
 """The one worker pattern: ``items`` is split into contiguous blocks, one per
 worker. The parent forks a child for every block after the first and maps the
-first block itself while the children run. A child inherits ``fn``,
-``shared`` and ``items`` through ``os.fork`` (nothing is pickled on the way
-in), maps its block, pickles the results, or the exception it raised, into
-its own pipe and leaves with ``os._exit``. The parent reads the pipes in
-block order and reaps every child, on every exit path.
-
-``os.fork`` is required for parallel work; where it does not exist, every
-item is mapped in this process. Call ``map_shared`` only from a process
-without other threads, as the CLI is.
+first block itself while the children run. A child inherits ``fn`` (any
+callable, such as a ``functools.partial`` or a closure) and ``items`` through
+``os.fork``, so nothing is pickled on the way in. It maps its block, pickles
+the results, or the exception it raised, into its own pipe and leaves with
+``os._exit``. The parent reads the pipes in block order and reaps every child,
+on every exit path. Where ``os.fork`` does not exist there is one block, which
+this process maps. Call ``map_shared`` only from a process without other
+threads, as the CLI is.
 """
 
 from __future__ import annotations
@@ -25,12 +24,12 @@ class _ChildTraceback(Exception):
     """The formatted traceback of an exception raised in a child, attached as its cause."""
 
 
-def _map_block(fn: Callable, shared: tuple, block: Sequence, write_fd: int) -> None:
+def _map_block(fn: Callable, block: Sequence, write_fd: int) -> None:
     """Child side: pickle ``(results, None)`` or ``(None, (exception, traceback))`` into the pipe; never returns."""
     status = 1
     try:
         try:
-            payload = pickle.dumps(([fn(*shared, item) for item in block], None), pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps(([fn(item) for item in block], None), pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
             trace = traceback.format_exc()
             try:
@@ -58,17 +57,15 @@ def _block_result(pid: int, payload: bytes, status: int) -> list:
     return results
 
 
-def map_shared(fn: Callable, shared: tuple, items: Sequence, workers: int) -> list:
-    """``[fn(*shared, item) for item in items]`` over ``workers`` processes, in order.
+def map_shared(fn: Callable, items: Sequence, workers: int) -> list:
+    """``[fn(item) for item in items]`` over ``workers`` processes, in order.
 
     The parent maps the first of ``min(workers, len(items))`` contiguous
-    blocks and forks one child for each of the others; one block runs in
-    this process alone. Only results, or a child's exception, are pickled;
-    that exception is re-raised here with its type.
+    blocks (at least one) and forks one child for each of the others; with
+    one block nothing is forked. Only results, or a child's exception, are
+    pickled; that exception is re-raised here with its type.
     """
-    n_blocks = min(workers, len(items))
-    if n_blocks <= 1 or not hasattr(os, "fork"):
-        return [fn(*shared, item) for item in items]
+    n_blocks = max(1, min(workers, len(items))) if hasattr(os, "fork") else 1
     bounds = [len(items) * b // n_blocks for b in range(n_blocks + 1)]
     children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe) of children not yet reaped
     try:
@@ -82,10 +79,10 @@ def map_shared(fn: Callable, shared: tuple, items: Sequence, workers: int) -> li
                 raise
             if pid == 0:
                 os.close(read_fd)
-                _map_block(fn, shared, items[start:stop], write_fd)
+                _map_block(fn, items[start:stop], write_fd)
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
-        results = [fn(*shared, item) for item in items[: bounds[1]]]
+        results = [fn(item) for item in items[: bounds[1]]]
         while children:
             pid, pipe = children[0]
             with pipe:

@@ -5,7 +5,11 @@ tokenizer isolates apostrophes. Override with --stoplist FILE (one word
 per line, '#' comments allowed).
 """
 
-from .corpus import read_lines
+import logging
+
+from .corpus import read_lines, text_tokens
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_STOPWORDS = frozenset("""
 a about above after again against ain all also am an and any are aren as at
@@ -23,10 +27,24 @@ you your yours yourself yourselves
 
 
 def load_stoplist(path) -> frozenset[str]:
-    """Read a custom stop word list: one word per line, '#' starts a comment."""
+    """Read a custom stop word list: one word per line, '#' starts a comment.
+
+    Every entry loads, but the miner compares single tokens, so an entry
+    the tokenizer splits or rewrites (``COVID-19``, ``e.g.``, ``don't``)
+    stops nothing; one warning per file counts those and shows the first.
+    """
     words = set()
-    for _, line in read_lines(path):
+    unmatchable = []  # (line number, tokens) of each entry that does not tokenize as itself
+    for line_no, line in read_lines(path):
         word = line.split("#", 1)[0].strip().lower()
         if word:
             words.add(word)
+            tokens = text_tokens(word)
+            if tokens != [word]:
+                unmatchable.append((line_no, " ".join(tokens)))
+    if unmatchable:
+        logger.warning(
+            "%s: %d of the stop list's entries can never match a token; the first, on line %d, tokenizes as %r",
+            path, len(unmatchable), *unmatchable[0],
+        )
     return frozenset(words)

@@ -364,6 +364,31 @@ class TestSubcommands:
         assert "_worker_count" not in err
 
 
+@pytest.mark.parametrize(("keywords", "status"), [([], EXIT_OK), (None, EXIT_DATA)], ids=["empty-list", "null"])
+@pytest.mark.parametrize("stage", ["stats", "eval", "analyze success", "analyze overlap"])
+def test_an_empty_keyword_list_is_labeled_and_null_is_not(tmp_path, caplog, capsys, stage, keywords, status):
+    corpus = tmp_path / "corpus.jsonl"
+    records = [_corpus_lines()[0], {"id": "u1", "title": "plain title", "abstract": "plain body", "keywords": keywords}]
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    index, spans, preds = tmp_path / "idx.spmi", tmp_path / "spans.jsonl", tmp_path / "preds.txt"
+    assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
+    assert run(["-q", "mine", "--index", str(index), "--corpus", str(corpus), "--out", str(spans)]) == EXIT_OK
+    preds.write_text("sparse solvers\nplain title\n", encoding="utf-8")
+    capsys.readouterr()
+    argv = {
+        "stats": ["stats", "--corpus", str(corpus)],
+        "eval": ["eval", "--preds", str(preds), "--gold", str(corpus)],
+        "analyze success": ["analyze", "success", "--gold", str(corpus), "--index", str(index)],
+        "analyze overlap": ["analyze", "overlap", "--gold", str(corpus), "--spans", str(spans)],
+    }[stage]
+    assert run(["-q", *argv]) == status
+    if status == EXIT_OK:
+        assert _json_out(capsys)
+    else:
+        assert capsys.readouterr().out == ""
+        assert "document 'u1' is unlabeled: it has no keyphrases field" in caplog.text
+
+
 def _window_argv(command, index, corpus, out):
     """A `mine`, `corrupt --objective ti` or `analyze success` command line against ``index``."""
     if command == "analyze success":

@@ -266,9 +266,13 @@ class TestDatasetStats:
         assert stats.avg_kp_per_doc == 2
         assert stats.pct_absent_kp == 50.0
 
-    def test_zero_keyphrases_rejected(self):
-        with pytest.raises(DataError):
-            dataset_stats([Document("d", "t", "b", ())])
+    def test_unlabeled_rejected(self):
+        with pytest.raises(DataError, match="document 'u' is unlabeled"):
+            dataset_stats([Document("d", "t", "b", ()), Document("u", "t", "b", None)])
+
+    def test_zero_keyphrases_are_labeled(self):
+        stats = dataset_stats([Document("d", "t", "b", ()), Document("e", "", "a b", ("a",))])
+        assert (stats.num_docs, stats.avg_kp_per_doc, stats.pct_absent_kp) == (2, 0.5, 0.0)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
@@ -400,3 +404,13 @@ class TestByteOrderMark:
         path = tmp_path / "spans.jsonl"
         path.write_text(self.BOM + '{"id": "a", "spans": [{"text": "graph", "rank": 0}]}\n', encoding="utf-8")
         assert list(load_spans(path)) == ["a"]
+
+
+def test_stoplist_warns_once_about_entries_that_never_match_a_token(tmp_path, caplog):
+    path = tmp_path / "stop.txt"
+    path.write_text("the\nCOVID-19  # a comment\ne.g.\nstate-of-the-art\n3d\ndon't\n", encoding="utf-8")
+    assert load_stoplist(path) == {"the", "covid-19", "e.g.", "state-of-the-art", "3d", "don't"}
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [
+        f"{path}: 4 of the stop list's entries can never match a token; the first, on line 2, tokenizes as 'covid - <digit>'"
+    ]
