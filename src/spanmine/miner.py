@@ -68,6 +68,9 @@ class ThresholdFn:
         extra = sorted(n for n in self.by_length if not 1 <= n <= MAX_NGRAM)
         if extra:
             raise DataError(f"threshold map must cover only lengths 1..{MAX_NGRAM}; got {extra}")
+        not_int = {n: v for n, v in self.by_length.items() if type(v) is not int}
+        if not_int:
+            raise DataError(f"thresholds must be integers, got {not_int}")
         bad = {n: v for n, v in self.by_length.items() if v < 0}
         if bad:
             raise DataError(f"thresholds must be >= 0, got {bad}")
@@ -95,7 +98,10 @@ def parse_thresholds(text: str) -> ThresholdFn:
     try:
         for part in text.split(","):
             length, value = part.split(":")
-            mapping[int(length)] = int(value)
+            n = int(length)
+            if n in mapping:
+                raise DataError(f"threshold spec {text!r} gives length {n} twice")
+            mapping[n] = int(value)
     except ValueError as exc:
         raise DataError(f"bad threshold spec {text!r} (want e.g. '1:500,2:430,3:360')") from exc
     return ThresholdFn(mapping)
@@ -186,7 +192,9 @@ def _mine_shard(
     """Rank one shard of the distinct candidate queries of ``doc_list``.
 
     Candidates are grouped by distinct query across all documents, so a
-    query shared by many documents is scored once. A query belongs to the
+    query shared by many documents is scored once: ``first`` maps every
+    query to the position of its first source, and ``more`` holds all the
+    positions of only the queries with several sources. A query belongs to the
     shard that owns its first token (``_Ownership``), so a shard slices only
     its own n-grams, and every process decides alike. ``weights`` is the
     shard's memo: each of its terms is weighed once, and freed on return.
@@ -195,9 +203,10 @@ def _mine_shard(
     distinct queries and of documents fully scored.
 
     A rank counts the documents scoring strictly higher. A query with one
-    source counts the scores above it; one with several orders only its
-    best ``threshold + 1`` scores, so a rank past the threshold reads as
-    threshold + 1 and is dropped.
+    source reads ``floor`` from that source's slot and counts the scores
+    above it in the pass that computes them, keeping no list. One with
+    several orders only its best ``threshold + 1`` scores, so a rank past
+    the threshold reads as threshold + 1 and is dropped.
 
     The kernel is written out per query length. A document's score sums
     its terms' weights in query order, bitwise as BM25Index.scores() does.
@@ -211,42 +220,64 @@ def _mine_shard(
     """
     eligible = _Eligibility(stoplist)
     owned = _Ownership(n_shards, shard) if n_shards > 1 else None
-    sources: dict[tuple[str, ...], list[int]] = {}
+    first: dict[tuple[str, ...], int] = {}  # every query -> its first source's position
+    more: dict[tuple[str, ...], list[int]] = {}  # a query with several sources -> their positions, ascending
     for pos, doc in enumerate(doc_list):
         for gram in _ngrams(doc, eligible, owned):
-            sources.setdefault(gram, []).append(pos)
+            seen = first.setdefault(gram, pos)
+            if seen != pos:
+                more.setdefault(gram, [seen]).append(pos)
     for token, ok in eligible.items():  # each eligible token is also a query term
         if ok:
             check_term(token)
     weights = {}
-    for token in {token for query in sources for token in query}:  # this shard's terms only
+    for token in {token for query in first for token in query}:  # this shard's terms only
         by_slot, max_weight = index.term_weights(token)
         weights[token] = by_slot, by_slot.get, max_weight
+    limits = [thresholds.by_length.get(n) for n in range(MAX_NGRAM + 1)]  # by query length
     kept = []
     docs_scored = 0
-    for query, positions in sources.items():
-        source_slots = [slots[pos] for pos in positions]
+    for query, pos in first.items():
+        positions = more.get(query)  # None: pos is the only source
         if len(query) == 1:
             by_a, get_a, max_a = weights[query[0]]
-            scores = [get_a(s, 0.0) for s in source_slots]
-            floor = min(scores)
-            totals = by_a.values() if max_a > floor else ()
+            if positions is None:
+                floor = get_a(slots[pos], 0.0)
+            else:
+                scores = [get_a(slots[p], 0.0) for p in positions]
+                floor = min(scores)
+            keys = by_a.values() if max_a > floor else ()
+            if positions is None:
+                rank = len([1 for a in keys if a > floor])
+            else:
+                totals = keys
         elif len(query) == 2:
             (by_a, get_a, max_a), (by_b, get_b, max_b) = weights[query[0]], weights[query[1]]
-            scores = [get_a(s, 0.0) + get_b(s, 0.0) for s in source_slots]
-            floor = min(scores)
+            if positions is None:
+                slot = slots[pos]
+                floor = get_a(slot, 0.0) + get_b(slot, 0.0)
+            else:
+                scores = [get_a(slots[p], 0.0) + get_b(slots[p], 0.0) for p in positions]
+                floor = min(scores)
             if max_a + max_b <= floor:
                 keys = ()
             elif min(max_a, max_b) > floor:
                 keys = by_a.keys() | by_b.keys()
             else:  # ties make the lower query position non-essential first
                 keys = by_b if max_a <= max_b else by_a
-            totals = [get_a(s, 0.0) + get_b(s, 0.0) for s in keys]
+            if positions is None:
+                rank = len([1 for s in keys if get_a(s, 0.0) + get_b(s, 0.0) > floor])
+            else:
+                totals = [get_a(s, 0.0) + get_b(s, 0.0) for s in keys]
         else:
             terms = weights[query[0]], weights[query[1]], weights[query[2]]
             (by_a, get_a, max_a), (by_b, get_b, max_b), (by_c, get_c, max_c) = terms
-            scores = [get_a(s, 0.0) + get_b(s, 0.0) + get_c(s, 0.0) for s in source_slots]
-            floor = min(scores)
+            if positions is None:
+                slot = slots[pos]
+                floor = get_a(slot, 0.0) + get_b(slot, 0.0) + get_c(slot, 0.0)
+            else:
+                scores = [get_a(slots[p], 0.0) + get_b(slots[p], 0.0) + get_c(slots[p], 0.0) for p in positions]
+                floor = min(scores)
             maxes = max_a, max_b, max_c
             if max_a + max_b + max_c <= floor:
                 keys = ()
@@ -258,20 +289,22 @@ def _mine_shard(
                     keys = terms[3 - i - k][0].keys() | terms[k][0].keys()
                 else:
                     keys = terms[k][0]
-            totals = [get_a(s, 0.0) + get_b(s, 0.0) + get_c(s, 0.0) for s in keys]
-        docs_scored += len(totals)
-        limit = thresholds(len(query))
-        if len(positions) == 1:
-            rank = len([score for score in totals if score > floor])
+            if positions is None:
+                rank = len([1 for s in keys if get_a(s, 0.0) + get_b(s, 0.0) + get_c(s, 0.0) > floor])
+            else:
+                totals = [get_a(s, 0.0) + get_b(s, 0.0) + get_c(s, 0.0) for s in keys]
+        docs_scored += len(keys)
+        limit = limits[len(query)]
+        if positions is None:
             if rank <= limit:
-                kept.append((positions[0], query, rank))
+                kept.append((pos, query, rank))
         else:
             top = heapq.nlargest(limit + 1, totals)  # descending
-            for pos, score in zip(positions, scores):
+            for p, score in zip(positions, scores):
                 rank = bisect_left(top, -score, key=neg)
                 if rank <= limit:
-                    kept.append((pos, query, rank))
-    return kept, len(sources), docs_scored
+                    kept.append((p, query, rank))
+    return kept, len(first), docs_scored
 
 
 @dataclass(frozen=True)

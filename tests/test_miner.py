@@ -85,6 +85,15 @@ class TestThresholds:
         with pytest.raises(DataError, match=rf"only lengths 1\.\.3; got \[{length}\]"):
             ThresholdFn({1: 5, 2: 4, 3: 3, length: 2})
 
+    def test_parse_rejects_a_repeated_length(self):
+        with pytest.raises(DataError, match="gives length 1 twice"):
+            parse_thresholds("1:500,1:5,2:430,3:360")
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "3", None])
+    def test_rejects_non_integers(self, value):
+        with pytest.raises(DataError, match=rf"must be integers, got \{{2: {value!r}\}}"):
+            ThresholdFn({1: 5, 2: value, 3: 3})
+
     def test_rejects_negative(self):
         with pytest.raises(DataError):
             ThresholdFn({1: 5, 2: 5, 3: -1})
@@ -422,6 +431,32 @@ class TestPrunedMining:
         thresholds = DEFAULT_THRESHOLDS.scaled_to(400)
         summary = mine_corpus(docs, build_index(docs), tmp_path / "spans.jsonl", thresholds, workers=workers)
         assert (summary.distinct_queries, summary.docs_scored) == (5318, 154584)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("limit", [0, 1, None], ids=["limit-0", "limit-1", "limit-N"])
+    def test_one_source_and_several_sources_rank_alike(self, tmp_path, workers, limit):
+        # d2 is d under a new id, so it ties d on every query, and a tie never
+        # counts toward a rank. Mined alone, every query of d has one source;
+        # mined with d2, every query has two. d's record is the same.
+        rng = random.Random(31)
+        corpus = random_token_corpus(rng, min_docs=12, max_docs=12, max_vocab=8, max_len=12)
+        corpus[0].append("u")  # no other document holds "u"
+        corpus.append(list(corpus[0]))
+        docs = as_tokenized(corpus)
+        d, d2 = docs[0], docs[-1]
+        index = build_index(docs)
+        n = len(docs) if limit is None else limit
+        thresholds = ThresholdFn({1: n, 2: n, 3: n})
+        alone, paired = tmp_path / "alone.jsonl", tmp_path / "paired.jsonl"
+        one = mine_corpus([d], index, alone, thresholds, frozenset(), workers=workers)
+        two = mine_corpus([d, d2], index, paired, thresholds, frozenset(), workers=workers)
+        [record] = _records(alone)
+        assert _records(paired) == [record, {**record, "id": d2.doc_id}]
+        assert (one.distinct_queries, one.docs_scored) == (two.distinct_queries, two.docs_scored)
+        ranks = [span["rank"] for span in record["spans"]]
+        assert min(ranks) == 0
+        if limit is None:  # every candidate is kept, ranked from 0 past 1
+            assert len(ranks) == len(candidates(d, frozenset())) and max(ranks) > 1
 
     def test_repeated_terms_count_per_occurrence(self, tmp_path):
         corpus = [["a", "a", "b"], ["a", "a", "a", "x"], ["a", "b", "x", "x"], ["b", "x"], ["a", "x", "x"]]
