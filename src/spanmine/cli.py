@@ -187,11 +187,11 @@ def _spans_covering(args, doc_ids: list[str], corpus) -> dict:
 
 
 def _cmd_mine(args) -> dict:
+    thresholds = parse_thresholds(args.thresholds) if args.thresholds else None  # a bad spec fails before any I/O
     index = load_index(args.index)
     tokenized = _indexed_windows(args, index)
-    thresholds = (
-        parse_thresholds(args.thresholds) if args.thresholds else DEFAULT_THRESHOLDS.scaled_to(index.num_docs)
-    )
+    if thresholds is None:
+        thresholds = DEFAULT_THRESHOLDS.scaled_to(index.num_docs)
     stoplist = load_stoplist(args.stoplist) if args.stoplist else DEFAULT_STOPWORDS
     logger.info(
         "mining %d documents against %d-doc index, thresholds %s",

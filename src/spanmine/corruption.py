@@ -17,7 +17,6 @@ import json
 import logging
 import math
 import random
-from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -79,11 +78,12 @@ def locate_occurrences(
 ) -> list[tuple[Interval, SalientSpan]]:
     """Find non-overlapping span occurrences, longest spans first.
 
-    A position index built per call, one pass over the document for each
-    distinct span length, maps every n-gram that is a span to its ascending
-    start positions; each distinct span then visits only its own starts,
-    so the cost follows the document length times the number of lengths
-    plus the occurrences, not spans times tokens. Claim rule, unchanged
+    An index built per call, in one pass over the document, maps the
+    first token of every distinct span to that token's ascending
+    positions; each distinct span then visits only those starts,
+    comparing one slice at each when it is longer than one token. The
+    cost follows the document length plus the starts visited, not spans
+    times tokens. Spans may come as any iterable. Claim rule, unchanged
     from a left-to-right window scan: spans go by (longer, lower rank,
     tokens), and each span claims, in ascending order, every start none of
     whose positions is claimed yet. A start inside the same span's
@@ -93,18 +93,24 @@ def locate_occurrences(
     """
     tokens = tuple(tokens)
     unique: dict[tuple[str, ...], SalientSpan] = {}
-    for span in sorted(spans, key=lambda s: (-len(s.tokens), s.rank, s.tokens)):
-        unique.setdefault(span.tokens, span)
-    starts: defaultdict[tuple[str, ...], list[int]] = defaultdict(list)
-    for n in {len(gram) for gram in unique}:
-        for i, gram in enumerate(zip(*(tokens[k:] for k in range(n)))):
-            if gram in unique:
-                starts[gram].append(i)
+    # the input index k breaks ties as a stable sort would, so spans are never compared;
+    # an empty span matches nothing
+    by_claim_order = sorted([(-len(s.tokens), s.rank, s.tokens, k, s) for k, s in enumerate(spans) if s.tokens])
+    for _, _, gram, _, span in by_claim_order:
+        if gram not in unique:
+            unique[gram] = span
+    starts: dict[str, list[int]] = {gram[0]: [] for gram in unique}
+    for i, token in enumerate(tokens):
+        positions = starts.get(token)
+        if positions is not None:
+            positions.append(i)
     claimed = [False] * len(tokens)
     found: list[tuple[Interval, SalientSpan]] = []
     for gram, span in unique.items():
         n = len(gram)
-        for i in starts.get(gram, ()):
+        for i in starts[gram[0]]:
+            if n > 1 and tokens[i : i + n] != gram:
+                continue
             if not any(claimed[i : i + n]):
                 claimed[i : i + n] = [True] * n
                 found.append(((i, i + n), span))

@@ -17,6 +17,7 @@ from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass
 from functools import partial
+from json.encoder import encode_basestring as quote  # the escaper of json.dumps(ensure_ascii=False)
 from operator import neg
 
 from .bm25 import BM25Index, check_term
@@ -62,6 +63,9 @@ class ThresholdFn:
     by_length: Mapping[int, int]
 
     def __post_init__(self):
+        not_int = [n for n in self.by_length if type(n) is not int]  # 1.0 and True would pass as 1
+        if not_int:
+            raise DataError(f"threshold lengths must be integers, got {not_int}")
         missing = [n for n in range(1, MAX_NGRAM + 1) if n not in self.by_length]
         if missing:
             raise DataError(f"threshold map must cover lengths 1..{MAX_NGRAM}; missing {missing}")
@@ -338,7 +342,9 @@ def mine_corpus(
     """Mine every document and write one JSONL record per document.
 
     Record schema: {"id": ..., "spans": [{"text", "rank", "len"}, ...]};
-    documents with no passing spans still get a record. Spans go rank
+    documents with no passing spans still get a record. Each line is
+    formatted from that schema, byte for byte what json.dumps(record,
+    ensure_ascii=False) writes, without building the record. Spans go rank
     ascending, ties longer first, then lexicographically; ``max_spans``
     optionally caps each list after sorting. Results map back by input
     position, not slot, so a document passed twice gets two records.
@@ -366,11 +372,11 @@ def mine_corpus(
             spans.sort()
             if max_spans is not None:
                 del spans[max_spans:]
-            record = {
-                "id": doc.doc_id,
-                "spans": [{"text": " ".join(query), "rank": rank, "len": -neg_len} for rank, neg_len, query in spans],
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            items = ", ".join(
+                f'{{"text": {quote(" ".join(query))}, "rank": {rank}, "len": {-neg_len}}}'
+                for rank, neg_len, query in spans
+            )
+            fh.write(f'{{"id": {quote(doc.doc_id)}, "spans": [{items}]}}\n')
     total_spans, mix = length_mix(-neg_len for spans in span_lists for _, neg_len, _ in spans)
     n_docs = len(doc_list)
     return MiningSummary(

@@ -244,6 +244,17 @@ class TestSubcommands:
                 "--thresholds", f"1:5,2:4,3:3,{extra}", "--threads", "1"]
         assert run(argv) == EXIT_DATA
 
+    @pytest.mark.parametrize("missing", ["corpus", "index"])
+    def test_a_bad_threshold_spec_fails_before_any_input_is_read(self, corpus, tmp_path, capsys, caplog, missing):
+        index = tmp_path / "idx.spmi"
+        assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
+        capsys.readouterr()
+        inputs = {"index": index, "corpus": corpus, missing: tmp_path / "missing"}
+        argv = ["-q", "mine", "--index", str(inputs["index"]), "--corpus", str(inputs["corpus"]),
+                "--out", str(tmp_path / "spans.jsonl"), "--thresholds", "1:5,1:5,2:4,3:3", "--threads", "1"]
+        assert run(argv) == EXIT_DATA  # not EXIT_IO for the missing file
+        assert "gives length 1 twice" in caplog.text
+
     def test_v1_index_is_refused(self, corpus, tmp_path, caplog):
         index = tmp_path / "idx.spmi"
         index.write_bytes(V1_INDEX)

@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import json
 import math
 import random
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import example, given, settings
@@ -76,6 +78,10 @@ class TestPlanCorruption:
     def test_self_overlapping_span_claims_left_to_right(self):
         occ = locate_occurrences(("a",) * 5, spans_of("a a"))
         assert [interval for interval, _ in occ] == [(0, 2), (2, 4)]
+
+    def test_empty_span_matches_nothing(self):
+        spans = [SalientSpan(tokens=(), rank=0), *spans_of("b", ranks=[1])]
+        assert locate_occurrences(("a", "b"), spans) == [((1, 2), spans[1])]
 
     def test_no_overlapping_marks(self):
         rng = random.Random(1)
@@ -380,10 +386,14 @@ class TestAgainstOracles:
     @example((["a"] * 4, spans_of("a a")))
     @example((["a", "b", "c"], []))
     @example(([], spans_of("a")))
+    @example((list("abcacbab"), spans_of("a c a", "a b c", "a c", "a b", "a c b", ranks=[0, 2, 0, 1, 3])))  # one first token
+    @example((list("abab"), spans_of("a b", "b", "a b", ranks=[3, 0, 1])))  # the same tokens at two ranks
+    @example((list("ababa"), (span for span in spans_of("b a", "a", "a", "b", ranks=[1, 2, 0, 0]))))  # a generator
     @settings(max_examples=300)
     def test_locate_occurrences_matches_window_scan(self, case):
         tokens, spans = case
-        assert locate_occurrences(tokens, spans) == oracle_locate_occurrences(tokens, spans)
+        spans, copy = itertools.tee(spans) if isinstance(spans, Iterator) else (spans, spans)  # read once each
+        assert locate_occurrences(tokens, spans) == oracle_locate_occurrences(tokens, copy)
 
     @given(doc_and_spans())
     @example(([], []))

@@ -21,6 +21,7 @@ from spanmine import (
 from spanmine.analysis import span_characteristics
 from spanmine.demo import generate_demo_corpus
 from spanmine.miner import DEFAULT_THRESHOLDS, parse_thresholds
+from spanmine.stopwords import DEFAULT_STOPWORDS
 from tests.conftest import BruteBM25, as_tokenized, mine_one, oracle_mine, random_token_corpus
 
 
@@ -84,6 +85,16 @@ class TestThresholds:
     def test_rejects_lengths_outside_the_miner(self, length):
         with pytest.raises(DataError, match=rf"only lengths 1\.\.3; got \[{length}\]"):
             ThresholdFn({1: 5, 2: 4, 3: 3, length: 2})
+
+    @pytest.mark.parametrize(
+        "by_length",
+        [{1.0: 5, 2: 4, 3: 3}, {True: 5, 2: 4, 3: 3}, {1: 5, 2: 4, 3: 3, "x": 1}],
+        ids=["float", "bool", "str"],
+    )
+    def test_rejects_lengths_that_are_not_ints(self, by_length):
+        (bad,) = [n for n in by_length if type(n) is not int]
+        with pytest.raises(DataError, match=rf"threshold lengths must be integers, got \[{bad!r}\]"):
+            ThresholdFn(by_length)
 
     def test_parse_rejects_a_repeated_length(self):
         with pytest.raises(DataError, match="gives length 1 twice"):
@@ -269,6 +280,27 @@ class TestMineCorpus:
         index = build_index(docs)
         with pytest.raises(DataError, match="contains whitespace"):
             mine_corpus(docs, index, tmp_path / "spans.jsonl", stoplist=frozenset(), workers=workers)
+
+    @pytest.mark.parametrize("max_spans", [None, 0])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_line_is_what_json_dumps_writes(self, tmp_path, workers, max_spans):
+        docs = [
+            doc_of(['say"hi', "back\\slash", "café", "東京"], doc_id='q"1\\'),
+            doc_of(["東京", "大学", "ctl\x01x", 'say"hi'], doc_id="é\u2028東\x00"),
+            doc_of(["the", "of", "and"], doc_id="stop\x1f"),  # stop words only: no kept spans
+            doc_of(["back\\slash", "大学", "plain"], doc_id="p"),
+        ]
+        index = build_index(docs)
+        thresholds = ThresholdFn({1: 9, 2: 9, 3: 9})
+        out = tmp_path / "spans.jsonl"
+        mine_corpus(docs, index, out, thresholds, max_spans=max_spans, workers=workers)
+        expected = [
+            {"id": doc.doc_id, "spans": _as_items(oracle_mine(doc, index, thresholds, DEFAULT_STOPWORDS, max_spans))}
+            for doc in docs
+        ]
+        assert [bool(r["spans"]) for r in expected] == [max_spans is None, max_spans is None, False, max_spans is None]
+        lines = out.read_bytes().decode("utf-8").split("\n")  # not splitlines(): an id holds U+2028
+        assert lines == [json.dumps(record, ensure_ascii=False) for record in expected] + [""]
 
     def test_load_spans_round_trip(self, tmp_path):
         corpus = build_synthetic()
