@@ -118,6 +118,30 @@ def _refuse_output_over_input(args) -> None:
                 )
 
 
+def _refuse_unwritable_output(args) -> None:
+    """Refuse, as an I/O error, an output path that is a directory or whose directory does not exist.
+
+    ``demo --out`` names the directory the demo writes into, so it is not checked.
+    """
+    if args.func is _cmd_demo:
+        return
+    for out_flag in _OUTPUT_FLAGS:
+        out = getattr(args, out_flag, None)
+        if not out:
+            continue
+        if os.path.isdir(out):
+            raise IsADirectoryError(f"--{out_flag} {out} is a directory")
+        parent = os.path.dirname(out) or os.curdir
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(f"--{out_flag} {out}: there is no directory {parent} to write it in")
+
+
+def _check_paths(args) -> None:
+    """The checks every command line gets before its command reads any input."""
+    _refuse_unwritable_output(args)
+    _refuse_output_over_input(args)
+
+
 def _cmd_stats(args) -> dict:
     docs, issues = _load_docs(args, args.corpus)
     stats = dataset_stats(docs)
@@ -274,7 +298,7 @@ def _cmd_demo(args) -> dict:
     def stage(*argv: str) -> dict:
         logger.info("demo: spanmine %s", " ".join(argv))
         stage_args = build_parser().parse_args(argv)
-        _refuse_output_over_input(stage_args)
+        _check_paths(stage_args)
         result = stage_args.func(stage_args)
         written.update(Path(path).name for flag in _OUTPUT_FLAGS if (path := getattr(stage_args, flag, None)))
         return {key: value for key, value in result.items() if key not in _OUTPUT_FLAGS}
@@ -370,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score keyphrase predictions")
     p.add_argument("--preds", required=True, help="text file, one prediction line per document")
     p.add_argument("--gold", required=True, help="JSONL corpus with keyphrases")
-    p.add_argument("--sep", default=";")
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--sep", default=";", help="string that joins the phrases of a prediction line (default: ;)")
+    p.add_argument("--k", type=int, default=5, help="cut-off of F1@k: the first k deduplicated predictions (default: 5)")
     p.add_argument("--report", default=None, help="write the full JSON report here")
     _add_schema_flags(p)
     p.set_defaults(func=_cmd_eval)
@@ -417,7 +441,7 @@ def run(argv=None) -> int:
     logger.info("%s parameters: %s", args.command, params)
     started = time.perf_counter()
     try:
-        _refuse_output_over_input(args)
+        _check_paths(args)
         result = args.func(args)
         elapsed = time.perf_counter() - started
         summary = {

@@ -84,21 +84,26 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
         raise DataError(_where_utf8_fails(path)) from exc
 
 
+def refuse_non_finite(record, what: str) -> None:
+    """Raise DataError naming ``what`` when a NaN or infinity sits anywhere in ``record``."""
+    stack = [[record]]
+    while stack:
+        container = stack.pop()
+        for value in container.values() if isinstance(container, dict) else container:
+            if isinstance(value, float):
+                if not math.isfinite(value):
+                    raise DataError(f"{what} holds {value}, which strict JSON cannot encode")
+            elif isinstance(value, (dict, list, tuple)):
+                stack.append(value)
+
+
 def write_json(record, dest, what: str) -> None:
     """Stream ``record`` as indented strict JSON and a newline to ``dest``, a path or an open text stream.
 
     A NaN or infinity anywhere in ``record`` raises DataError naming
     ``what`` before ``dest`` is opened or written.
     """
-    stack = [record]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, dict):
-            stack.extend(item.values())
-        elif isinstance(item, (list, tuple)):
-            stack.extend(item)
-        elif isinstance(item, float) and not math.isfinite(item):
-            raise DataError(f"{what} holds {item}, which strict JSON cannot encode")
+    refuse_non_finite(record, what)
     with nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii as quote  # the escaper of json.dumps(ensure_ascii=True)
+from operator import itemgetter
 
-from .corpus import Document, contains, model_input, read_lines, text_tokens, write_json
+from .corpus import Document, contains, model_input, read_lines, refuse_non_finite, text_tokens
 from .errors import AlignmentError, DataError
 from .porter import stem
 
@@ -65,13 +67,7 @@ class KeyphraseSet:
 
     def deduped(self) -> list[tuple[str, ...]]:
         """Stemmed phrases with later duplicates removed, order preserved."""
-        out: list[tuple[str, ...]] = []
-        seen: set[tuple[str, ...]] = set()
-        for phrase in self.stemmed:
-            if phrase not in seen:
-                seen.add(phrase)
-                out.append(phrase)
-        return out
+        return list(dict.fromkeys(self.stemmed))
 
 
 def keyphrase_set(raw_phrases: Iterable[str], stems: StemMemo | None = None) -> KeyphraseSet:
@@ -135,23 +131,25 @@ class MetricScores:
     num_matches: int
 
 
-def _match(preds: list[tuple[str, ...]], gold: KeyphraseSet, denominator: int) -> MetricScores:
-    """Score deduplicated ``preds`` against ``gold``; precision divides by ``denominator``."""
-    gold_dedup = gold.deduped()
-    if not gold_dedup:
+def _match(preds: list[tuple[str, ...]], gold: set[tuple[str, ...]], denominator: int) -> MetricScores:
+    """Score deduplicated stemmed ``preds`` against the distinct stemmed ``gold`` phrases.
+
+    Precision divides by ``denominator``. The one matcher behind ``f1_at_k``,
+    ``f1_at_m`` and ``evaluate``.
+    """
+    if not gold:
         raise DataError("empty gold set; skip this document for the category instead")
-    gold_lookup = set(gold_dedup)
-    matches = sum(1 for p in preds if p in gold_lookup)
+    matches = len(gold.intersection(preds))  # preds hold no duplicates
     precision = matches / denominator if denominator else 0.0
-    recall = matches / len(gold_dedup)
+    recall = matches / len(gold)
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return MetricScores(precision, recall, f1, len(preds), len(gold_dedup), matches)
+    return MetricScores(precision, recall, f1, len(preds), len(gold), matches)
 
 
 def f1_at_m(preds: KeyphraseSet, gold: KeyphraseSet) -> MetricScores:
     """Precision/recall/F1 over all deduplicated predictions."""
     dedup = preds.deduped()
-    return _match(dedup, gold, len(dedup))
+    return _match(dedup, set(gold.stemmed), len(dedup))
 
 
 def f1_at_k(preds: KeyphraseSet, gold: KeyphraseSet, k: int = 5) -> MetricScores:
@@ -161,7 +159,7 @@ def f1_at_k(preds: KeyphraseSet, gold: KeyphraseSet, k: int = 5) -> MetricScores
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-    return _match(preds.deduped()[:k], gold, k)
+    return _match(preds.deduped()[:k], set(gold.stemmed), k)
 
 
 @dataclass(frozen=True)
@@ -256,7 +254,10 @@ def evaluate(
             if not len(gold_cat):
                 report.docs_skipped += 1
                 continue
-            report.per_doc.append(DocScores(doc.id, f1_at_k(pred_cat, gold_cat, k), f1_at_m(pred_cat, gold_cat)))
+            # what f1_at_k and f1_at_m score, de-duplicated once for both
+            preds = pred_cat.deduped()
+            gold_set = set(gold_cat.stemmed)
+            report.per_doc.append(DocScores(doc.id, _match(preds[:k], gold_set, k), _match(preds, gold_set, len(preds))))
     return EvalReport(
         k=k,
         num_docs=len(gold_docs),
@@ -272,11 +273,64 @@ def evaluate_file(
     k: int = 5,
     report_path=None,
 ) -> EvalReport:
-    """Evaluate a one-line-per-document predictions file; optionally write JSON."""
+    """Evaluate a one-line-per-document predictions file; optionally write the JSON report.
+
+    The report at ``report_path`` is ``report.to_dict()``, formatted from its
+    fixed schema: its bytes are identical to what ``json.dump(record, fh,
+    indent=2)`` and a newline write. A NaN or infinity anywhere in it raises
+    DataError before anything is written.
+    """
     predictions = [line.rstrip("\n") for _, line in read_lines(preds_path)]
     while predictions and not predictions[-1].strip():
         predictions.pop()
     report = evaluate(predictions, gold_docs, sep=sep, k=k)
     if report_path is not None:
-        write_json(report.to_dict(), report_path, f"report {report_path}")
+        _write_report(report.to_dict(), report_path)
     return report
+
+
+# One score object of a per_doc row, as json.dumps(indent=2) lays it out at
+# its depth, and its values in order; to_dict writes the MetricScores fields
+# in declaration order.
+_SCORE_FIELDS = tuple(f.name for f in fields(MetricScores))
+_SCORES = "{\n" + ",\n".join(f'          "{name}": %r' for name in _SCORE_FIELDS) + "\n        }"
+_score_values = itemgetter(*_SCORE_FIELDS)
+
+
+def _write_report(record: dict, path) -> None:
+    """Write ``record``, an ``EvalReport.to_dict()``, to ``path`` as ``json.dumps(record, indent=2)`` and a newline.
+
+    The text is formatted from the report's fixed layout: three header
+    ints, then for each category its means and counts (written in the
+    record's key order) and one row per scored document. Ids are escaped
+    as ``ensure_ascii`` escapes them, floats and ints are written by their
+    ``repr``, and each row is one write. The record is checked as
+    ``write_json`` checks it, so a NaN or infinity raises DataError before
+    ``path`` is opened.
+    """
+    refuse_non_finite(record, f"report {path}")
+    at_k = f"at_{record['k']}"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            f'{{\n  "schema_version": {record["schema_version"]!r},\n  "k": {record["k"]!r},'
+            f'\n  "num_docs": {record["num_docs"]!r}'
+        )
+        for name in ("present", "absent"):
+            category = record[name]
+            fh.write(f',\n  "{name}": {{\n')
+            fh.write("".join(f'    "{key}": {value!r},\n' for key, value in category.items() if key != "per_doc"))
+            rows = category["per_doc"]
+            if not rows:
+                fh.write('    "per_doc": []\n  }')
+                continue
+            fh.write('    "per_doc": [')
+            lead = "\n"
+            for row in rows:
+                fh.write(
+                    f'{lead}      {{\n        "id": {quote(row["id"])},'
+                    f'\n        "{at_k}": {_SCORES % _score_values(row[at_k])},'
+                    f'\n        "at_m": {_SCORES % _score_values(row["at_m"])}\n      }}'
+                )
+                lead = ",\n"
+            fh.write("\n    ]\n  }")
+        fh.write("\n}\n")

@@ -129,12 +129,13 @@ def oracle_mine(doc, index, thresholds, stoplist, max_spans=None):
 
 
 def oracle_locate_occurrences(tokens, spans):
-    """Reference span locator: slide a window over the document once per distinct span."""
+    """Reference span locator: slide a window over the document once per distinct span; an empty span matches nothing."""
     claimed = [False] * len(tokens)
     found = []
     unique = {}
     for span in sorted(spans, key=lambda s: (-s.length, s.rank, s.tokens)):
-        unique.setdefault(span.tokens, span)
+        if span.tokens:
+            unique.setdefault(span.tokens, span)
     for span in unique.values():
         n = span.length
         i = 0

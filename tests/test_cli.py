@@ -350,6 +350,40 @@ class TestSubcommands:
         assert "is the same file as --corpus" in caplog.text
         assert corpus.read_bytes() == before
 
+    # Each output flag's command line, less the flag, and the stage function it runs.
+    OUTPUT_HEADS = {
+        "index --out": (["index", "--corpus", "{corpus}"], "_cmd_index"),
+        "mine --out": (["mine", "--index", "{index}", "--corpus", "{corpus}", "--threads", "1"], "_cmd_mine"),
+        "corrupt --out": (["corrupt", "--objective", "ti", "--index", "{index}", "--corpus", "{corpus}"], "_cmd_corrupt"),
+        "eval --report": (["eval", "--preds", "{corpus}", "--gold", "{corpus}"], "_cmd_eval"),
+        "analyze success --report": (["analyze", "success", "--gold", "{corpus}", "--index", "{index}"], "_cmd_analyze"),
+        "analyze overlap --report": (["analyze", "overlap", "--gold", "{corpus}", "--spans", "{corpus}"], "_cmd_analyze"),
+        "analyze spans --report": (["analyze", "spans", "--spans", "{corpus}"], "_cmd_analyze"),
+    }
+
+    @pytest.mark.parametrize("unwritable", ["missing directory", "a directory"])
+    @pytest.mark.parametrize("flag", list(OUTPUT_HEADS))
+    def test_an_unwritable_output_fails_before_any_input_is_read(
+        self, corpus, tmp_path, caplog, capsys, monkeypatch, flag, unwritable
+    ):
+        head, stage = self.OUTPUT_HEADS[flag]
+        called = []
+        monkeypatch.setattr(cli, stage, lambda args: called.append(args) or {})
+        index = tmp_path / "idx.spmi"  # never built: nothing may read it
+        argv = [arg.format(corpus=corpus, index=index) for arg in head]
+        out = tmp_path / "missing" / "out.json" if unwritable == "missing directory" else tmp_path
+        assert run(["-q", *argv, flag.split()[-1], str(out)]) == EXIT_IO
+        assert called == []
+        expected = f"there is no directory {out.parent} to write it in" if unwritable == "missing directory" else "is a directory"
+        assert f"I/O error: {flag.split()[-1]} {out}" in caplog.text and expected in caplog.text
+        assert "Traceback" not in caplog.text and capsys.readouterr().out == ""
+
+    def test_an_unwritable_output_wins_over_a_bad_threshold_spec(self, corpus, tmp_path, caplog, capsys):
+        argv = ["-q", "mine", "--index", str(tmp_path / "idx.spmi"), "--corpus", str(corpus),
+                "--out", str(tmp_path / "missing" / "spans.jsonl"), "--thresholds", "1:5,1:5", "--threads", "1"]
+        assert run(argv) == EXIT_IO
+        assert "gives length 1 twice" not in caplog.text
+
     # A parsable command line of each subcommand that takes --threads.
     THREADS_HEADS = {
         "mine": ["mine", "--index", "i", "--corpus", "c", "--out", "o"],

@@ -389,6 +389,9 @@ class TestAgainstOracles:
     @example((list("abcacbab"), spans_of("a c a", "a b c", "a c", "a b", "a c b", ranks=[0, 2, 0, 1, 3])))  # one first token
     @example((list("abab"), spans_of("a b", "b", "a b", ranks=[3, 0, 1])))  # the same tokens at two ranks
     @example((list("ababa"), (span for span in spans_of("b a", "a", "a", "b", ranks=[1, 2, 0, 0]))))  # a generator
+    @example((["a", "b"], [SalientSpan((), 0), *spans_of("b", ranks=[1])]))  # an empty span matches nothing
+    @example((list("abab"), [*spans_of("a b", ranks=[2]), SalientSpan((), 0), *spans_of("b", "a", ranks=[1, 3])]))
+    @example((list("aab"), [SalientSpan((), 0), SalientSpan((), 1), *spans_of("a a", "a b", ranks=[1, 0])]))
     @settings(max_examples=300)
     def test_locate_occurrences_matches_window_scan(self, case):
         tokens, spans = case

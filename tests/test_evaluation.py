@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spanmine.evaluation
 from spanmine import (
     AlignmentError,
     DataError,
@@ -244,6 +247,70 @@ class TestEvaluate:
     def test_gold_without_keyphrases_rejected(self):
         with pytest.raises(DataError):
             evaluate(["x"], [Document("d", "t", "b", None)])
+
+
+class TestReportWriter:
+    """The report file is byte for byte what json.dumps(indent=2) writes for ``report.to_dict()``."""
+
+    LINES = ["graph pruning ; dense solvers ; spectral tools", "alpha ; zz ; alpha", "x ; y"]
+    DOCS = [
+        Document("g0", "graph pruning", "we prune graphs with spectral tools", ("graph pruning", "sparse solvers")),
+        Document("g1", "", "alpha beta", ("alpha", "zz", "Alpha")),
+        Document("g2", "t", "b", ()),  # empty gold: skipped in both categories
+    ]
+    ODD_IDS = ['quote " in it', "back\\slash", "café", "東京大学", "line\u2028separator", "bell\x07"]
+
+    @staticmethod
+    def _written(tmp_path, lines, docs, **kw):
+        preds = tmp_path / "preds.txt"
+        preds.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        report_path = tmp_path / "report.json"
+        report = evaluate_file(preds, docs, report_path=report_path, **kw)
+        return report_path.read_bytes(), report
+
+    @staticmethod
+    def _dumped(report) -> bytes:
+        return (json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    def test_matches_json_dumps_for_each_k(self, tmp_path, k):
+        written, report = self._written(tmp_path, self.LINES, self.DOCS, k=k)
+        assert written == self._dumped(report)
+        assert report.present.docs_skipped == report.absent.docs_skipped == 1
+
+    def test_matches_json_dumps_for_ids_that_need_escapes(self, tmp_path):
+        docs = [Document(doc_id, "alpha beta", "gamma", ("alpha", "delta")) for doc_id in self.ODD_IDS]
+        written, report = self._written(tmp_path, ["alpha ; delta"] * len(docs), docs)
+        assert written == self._dumped(report)
+        assert written.isascii()  # ensure_ascii: every non-ASCII id is escaped
+        assert [row["id"] for row in json.loads(written)["absent"]["per_doc"]] == self.ODD_IDS
+
+    @pytest.mark.parametrize("category", ["present", "absent"])
+    def test_matches_json_dumps_for_a_category_with_no_scored_document(self, tmp_path, category):
+        gold = ("alpha beta",) if category == "absent" else ("omega",)  # all present, or all absent
+        written, report = self._written(tmp_path, ["alpha beta"], [Document("d", "alpha beta", "", gold)])
+        assert written == self._dumped(report)
+        assert f'"{category}": {{\n    "f1_at_5": 0.0,'.encode() in written
+        assert b'"per_doc": []\n' in written
+
+    def test_matches_json_dumps_when_no_document_has_gold(self, tmp_path):
+        written, report = self._written(tmp_path, ["x"], [Document("d", "t", "b", ())])
+        assert written == self._dumped(report)
+
+    def test_a_nan_score_is_refused_and_nothing_is_written(self, tmp_path, monkeypatch):
+        match = spanmine.evaluation._match
+        calls = []
+
+        def nan_on_the_third_call(*args):
+            calls.append(args)
+            scores = match(*args)
+            return dataclasses.replace(scores, f1=float("nan")) if len(calls) == 3 else scores
+
+        monkeypatch.setattr(spanmine.evaluation, "_match", nan_on_the_third_call)
+        report_path = tmp_path / "report.json"
+        with pytest.raises(DataError, match=re.escape(f"report {report_path} holds nan, which strict JSON cannot encode")):
+            self._written(tmp_path, self.LINES, self.DOCS)
+        assert len(calls) > 3 and not report_path.exists()
 
 
 @pytest.fixture(scope="module")
