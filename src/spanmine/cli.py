@@ -35,6 +35,7 @@ from .corruption import OBJECTIVES, SPAN_OBJECTIVES, CorruptionConfig, gen_corpu
 from .errors import DataError, SpanmineError
 from .evaluation import evaluate_file
 from .miner import DEFAULT_THRESHOLDS, load_spans, mine_corpus, parse_thresholds
+from .pool import usable_cpus
 from .stopwords import DEFAULT_STOPWORDS, load_stoplist
 
 logger = logging.getLogger("spanmine")
@@ -66,22 +67,23 @@ def _add_schema_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _worker_count(text: str) -> int:
-    """``--threads`` capped at the core count: every worker runs at once, and output never depends on it."""
+    """``--threads`` capped at the CPUs this process may use: every worker runs at once; output never depends on it."""
     try:
         n = int(text)
     except ValueError:
         n = 0
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
-    return min(n, os.cpu_count() or 1)
+    return min(n, usable_cpus())
 
 
 def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threads",
         type=_worker_count,
-        default=os.cpu_count() or 1,
-        help="worker processes, at most the cores (default: cores); mining shards n-grams, corruption documents",
+        default=usable_cpus(),
+        help="worker processes, at most the CPUs this process may use (default: those CPUs); "
+        "mining shards n-grams, corruption documents",
     )
 
 

@@ -33,6 +33,7 @@ from spanmine import (
 )
 from spanmine.corruption import locate_occurrences
 from spanmine.cli import EXIT_OK, run
+from spanmine.pool import usable_cpus
 from spanmine.porter import stem
 from tests.conftest import BruteBM25, as_tokenized, mine_one, random_token_corpus
 
@@ -433,7 +434,7 @@ def test_c7_kp20k_reproduction(tmp_path):
     index = build_index(tokenized)
     spans_path = tmp_path / "kp20k_spans.jsonl"
     mine_corpus(tokenized, index, spans_path, thresholds=ThresholdFn({1: 0, 2: 0, 3: 0}),
-                workers=os.cpu_count() or 1)
+                workers=usable_cpus())
     stats = span_characteristics(load_spans(spans_path))
     print(f"[acceptance] c7 spans/doc: {stats.avg_spans_per_doc:.2f} (reference 9.83 +/-15%)")
     print(f"[acceptance] c7 length mix: {stats.length_distribution} (reference 12/30/58 +/-5)")

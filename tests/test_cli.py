@@ -29,6 +29,7 @@ from spanmine import cli
 from spanmine.cli import EXIT_DATA, EXIT_IO, EXIT_OK, build_parser, run
 from spanmine.corruption import OBJECTIVES
 from spanmine.demo import generate_demo_corpus
+from spanmine.pool import usable_cpus
 from tests.conftest import V1_INDEX, V1_REFUSAL
 from tests.test_corruption import CORRUPTION_DIGESTS
 
@@ -395,8 +396,16 @@ class TestSubcommands:
     def test_threads_capped_at_core_count(self, command):
         head = self.THREADS_HEADS[command]
         parser = build_parser()
-        assert parser.parse_args([*head, "--threads", "100000"]).threads == (os.cpu_count() or 1)
+        assert parser.parse_args([*head, "--threads", "100000"]).threads == usable_cpus()
         assert parser.parse_args([*head, "--threads", "1"]).threads == 1
+
+    @pytest.mark.parametrize("command", ["mine", "corrupt", "demo"])
+    def test_threads_counts_only_the_cpus_this_process_may_use(self, command, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+        head = self.THREADS_HEADS[command]
+        parser = build_parser()
+        assert parser.parse_args([*head, "--threads", "2"]).threads == 1
+        assert parser.parse_args(head).threads == 1
 
     @pytest.mark.parametrize("value", ["0", "-3", "2.5"])
     @pytest.mark.parametrize("command", ["mine", "corrupt", "demo"])
