@@ -5,21 +5,23 @@ and the standard tf saturation with parameters k1 and b. A query is a bag
 of terms scored disjunctively; rank(q, source) counts the documents that
 score strictly higher than the source, so ties favor the source.
 
-The on-disk format (version 2) is a single binary file: a fixed header
-(magic, version, k1, b and the counts of documents, terms and postings),
-one zlib stream of little-endian u32 columns (id byte lengths, document
-lengths, term byte lengths, dfs, doc refs, term frequencies) followed by
-the UTF-8 ids and terms, and a trailing CRC32 of everything before it.
+The on-disk format (version 3) is a single uncompressed binary file: a
+fixed header (magic, version, k1, b and the counts of documents, terms and
+postings), little-endian u32 columns (id byte lengths, document lengths,
+term byte lengths, dfs, doc refs, term frequencies), the UTF-8 ids and
+terms in the order build_index first met them, and a trailing CRC32.
 
-In memory, the doc refs and term frequencies are likewise two corpus-wide
-u32 columns, term by term, and each term's PostingList is its slice of
-them. No Python object is made per posting, so the cyclic garbage
-collector never walks them.
+In memory, BM25Index holds the same columns, the dfs, doc refs and term
+frequencies as u32 arrays, and each term's PostingList is its slice of
+the last two. So saving writes each column whole and loading slices them
+out of the file's bytes. No Python object is made per posting, so the
+cyclic garbage collector never walks them.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 import sys
 import zlib
@@ -27,7 +29,8 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import InitVar, dataclass, field
 from itertools import accumulate, chain, compress, count, islice
 from operator import ge
 from typing import NamedTuple
@@ -36,9 +39,8 @@ from .corpus import TokenizedDoc
 from .errors import ChecksumError, DataError, DuplicateIdError, IndexFormatError
 
 _MAGIC = b"SPMI"
-_VERSION = 2
+_VERSION = 3
 _HEADER = struct.Struct("<4sHddIII")  # magic, version, k1, b, documents, terms, postings
-_ZLIB_LEVEL = 1
 _BIG_ENDIAN = sys.byteorder == "big"
 
 DEFAULT_K1 = 1.2
@@ -94,16 +96,31 @@ def check_term(term: str) -> None:
 
 @dataclass
 class BM25Index:
-    postings: dict[str, PostingList]
-    doc_lens: list[int]
+    """The columns of an index file, and each term's PostingList view of them.
+
+    Slot i is document ``doc_ids[i]``, ``doc_lens[i]`` tokens long. The
+    ``terms``, in order, own consecutive runs of ``dfs`` postings in ``refs``
+    and ``tfs``; ``postings`` maps each term to its run.
+    """
+
     doc_ids: list[str]
-    avg_doc_len: float
+    doc_lens: list[int]
+    terms: InitVar[Sequence[str]]
+    dfs: array
+    refs: array
+    tfs: array
     k1: float
     b: float
+    postings: dict[str, PostingList] = field(init=False, repr=False)
+    avg_doc_len: float = field(init=False)
     _slot_by_id: dict[str, int] = field(init=False, repr=False)
     _norms: list[float] = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, terms: Sequence[str]):
+        ends = list(accumulate(self.dfs))
+        runs = zip(terms, chain((0,), ends), ends)
+        self.postings = {term: PostingList(self.refs, self.tfs, start, end) for term, start, end in runs}
+        self.avg_doc_len = sum(self.doc_lens) / len(self.doc_lens)
         self._slot_by_id = {doc_id: slot for slot, doc_id in enumerate(self.doc_ids)}
         # Length normalization is per document and query-independent.
         self._norms = [
@@ -196,26 +213,25 @@ def build_index(
             else:
                 column.append(slot)
                 term_tfs[term].append(tf)
-    total_len = sum(doc_lens)
-    if not total_len:
+    if not sum(doc_lens):
         raise DataError("cannot build an index from a corpus with no tokens")
-    avg_doc_len = total_len / len(doc_lens)
     # Concatenate the per-term columns, freeing each once it is copied.
-    refs, tfs = array("I"), array("I")
-    postings: dict[str, PostingList] = {}
-    for term in list(term_refs):
-        start = len(refs)
-        refs.extend(term_refs.pop(term))
+    terms = list(term_refs)
+    dfs, refs, tfs = array("I"), array("I"), array("I")
+    for term in terms:
+        column = term_refs.pop(term)
+        dfs.append(len(column))
+        refs.extend(column)
         tfs.extend(term_tfs.pop(term))
-        postings[term] = PostingList(refs, tfs, start, len(refs))
-    return BM25Index(
-        postings=postings,
-        doc_lens=doc_lens,
-        doc_ids=doc_ids,
-        avg_doc_len=avg_doc_len,
-        k1=k1,
-        b=b,
-    )
+    return BM25Index(doc_ids, doc_lens, terms, dfs, refs, tfs, k1, b)
+
+
+def _little_endian(column: array) -> array:
+    """``column`` between host and file (little-endian) byte order: a swapped copy on a big-endian host."""
+    if _BIG_ENDIAN:
+        column = array(column.typecode, column)
+        column.byteswap()
+    return column
 
 
 def _columns(raw: bytes, counts: Sequence[int]) -> list[array]:
@@ -225,9 +241,7 @@ def _columns(raw: bytes, counts: Sequence[int]) -> list[array]:
     for n in counts:
         column = array("I")
         column.frombytes(view[pos : pos + 4 * n])
-        if _BIG_ENDIAN:
-            column.byteswap()
-        columns.append(column)
+        columns.append(_little_endian(column))
         pos += 4 * n
     return columns
 
@@ -242,34 +256,35 @@ def _decode(blob: bytes, lens: array, what: str) -> list[str]:
 
 
 def save_index(index: BM25Index, path) -> None:
-    """Serialize to the single-file binary format described above."""
-    terms = sorted(index.postings)
-    plists = [index.postings[term] for term in terms]
+    """Serialize to the single-file binary format described above.
+
+    The file is written beside ``path`` and moved onto it once complete, so
+    a failed save leaves ``path`` as it was.
+    """
     ids = [doc_id.encode("utf-8") for doc_id in index.doc_ids]
-    words = [term.encode("utf-8") for term in terms]
-    dfs = array("I", map(len, plists))
-    columns = array("I", map(len, ids))
-    for column in (index.doc_lens, map(len, words), dfs):
-        columns.extend(column)
-    # Slices of the shared columns, without the per-call cost of the
-    # refs/tfs properties: these loops run once per term.
-    for plist in plists:
-        columns.extend(plist._refs[plist._start : plist._stop])
-    for plist in plists:
-        columns.extend(plist._tfs[plist._start : plist._stop])
-    if _BIG_ENDIAN:
-        columns.byteswap()
-    out = _HEADER.pack(_MAGIC, _VERSION, index.k1, index.b, index.num_docs, len(terms), sum(dfs))
-    out += zlib.compress(columns.tobytes() + b"".join(ids) + b"".join(words), _ZLIB_LEVEL)
-    with open(path, "wb") as fh:
-        fh.write(out)
-        fh.write(struct.pack("<I", zlib.crc32(out)))
+    words = [term.encode("utf-8") for term in index.postings]
+    lens = array("I", chain(map(len, ids), index.doc_lens, map(len, words)))
+    header = _HEADER.pack(_MAGIC, _VERSION, index.k1, index.b, index.num_docs, len(words), len(index.refs))
+    parts = [header, *map(_little_endian, (lens, index.dfs, index.refs, index.tfs)), b"".join(ids), b"".join(words)]
+    temp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "wb") as fh:
+            crc = 0
+            for part in parts:
+                fh.write(part)
+                crc = zlib.crc32(part, crc)
+            fh.write(struct.pack("<I", crc))
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 def load_index(path) -> BM25Index:
     """Load a saved index; scores reproduce bit-identically.
 
-    Any file that is not a consistent v2 index raises IndexFormatError
+    Any file that is not a consistent v3 index raises IndexFormatError
     (ChecksumError for a checksum mismatch or a truncated file).
     """
     with open(path, "rb") as fh:
@@ -288,27 +303,21 @@ def load_index(path) -> BM25Index:
     _, _, k1, b, num_docs, num_terms, num_postings = _HEADER.unpack_from(data)
     if not (math.isfinite(k1) and k1 > 0 and 0 <= b <= 1):
         raise IndexFormatError(f"index file corrupt (k1={k1}, b={b})")
-    try:
-        raw = zlib.decompress(memoryview(data)[_HEADER.size : -4])
-    except zlib.error as exc:
-        raise IndexFormatError(f"index file corrupt ({exc})") from exc
-    del data
     # Counts are checked against the body before anything is sized by them.
     counts = (num_docs, num_docs, num_terms, num_terms, num_postings, num_postings)
     width = 4 * sum(counts)
-    if len(raw) < width:
+    if len(data) - _HEADER.size - 4 < width:
         raise IndexFormatError("index file corrupt (body shorter than its header counts)")
-    id_lens, doc_lens, term_lens, dfs, refs, tfs = _columns(raw, counts)
-    text = raw[width:]
-    del raw
+    id_lens, doc_lens, term_lens, dfs, refs, tfs = _columns(memoryview(data)[_HEADER.size :], counts)
+    text = data[_HEADER.size + width : -4]
+    del data
     id_bytes = sum(id_lens)
     if id_bytes + sum(term_lens) != len(text) or sum(dfs) != num_postings:
         raise IndexFormatError("index file corrupt (section sizes disagree with the header counts)")
     doc_ids = _decode(text[:id_bytes], id_lens, "document id")
     terms = _decode(text[id_bytes:], term_lens, "term")
     del text
-    total_len = sum(doc_lens)
-    if not total_len:
+    if not sum(doc_lens):
         raise IndexFormatError("index file corrupt (document lengths sum to 0)")
     for what, names in (("document id", doc_ids), ("term", terms)):
         if len(set(names)) != len(names):
@@ -330,14 +339,4 @@ def load_index(path) -> BM25Index:
         raise IndexFormatError(f"index file corrupt (term {term!r} repeats or reorders document {refs[pos]})")
     if 0 in tfs:
         raise IndexFormatError("index file corrupt (a posting has term frequency 0)")
-    postings = {
-        term: PostingList(refs, tfs, start, end) for term, start, end in zip(terms, chain((0,), ends), ends)
-    }
-    return BM25Index(
-        postings=postings,
-        doc_lens=doc_lens.tolist(),
-        doc_ids=doc_ids,
-        avg_doc_len=total_len / num_docs,
-        k1=k1,
-        b=b,
-    )
+    return BM25Index(doc_ids, doc_lens.tolist(), terms, dfs, refs, tfs, k1, b)

@@ -93,15 +93,13 @@ def split_present_absent(
     phrases: KeyphraseSet, doc_stemmed: tuple[str, ...]
 ) -> tuple[KeyphraseSet, KeyphraseSet]:
     """Partition phrases by contiguous occurrence in the stemmed document tokens."""
-    present = [contains(doc_stemmed, p) for p in phrases.stemmed]
-
-    def pick(keep: bool) -> KeyphraseSet:
-        return KeyphraseSet(
-            phrases=tuple(p for p, hit in zip(phrases.phrases, present) if hit is keep),
-            stemmed=tuple(p for p, hit in zip(phrases.stemmed, present) if hit is keep),
-        )
-
-    return pick(True), pick(False)
+    present: tuple[list, list] = ([], [])
+    absent: tuple[list, list] = ([], [])
+    for phrase, stemmed in zip(phrases.phrases, phrases.stemmed):
+        side = present if contains(doc_stemmed, stemmed) else absent
+        side[0].append(phrase)
+        side[1].append(stemmed)
+    return KeyphraseSet(*map(tuple, present)), KeyphraseSet(*map(tuple, absent))
 
 
 def gold_split(

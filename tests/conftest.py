@@ -28,10 +28,15 @@ from spanmine import (
 from spanmine.corpus import contains
 from spanmine.stopwords import DEFAULT_STOPWORDS
 
-# A version-1 index file (front-coded terms, varint postings) of one
-# document "d" holding the token "a"; version 2 refuses it.
+# Index files of one document "d" holding the token "a" in the two earlier
+# formats, which version 3 refuses: version 1 (front-coded terms, varint
+# postings) and version 2 (the columns as one zlib stream, terms sorted).
 V1_INDEX = bytes.fromhex("53504d490100333333333333f33f000000000000e83f0101640101000161010001eeb8d264")
-V1_REFUSAL = r"unsupported index version 1 \(expected 2\); rebuild it with spanmine index"
+V1_REFUSAL = r"unsupported index version 1 \(expected 3\); rebuild it with spanmine index"
+V2_INDEX = bytes.fromhex(
+    "53504d490200333333333333f33f000000000000e83f0100000001000000010000007801636460606044c24026989f920800019900cbe57b5080"
+)
+V2_REFUSAL = r"unsupported index version 2 \(expected 3\); rebuild it with spanmine index"
 
 
 def mine_one(doc, index, thresholds=DEFAULT_THRESHOLDS, stoplist=DEFAULT_STOPWORDS, max_spans=None):

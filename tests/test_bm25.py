@@ -1,4 +1,5 @@
 import gc
+import io
 import math
 import pickle
 import random
@@ -23,20 +24,29 @@ from spanmine import (
 )
 from spanmine.analysis import retrieval_success
 from spanmine.demo import generate_demo_corpus
-from tests.conftest import V1_INDEX, V1_REFUSAL, BruteBM25, as_tokenized, oracle_score, random_token_corpus
+from tests.conftest import (
+    V1_INDEX,
+    V1_REFUSAL,
+    V2_INDEX,
+    V2_REFUSAL,
+    BruteBM25,
+    as_tokenized,
+    oracle_score,
+    random_token_corpus,
+)
 
-V2_HEADER = struct.Struct("<4sHddIII")  # magic, version, k1, b, documents, terms, postings
+HEADER = struct.Struct("<4sHddIII")  # magic, version, k1, b, documents, terms, postings
 
 
-def _read_v2(path):
-    """A saved index's header and decompressed body."""
+def _read_body(path):
+    """A saved index's header and the raw body between it and the CRC32."""
     data = path.read_bytes()
-    return data[: V2_HEADER.size], zlib.decompress(data[V2_HEADER.size : -4])
+    return data[: HEADER.size], data[HEADER.size : -4]
 
 
-def _write_v2(path, header, body):
-    """Recompress ``body`` behind ``header`` and append a valid CRC32."""
-    out = header + zlib.compress(body)
+def _write_body(path, header, body):
+    """Write ``body`` behind ``header`` and append a valid CRC32."""
+    out = header + body
     path.write_bytes(out + struct.pack("<I", zlib.crc32(out)))
 
 
@@ -214,9 +224,7 @@ class TestPersistence:
         assert loaded.doc_lens == index.doc_lens
         assert loaded.avg_doc_len == index.avg_doc_len
         assert loaded.postings == index.postings
-        # Built lists are sliced in first-seen term order, loaded ones in
-        # sorted order; the reprs must still agree.
-        assert repr(sorted(loaded.postings.items())) == repr(sorted(index.postings.items()))
+        assert repr(loaded.postings) == repr(index.postings)
         vocab = sorted(index.postings)
         for _ in range(25):
             query = [rng.choice(vocab) for _ in range(rng.randint(1, 3))]
@@ -224,6 +232,36 @@ class TestPersistence:
             assert loaded.scores(query) == index.scores(query)
             assert loaded.scores(query).get(slot, 0.0) == oracle_score(index, query, slot)
             assert loaded.rank(query, slot) == index.rank(query, slot)
+
+    def test_file_keeps_the_index_term_order(self, tmp_path):
+        # First-seen order is not sorted order: "zeta" comes before "alpha".
+        docs = as_tokenized([["zeta", "mid"], ["alpha", "zeta"], ["mid", "é"]])
+        index = build_index(docs)
+        assert list(index.postings) == ["zeta", "mid", "alpha", "é"]
+        path, again = tmp_path / "idx.spmi", tmp_path / "again.spmi"
+        save_index(index, path)
+        loaded = load_index(path)
+        assert list(loaded.postings) == list(index.postings)
+        save_index(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["again.spmi", "idx.spmi"]
+
+    def test_failed_save_leaves_the_previous_file(self, tmp_path, toy_index, monkeypatch):
+        path = tmp_path / "idx.spmi"
+        save_index(build_index(as_tokenized([["old"]])), path)
+        before = path.read_bytes()
+
+        class FailingFile(io.FileIO):
+            def write(self, data):
+                if self.tell():
+                    raise OSError(28, "No space left on device")
+                return super().write(data)
+
+        monkeypatch.setattr("spanmine.bm25.open", FailingFile, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_index(toy_index, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["idx.spmi"]
 
     def test_no_tracked_object_per_posting(self, tmp_path):
         # 20 documents holding all 60 terms: 1,200 postings, 20 per term.
@@ -285,18 +323,20 @@ class TestPersistence:
              "zero-df"],
     )
     def test_inconsistent_file_is_index_format_error(self, tmp_path, toy_index, fault, message):
+        # toy_index's columns: terms a, b, c with dfs [2, 1, 2] and refs
+        # [0, 1 | 0 | 1, 2]. save_index writes them as they are.
         if fault == "zero-lengths":
             toy_index.doc_lens[:] = [0] * toy_index.num_docs
         elif fault == "posting-past-table":
-            toy_index.postings["c"] = PostingList(array("I", [1, 2, toy_index.num_docs]), array("I", [1, 1, 1]))
+            toy_index.refs[-1] = toy_index.num_docs
         elif fault == "repeated-doc-id":
             toy_index.doc_ids[1] = "d0"
         elif fault == "repeated-doc-ref":
-            toy_index.postings["a"] = PostingList(array("I", [0, 1, 1]), array("I", [1, 2, 5]))
+            toy_index.refs[0] = 1
         elif fault == "descending-doc-ref":
-            toy_index.postings["a"] = PostingList(array("I", [1, 0]), array("I", [2, 1]))
+            toy_index.refs[:2] = array("I", [1, 0])
         else:
-            toy_index.postings["b"] = PostingList(array("I"), array("I"))
+            toy_index.dfs[1:] = array("I", [0, 3])
         path = tmp_path / "idx.spmi"
         save_index(toy_index, path)
         with pytest.raises(IndexFormatError, match=message):
@@ -318,7 +358,7 @@ class TestPersistence:
         # ends with the ids "d0d1d2" and the terms "abc".
         path = tmp_path / "idx.spmi"
         save_index(toy_index, path)
-        header, body = _read_v2(path)
+        header, body = _read_body(path)
         if fault == "repeated-term":
             body = body[:-3] + b"aac"
         elif fault == "short-body":
@@ -330,7 +370,7 @@ class TestPersistence:
         else:
             tfs_at = 4 * (2 * 3 + 2 * 3 + 5)
             body = body[:tfs_at] + struct.pack("<I", 0) + body[tfs_at + 4 :]
-        _write_v2(path, header, body)
+        _write_body(path, header, body)
         with pytest.raises(IndexFormatError, match=message):
             load_index(path)
 
@@ -338,10 +378,10 @@ class TestPersistence:
     def test_non_finite_k1_is_index_format_error(self, tmp_path, toy_index, k1):
         path = tmp_path / "idx.spmi"
         save_index(toy_index, path)
-        header, body = _read_v2(path)
-        fields = list(V2_HEADER.unpack(header))
+        header, body = _read_body(path)
+        fields = list(HEADER.unpack(header))
         fields[2] = k1
-        _write_v2(path, V2_HEADER.pack(*fields), body)
+        _write_body(path, HEADER.pack(*fields), body)
         with pytest.raises(IndexFormatError, match=rf"k1={k1}"):
             load_index(path)
 
@@ -357,11 +397,20 @@ class TestPersistence:
 
     def test_v1_file_is_refused(self, tmp_path):
         # Any prefix of a valid v1 file, down to magic plus version, is
-        # refused by version; the whole file is shorter than a v2 header.
+        # refused by version; the whole file is shorter than a v3 header.
         path = tmp_path / "idx.spmi"
         for end in range(6, len(V1_INDEX) + 1):
             path.write_bytes(V1_INDEX[:end])
             with pytest.raises(IndexFormatError, match=V1_REFUSAL):
+                load_index(path)
+
+    def test_v2_file_is_refused(self, tmp_path):
+        # A whole v2 file has a valid CRC32 and a v3-sized header; it and
+        # any prefix of it, down to magic plus version, are refused by version.
+        path = tmp_path / "idx.spmi"
+        for end in range(6, len(V2_INDEX) + 1):
+            path.write_bytes(V2_INDEX[:end])
+            with pytest.raises(IndexFormatError, match=V2_REFUSAL):
                 load_index(path)
 
     @pytest.mark.parametrize("field", ["doc-id", "term"])
@@ -372,19 +421,19 @@ class TestPersistence:
         doc_id, term = ("dé", "x") if field == "doc-id" else ("d", "é")
         path = tmp_path / "idx.spmi"
         save_index(build_index([TokenizedDoc(doc_id, (term,), 0)]), path)
-        header, body = _read_v2(path)
-        _write_v2(path, header, body.replace("é".encode("utf-8"), b"\xe9\x41"))
+        header, body = _read_body(path)
+        _write_body(path, header, body.replace("é".encode("utf-8"), b"\xe9\x41"))
         with pytest.raises(IndexFormatError, match="invalid UTF-8"):
             load_index(path)
 
 
 @pytest.fixture(scope="module")
 def fuzz_base(tmp_path_factory):
-    """A path for fuzz inputs, and the v2 header and body of a small index."""
+    """A path for fuzz inputs, and the header and body of a small index."""
     path = tmp_path_factory.mktemp("fuzz") / "idx.spmi"
     docs = as_tokenized([["graph", "cut", "graph"], ["cut", "flow"], ["é", "flow", "flow", "x"], ["x"]])
     save_index(build_index(docs), path)
-    return path, *_read_v2(path)
+    return path, *_read_body(path)
 
 
 def _fuzz_load(path, data: bytes) -> None:
@@ -403,7 +452,7 @@ def _fuzz_load(path, data: bytes) -> None:
 
 
 class TestLoadFuzz:
-    """Malformed files end as IndexFormatError, never zlib/struct/Index/Overflow/MemoryError."""
+    """Malformed files end as IndexFormatError, never struct/Index/Overflow/MemoryError."""
 
     @given(
         edits=st.lists(
@@ -420,9 +469,8 @@ class TestLoadFuzz:
     )
     @settings(max_examples=300, deadline=None)
     def test_edited_body(self, fuzz_base, edits, counts):
-        # Edits go to the decompressed body (and optionally the header
-        # counts), which is then recompressed and re-checksummed, so the
-        # parser and not the CRC meets them.
+        # Edits go to the body (and optionally the header counts), which
+        # is then re-checksummed, so the parser and not the CRC meets them.
         path, header, body = fuzz_base
         if counts is not None:
             header = header[:-12] + struct.pack("<III", *counts)
@@ -438,7 +486,7 @@ class TestLoadFuzz:
                 i, j = i - i % 4, j - j % 4
                 chunk = body[j : j + 4][: len(body) - i]
                 body = body[:i] + chunk + body[i + len(chunk) :]
-        out = header + zlib.compress(body)
+        out = header + body
         _fuzz_load(path, out + struct.pack("<I", zlib.crc32(out)))
 
     @given(st.binary(max_size=200), st.booleans())

@@ -30,7 +30,7 @@ from spanmine.cli import EXIT_DATA, EXIT_IO, EXIT_OK, build_parser, run
 from spanmine.corruption import OBJECTIVES
 from spanmine.demo import generate_demo_corpus
 from spanmine.pool import usable_cpus
-from tests.conftest import V1_INDEX, V1_REFUSAL
+from tests.conftest import V1_INDEX, V1_REFUSAL, V2_INDEX, V2_REFUSAL
 from tests.test_corruption import CORRUPTION_DIGESTS
 
 
@@ -262,6 +262,15 @@ class TestSubcommands:
         argv = ["-q", "mine", "--index", str(index), "--corpus", str(corpus), "--out", str(tmp_path / "spans.jsonl")]
         assert run(argv) == EXIT_DATA
         assert re.search(V1_REFUSAL, caplog.text)
+
+    def test_v2_index_is_refused(self, corpus, tmp_path, caplog):
+        index = tmp_path / "idx.spmi"
+        index.write_bytes(V2_INDEX)
+        argv = ["-q", "mine", "--index", str(index), "--corpus", str(corpus), "--out", str(tmp_path / "spans.jsonl")]
+        assert run(argv) == EXIT_DATA
+        assert re.search(V2_REFUSAL, caplog.text)
+        assert "Traceback" not in caplog.text
+        assert not (tmp_path / "spans.jsonl").exists()
 
     def test_io_error_exit_code(self, tmp_path):
         assert run(["-q", "stats", "--corpus", str(tmp_path / "nope.jsonl")]) == EXIT_IO
@@ -559,7 +568,7 @@ class TestDemoDeterminism:
     DEMO_DIGESTS = {
         "corpus.jsonl": "aeb3d5f1a6bf822d5c2c04c97919e3591a7e0c967e278ec9daa999e00f52b358",
         "predictions.txt": "276976767f4b16925695a81a1282ea98fee909ea73621940a38e10ec9012516e",
-        "index.spmi": "21a84551a4afcb41c102e732e182a124136654c7082267a658a10fb8f6638eb3",
+        "index.spmi": "95e485bd1401d9ae11b17a56d39ea8562bf7d7beb6cea6cdba420ca48712fe2e",
         "spans.jsonl": "08baabdf77f82da7cf0689a2dc47de92123ebf08fd0f48e4c6f41ae2eeccc282",
         "eval_report.json": "f1b3fcf0f3937bc892ec305c97b5ae206dbf11f784ea61e57e880789c7a2611e",
         **{f"corrupt_{objective.replace('-', '_')}.jsonl": CORRUPTION_DIGESTS[objective] for objective in OBJECTIVES},
