@@ -11,15 +11,13 @@ The toolkit covers the non-neural half of a keyphrase-generation pipeline:
 
 __version__ = "0.1.0"
 
-from .bm25 import PostingList, build_index, load_index, save_index
+from .bm25 import build_index, load_index, save_index
 from .corpus import (
     Document,
     TokenizedDoc,
     dataset_stats,
     load_corpus,
     model_input,
-    normalize,
-    tokenize,
     write_corpus,
 )
 from .corruption import (
@@ -52,7 +50,6 @@ from .miner import (
     DEFAULT_THRESHOLDS,
     SalientSpan,
     ThresholdFn,
-    candidates,
     load_spans,
     mine_corpus,
 )

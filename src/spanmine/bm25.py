@@ -21,7 +21,6 @@ cyclic garbage collector never walks them.
 from __future__ import annotations
 
 import math
-import os
 import struct
 import sys
 import zlib
@@ -29,13 +28,12 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from contextlib import suppress
 from dataclasses import InitVar, dataclass, field
 from itertools import accumulate, chain, compress, count, islice
 from operator import ge
 from typing import NamedTuple
 
-from .corpus import TokenizedDoc
+from .corpus import TokenizedDoc, replacing
 from .errors import ChecksumError, DataError, DuplicateIdError, IndexFormatError
 
 _MAGIC = b"SPMI"
@@ -52,7 +50,7 @@ class PostingList:
 
     They are the slice [start, stop) of two u32 columns that the index's
     terms share; len() is the document frequency. ``refs`` and ``tfs``
-    return copies of the slice, and two lists are equal when these are.
+    return copies of the slice.
     """
 
     __slots__ = ("_refs", "_tfs", "_start", "_stop")
@@ -71,11 +69,6 @@ class PostingList:
     @property
     def tfs(self) -> array:
         return self._tfs[self._start : self._stop]
-
-    def __eq__(self, other):
-        if not isinstance(other, PostingList):
-            return NotImplemented
-        return self.refs == other.refs and self.tfs == other.tfs
 
     def __repr__(self) -> str:
         return f"PostingList(refs={self.refs!r}, tfs={self.tfs!r})"
@@ -266,19 +259,12 @@ def save_index(index: BM25Index, path) -> None:
     lens = array("I", chain(map(len, ids), index.doc_lens, map(len, words)))
     header = _HEADER.pack(_MAGIC, _VERSION, index.k1, index.b, index.num_docs, len(words), len(index.refs))
     parts = [header, *map(_little_endian, (lens, index.dfs, index.refs, index.tfs)), b"".join(ids), b"".join(words)]
-    temp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(temp, "wb") as fh:
-            crc = 0
-            for part in parts:
-                fh.write(part)
-                crc = zlib.crc32(part, crc)
-            fh.write(struct.pack("<I", crc))
-        os.replace(temp, path)
-    except BaseException:
-        with suppress(OSError):
-            os.unlink(temp)
-        raise
+    with replacing(path, "wb") as fh:
+        crc = 0
+        for part in parts:
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 def load_index(path) -> BM25Index:

@@ -28,6 +28,7 @@ from .corpus import (
     dataset_stats,
     load_corpus,
     model_input,
+    replacing,
     write_corpus,
     write_json,
 )
@@ -294,7 +295,8 @@ def _cmd_demo(args) -> dict:
     )
     docs = demo.generate_demo_corpus(seed=args.seed)
     write_corpus(docs, corpus)
-    preds.write_text("\n".join(demo.generate_demo_predictions(docs, seed=args.seed)) + "\n", encoding="utf-8")
+    with replacing(preds) as fh:
+        fh.write("\n".join(demo.generate_demo_predictions(docs, seed=args.seed)) + "\n")
     written = {corpus.name, preds.name}
 
     def stage(*argv: str) -> dict:

@@ -9,9 +9,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 
 from .errors import CorpusFormatError, DataError, DuplicateIdError
@@ -84,6 +85,25 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
         raise DataError(_where_utf8_fails(path)) from exc
 
 
+@contextmanager
+def replacing(path, mode: str = "w"):
+    """Write a file beside ``path`` (UTF-8 in a text ``mode``) and move it onto ``path`` once the block ends.
+
+    An exception in the block, or in the file's last flush, removes the
+    partial file and leaves ``path`` as it was. ``os.replace`` puts a new
+    file in place, so a ``path`` that is a symlink becomes a regular file.
+    """
+    temp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temp)
+        raise
+
+
 def refuse_non_finite(record, what: str) -> None:
     """Raise DataError naming ``what`` when a NaN or infinity sits anywhere in ``record``."""
     stack = [[record]]
@@ -101,10 +121,10 @@ def write_json(record, dest, what: str) -> None:
     """Stream ``record`` as indented strict JSON and a newline to ``dest``, a path or an open text stream.
 
     A NaN or infinity anywhere in ``record`` raises DataError naming
-    ``what`` before ``dest`` is opened or written.
+    ``what`` before ``dest`` is opened or written. A path is written whole.
     """
     refuse_non_finite(record, what)
-    with nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", encoding="utf-8") as fh:
+    with nullcontext(dest) if hasattr(dest, "write") else replacing(dest) as fh:
         json.dump(record, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
@@ -280,10 +300,10 @@ def load_corpus(
 
 
 def write_corpus(docs: Iterable[Document], path) -> int:
-    """Serialize Documents back to JSONL under the default schema; inverse of load_corpus."""
+    """Serialize Documents back to JSONL under the default schema, written whole; inverse of load_corpus."""
     schema = DEFAULT_SCHEMA
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for doc in docs:
             record = {
                 schema["id"]: doc.id,

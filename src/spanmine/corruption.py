@@ -21,7 +21,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from functools import partial
 
-from .corpus import TokenizedDoc
+from .corpus import TokenizedDoc, replacing
 from .errors import DataError, SkipDocument
 from .miner import SalientSpan
 from .pool import map_shared
@@ -93,12 +93,9 @@ def locate_occurrences(
     """
     tokens = tuple(tokens)
     unique: dict[tuple[str, ...], SalientSpan] = {}
-    # the input index k breaks ties as a stable sort would, so spans are never compared;
-    # an empty span matches nothing
-    by_claim_order = sorted([(-len(s.tokens), s.rank, s.tokens, k, s) for k, s in enumerate(spans) if s.tokens])
-    for _, _, gram, _, span in by_claim_order:
-        if gram not in unique:
-            unique[gram] = span
+    # the key holds every field, so equal keys are equal spans; an empty span matches nothing
+    for span in sorted([s for s in spans if s.tokens], key=lambda s: (-len(s.tokens), s.rank, s.tokens)):
+        unique.setdefault(span.tokens, span)
     starts: dict[str, list[int]] = {gram[0]: [] for gram in unique}
     for i, token in enumerate(tokens):
         positions = starts.get(token)
@@ -327,13 +324,14 @@ def gen_corpus(
     """Write one JSONL example per eligible document and return statistics.
 
     Output depends only on (docs, spans, cfg); same seed means byte
-    identical files across runs and worker counts.
+    identical files across runs and worker counts. The file is written
+    whole, so a failed write leaves any previous ``out_path`` as it was.
     """
     results = map_shared(partial(_build_record, spans_by_id, cfg), list(docs), workers)
 
     examples = original = corrupted = masks = source = 0
     skipped: dict[str, int] = {}
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with replacing(out_path) as fh:
         for skip_reason, line, (n_original, n_corrupted, n_masks, n_source) in results:
             if skip_reason is not None:
                 skipped[skip_reason] = skipped.get(skip_reason, 0) + 1

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as quote  # the escaper of json.dumps(ensure_ascii=True)
 from operator import itemgetter
 
-from .corpus import Document, contains, model_input, read_lines, refuse_non_finite, text_tokens
+from .corpus import Document, contains, model_input, read_lines, refuse_non_finite, replacing, text_tokens
 from .errors import AlignmentError, DataError
 from .porter import stem
 
@@ -304,11 +304,11 @@ def _write_report(record: dict, path) -> None:
     as ``ensure_ascii`` escapes them, floats and ints are written by their
     ``repr``, and each row is one write. The record is checked as
     ``write_json`` checks it, so a NaN or infinity raises DataError before
-    ``path`` is opened.
+    ``path`` is opened. The file is written whole.
     """
     refuse_non_finite(record, f"report {path}")
     at_k = f"at_{record['k']}"
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(
             f'{{\n  "schema_version": {record["schema_version"]!r},\n  "k": {record["k"]!r},'
             f'\n  "num_docs": {record["num_docs"]!r}'

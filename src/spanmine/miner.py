@@ -19,9 +19,10 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from json.encoder import encode_basestring as quote  # the escaper of json.dumps(ensure_ascii=False)
 from operator import neg
+from typing import NamedTuple
 
 from .bm25 import BM25Index, check_term
-from .corpus import DIGIT_TOKEN, SEP_TOKEN, TokenizedDoc, read_lines
+from .corpus import DIGIT_TOKEN, SEP_TOKEN, TokenizedDoc, read_lines, replacing
 from .errors import DataError
 from .pool import map_shared
 from .stopwords import DEFAULT_STOPWORDS
@@ -32,28 +33,14 @@ MAX_NGRAM = 3
 _TUNED_CORPUS_DOCS = 500_000  # size of the auxiliary corpus the default thresholds were tuned on
 
 
-@dataclass(frozen=True)
-class CandidateSpan:
+class CandidateSpan(NamedTuple):
     tokens: tuple[str, ...]
     first_occurrence: int
 
-    def __post_init__(self):
-        if not 1 <= len(self.tokens) <= MAX_NGRAM:
-            raise ValueError(f"candidate length must be 1..{MAX_NGRAM}, got {len(self.tokens)}")
 
-
-@dataclass(frozen=True)
-class SalientSpan:
+class SalientSpan(NamedTuple):
     tokens: tuple[str, ...]
     rank: int
-
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def text(self) -> str:
-        return " ".join(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -349,7 +336,8 @@ def mine_corpus(
     optionally caps each list after sorting. Results map back by input
     position, not slot, so a document passed twice gets two records.
     Output is byte identical for identical inputs regardless of
-    ``workers``, which shard the distinct queries.
+    ``workers``, which shard the distinct queries. The file is written
+    whole, so a failed write leaves any previous ``out_path`` as it was.
     """
     if max_spans is not None and max_spans < 0:
         raise DataError(f"max_spans must be >= 0, got {max_spans}")
@@ -367,7 +355,7 @@ def mine_corpus(
         docs_scored += n_scored
         for pos, query, rank in kept:
             span_lists[pos].append((rank, -len(query), query))
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with replacing(out_path) as fh:
         for doc, spans in zip(doc_list, span_lists):
             spans.sort()
             if max_spans is not None:

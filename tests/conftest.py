@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
@@ -19,13 +20,13 @@ from spanmine import (
     SkipDocument,
     TokenizedDoc,
     build_index,
-    candidates,
     gen_corpus,
     load_spans,
     mine_corpus,
     model_input,
 )
 from spanmine.corpus import contains
+from spanmine.miner import candidates
 from spanmine.stopwords import DEFAULT_STOPWORDS
 
 # Index files of one document "d" holding the token "a" in the two earlier
@@ -129,7 +130,7 @@ def oracle_mine(doc, index, thresholds, stoplist, max_spans=None):
         rank = index.rank(cand.tokens, slot)
         if rank <= thresholds(len(cand.tokens)):
             kept.append(SalientSpan(tokens=cand.tokens, rank=rank))
-    kept.sort(key=lambda s: (s.rank, -s.length, s.tokens))
+    kept.sort(key=lambda s: (s.rank, -len(s.tokens), s.tokens))
     return kept if max_spans is None else kept[:max_spans]
 
 
@@ -138,11 +139,11 @@ def oracle_locate_occurrences(tokens, spans):
     claimed = [False] * len(tokens)
     found = []
     unique = {}
-    for span in sorted(spans, key=lambda s: (-s.length, s.rank, s.tokens)):
+    for span in sorted(spans, key=lambda s: (-len(s.tokens), s.rank, s.tokens)):
         if span.tokens:
             unique.setdefault(span.tokens, span)
     for span in unique.values():
-        n = span.length
+        n = len(span.tokens)
         i = 0
         while i + n <= len(tokens):
             if tuple(tokens[i : i + n]) == span.tokens and not any(claimed[i : i + n]):
@@ -167,7 +168,7 @@ def oracle_ssp_target(spans, sep=";"):
     kept = [
         span
         for span in unique
-        if not any(other.length > span.length and contains(other.tokens, span.tokens) for other in unique)
+        if not any(len(other.tokens) > len(span.tokens) and contains(other.tokens, span.tokens) for other in unique)
     ]
     if not kept:
         raise SkipDocument("no salient spans to predict")
@@ -358,6 +359,32 @@ def random_token_corpus(rng: random.Random, min_docs=5, max_docs=50, max_vocab=3
 
 def as_tokenized(docs_tokens):
     return [TokenizedDoc(doc_id=f"d{i}", tokens=tuple(toks), title_len=0) for i, toks in enumerate(docs_tokens)]
+
+
+class _FullDiskFile(io.FileIO):
+    """A file opened for writing whose writes fail, as on a full disk, once its first bytes are written."""
+
+    def write(self, data):
+        if self.tell():
+            raise OSError(28, "No space left on device")
+        return super().write(data)
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Call it to make every file that ``spanmine.corpus`` then opens for writing fail after its first bytes.
+
+    Every artifact writer opens its file through ``spanmine.corpus.replacing``.
+    Text files write through to the failing file, so no buffer hides the failure.
+    """
+
+    def failing_open(file, mode="r", encoding=None, **kwargs):
+        if "w" not in mode:
+            return open(file, mode, encoding=encoding, **kwargs)
+        raw = _FullDiskFile(file, "w")
+        return raw if "b" in mode else io.TextIOWrapper(raw, encoding=encoding, write_through=True)
+
+    return lambda: monkeypatch.setattr("spanmine.corpus.open", failing_open, raising=False)
 
 
 @pytest.fixture

@@ -26,13 +26,13 @@ from spanmine import (
     apply_mask,
     build_index,
     build_ssp_target,
-    candidates,
     evaluate,
     gen_corpus,
     plan_corruption,
 )
-from spanmine.corruption import locate_occurrences
 from spanmine.cli import EXIT_OK, run
+from spanmine.corruption import locate_occurrences
+from spanmine.miner import candidates
 from spanmine.pool import usable_cpus
 from spanmine.porter import stem
 from tests.conftest import BruteBM25, as_tokenized, mine_one, random_token_corpus

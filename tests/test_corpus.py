@@ -4,21 +4,24 @@ from hypothesis import strategies as st
 
 from spanmine import (
     CorpusFormatError,
+    CorruptionConfig,
     DataError,
     Document,
     DuplicateIdError,
+    ThresholdFn,
+    build_index,
     dataset_stats,
     evaluate_file,
+    gen_corpus,
     keyphrase_set,
     load_corpus,
     load_spans,
     load_stoplist,
+    mine_corpus,
     model_input,
-    normalize,
-    tokenize,
     write_corpus,
 )
-from spanmine.corpus import contains, text_tokens
+from spanmine.corpus import contains, normalize, text_tokens, tokenize, write_json
 from spanmine.demo import generate_demo_corpus, generate_demo_predictions
 
 
@@ -414,3 +417,45 @@ def test_stoplist_warns_once_about_entries_that_never_match_a_token(tmp_path, ca
     assert warnings == [
         f"{path}: 4 of the stop list's entries can never match a token; the first, on line 2, tokenizes as 'covid - <digit>'"
     ]
+
+
+def _writers():
+    """Each artifact writer as ``write(out_path, input_dir)``, on inputs that take it more than one write."""
+    docs = [model_input(Document(id=f"w{i}", title="graph cut", body=f"cut {i} graph")) for i in range(3)]
+    gold = [Document(id=d.doc_id, title="graph cut", body="cut graph", keyphrases=("graph",)) for d in docs]
+
+    def eval_report(out, inputs):
+        preds = inputs / "preds.txt"
+        preds.write_text("graph\ncut\ngraph;cut\n", encoding="utf-8")
+        evaluate_file(preds, gold, report_path=out)
+
+    return {
+        "mine_corpus": lambda out, _: mine_corpus(docs, build_index(docs), out, ThresholdFn({1: 9, 2: 9, 3: 9})),
+        "gen_corpus": lambda out, _: gen_corpus(docs, None, CorruptionConfig("ti"), out),
+        "evaluate_file": eval_report,
+        "write_json": lambda out, _: write_json({"docs": [1, 2, 3]}, out, "a record"),
+        "write_corpus": lambda out, _: write_corpus(gold, out),
+    }
+
+
+class TestWholeFiles:
+    """Every artifact is written beside its path and moved onto it; the index is tested in test_bm25."""
+
+    @pytest.mark.parametrize("writer", list(_writers()))
+    def test_failed_write_leaves_the_previous_file(self, tmp_path, full_disk, writer):
+        out = tmp_path / "out" / "artifact"
+        out.parent.mkdir()
+        out.write_bytes(b"the previous run's file\n")
+        full_disk()
+        with pytest.raises(OSError, match="No space left"):
+            _writers()[writer](out, tmp_path)
+        assert out.read_bytes() == b"the previous run's file\n"
+        assert [p.name for p in out.parent.iterdir()] == ["artifact"]
+
+    def test_a_symlinked_output_becomes_a_regular_file(self, tmp_path):
+        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        target.write_text("kept\n", encoding="utf-8")
+        link.symlink_to(target)
+        write_corpus([Document(id="a", title="t", body="b")], link)
+        assert not link.is_symlink() and list(load_corpus(link)) == [Document(id="a", title="t", body="b")]
+        assert target.read_text(encoding="utf-8") == "kept\n"

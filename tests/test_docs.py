@@ -1,0 +1,43 @@
+"""The README names only APIs that exist."""
+
+import dataclasses
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import spanmine
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+MODULES = [spanmine] + [importlib.import_module(f"spanmine.{info.name}") for info in pkgutil.iter_modules(spanmine.__path__)]
+CLASSES = [obj for m in MODULES for obj in vars(m).values() if isinstance(obj, type) and obj.__module__ == m.__name__]
+
+# Backticked words in these sections that name no spanmine API: the standard
+# library, and the index file's magic and header fields.
+NOT_SPANMINE = {"array", "b", "dataclasses.asdict", "k1", "len", "os.replace", "SPMI", "struct"}
+
+
+def _members(obj) -> set[str]:
+    fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else set()
+    return set(dir(obj)) | fields
+
+
+def _resolves(name: str) -> bool:
+    """``name`` is a name of spanmine or one of its modules, ``Owner.member`` of one, or a member of a class there."""
+    owner, _, member = name.rpartition(".")
+    if owner:
+        return any(member in _members(vars(m)[owner]) for m in MODULES if owner in vars(m))
+    return any(name in vars(m) for m in MODULES) or any(name in _members(cls) for cls in CLASSES)
+
+
+def _api_names(section: str) -> set[str]:
+    """Backticked identifiers, each alone or called with arguments, such as `load_spans` or `mine_corpus(docs, ...)`."""
+    return set(re.findall(r"`([A-Za-z_][\w.]*)(?:\([^`]*\))?`", section)) - NOT_SPANMINE
+
+
+def test_readme_names_only_apis_that_exist():
+    from_python = README[README.index("From Python") :].split("\n\n", 1)[0]
+    index_format = README[README.index("## Index file format") :].split("\n## ", 1)[0]
+    names = _api_names(from_python) | _api_names(index_format)
+    assert {"mine_corpus", "load_spans", "to_dict", "BM25Index.postings", "PostingList"} <= names
+    assert sorted(name for name in names if not _resolves(name)) == []

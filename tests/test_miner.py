@@ -11,7 +11,6 @@ from spanmine import (
     ThresholdFn,
     TokenizedDoc,
     build_index,
-    candidates,
     load_index,
     load_spans,
     mine_corpus,
@@ -20,7 +19,7 @@ from spanmine import (
 )
 from spanmine.analysis import span_characteristics
 from spanmine.demo import generate_demo_corpus
-from spanmine.miner import DEFAULT_THRESHOLDS, parse_thresholds
+from spanmine.miner import DEFAULT_THRESHOLDS, candidates, parse_thresholds
 from spanmine.stopwords import DEFAULT_STOPWORDS
 from tests.conftest import BruteBM25, as_tokenized, mine_one, oracle_mine, random_token_corpus
 
@@ -167,7 +166,7 @@ class TestMine:
         index = build_index(as_tokenized(corpus))
         doc = as_tokenized(corpus)[7]
         spans = mine_one(doc, index, ThresholdFn({1: 30, 2: 30, 3: 30}), frozenset())
-        keys = [(s.rank, -s.length, s.tokens) for s in spans]
+        keys = [(s.rank, -len(s.tokens), s.tokens) for s in spans]
         assert keys == sorted(keys)
 
     def test_doc_not_in_index(self):
@@ -318,7 +317,7 @@ def _records(path):
 
 
 def _as_items(spans):
-    return [{"text": s.text, "rank": s.rank, "len": s.length} for s in spans]
+    return [{"text": " ".join(s.tokens), "rank": s.rank, "len": len(s.tokens)} for s in spans]
 
 
 def _random_mining_case(rng):
@@ -351,8 +350,8 @@ def _assert_matches_oracles(out, subset, index, brute, thresholds, stoplist=froz
             for c in candidates(doc, stoplist)
         ]
         by_brute = sorted(
-            (s for s in by_brute if s.rank <= thresholds(s.length)),
-            key=lambda s: (s.rank, -s.length, s.tokens),
+            (s for s in by_brute if s.rank <= thresholds(len(s.tokens))),
+            key=lambda s: (s.rank, -len(s.tokens), s.tokens),
         )
         assert record["spans"] == _as_items(by_brute[:max_spans] if max_spans is not None else by_brute)
 
@@ -549,6 +548,16 @@ def test_demo_spans_golden_digest(tmp_path, thresholds, subset_step, max_spans, 
         from_file.total_spans,
         from_file.length_distribution,
     )
+
+
+def test_load_spans_reads_plain_tuples(tmp_path):
+    docs = [model_input(doc) for doc in generate_demo_corpus()]
+    out = tmp_path / "spans.jsonl"
+    mine_corpus(docs, build_index(docs), out, DEFAULT_THRESHOLDS.scaled_to(len(docs)))
+    as_json = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    expected = {r["id"]: [(tuple(s["text"].split()), s["rank"]) for s in r["spans"]] for r in as_json}
+    assert sum(map(len, expected.values())) > len(docs)
+    assert load_spans(out) == expected
 
 
 MALFORMED_SPANS = {
