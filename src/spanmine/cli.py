@@ -258,7 +258,7 @@ def _cmd_corrupt(args) -> dict:
 def _cmd_eval(args) -> dict:
     docs, _ = _load_docs(args, args.gold)
     report = evaluate_file(args.preds, docs, sep=args.sep, k=args.k, report_path=args.report)
-    result = report.to_dict(include_per_doc=False)
+    result = report.to_dict()
     if args.report:
         result["report"] = str(args.report)
     return result
@@ -448,13 +448,13 @@ def run(argv=None) -> int:
         _check_paths(args)
         result = args.func(args)
         elapsed = time.perf_counter() - started
-        summary = {
+        header = {
             "schema_version": SUMMARY_SCHEMA_VERSION,
             "command": args.command,
             "elapsed_sec": round(elapsed, 3),
-            **result,
         }
-        write_json(summary, sys.stdout, "the run summary")
+        # The header comes first and wins over a result's own keys, such as eval's schema_version.
+        write_json({**header, **result, **header}, sys.stdout, "the run summary")
     except UsageError as exc:
         parser.error(str(exc))  # exits 2
     except DataError as exc:

@@ -90,17 +90,21 @@ def replacing(path, mode: str = "w"):
     """Write a file beside ``path`` (UTF-8 in a text ``mode``) and move it onto ``path`` once the block ends.
 
     An exception in the block, or in the file's last flush, removes the
-    partial file and leaves ``path`` as it was. ``os.replace`` puts a new
-    file in place, so a ``path`` that is a symlink becomes a regular file.
+    partial file and leaves ``path`` as it was; an ``OSError`` that names no
+    file, or the file beside ``path``, is raised again naming ``path``, so
+    the block should only write. ``os.replace`` puts a new file in place, so a
+    ``path`` that is a symlink becomes a regular file.
     """
     temp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(temp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(temp, path)
-    except BaseException:
+    except BaseException as exc:
         with suppress(OSError):
             os.unlink(temp)
+        if isinstance(exc, OSError) and exc.errno is not None and exc.filename in (None, temp):
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

@@ -13,13 +13,13 @@ reproducible per document no matter the processing order or worker count.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
 import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from functools import partial
+from json.encoder import encode_basestring as quote  # the escaper of json.dumps(ensure_ascii=False)
 
 from .corpus import TokenizedDoc, replacing
 from .errors import DataError, SkipDocument
@@ -307,10 +307,8 @@ def _build_record(spans_by_id, cfg: CorruptionConfig, doc: TokenizedDoc):
     corrupted = sum(end - start for start, end in plan)
     masks = len(plan) if cfg.objective in _MASK_OBJECTIVES else 0
     stats = (len(doc.tokens), corrupted, masks, len(source))
-    line = json.dumps(
-        {"id": doc.doc_id, "source": " ".join(source), "target": " ".join(target)},
-        ensure_ascii=False,
-    )
+    # {"id", "source", "target"}, byte for byte what json.dumps(record, ensure_ascii=False) writes
+    line = f'{{"id": {quote(doc.doc_id)}, "source": {quote(" ".join(source))}, "target": {quote(" ".join(target))}}}'
     return None, line, stats
 
 

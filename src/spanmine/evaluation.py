@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as quote  # the escaper of json.dumps(ensure_ascii=True)
-from operator import itemgetter
+from typing import NamedTuple
 
 from .corpus import Document, contains, model_input, read_lines, refuse_non_finite, replacing, text_tokens
 from .errors import AlignmentError, DataError
@@ -119,8 +119,7 @@ def gold_split(
     return (doc_stemmed, gold, *split_present_absent(gold, doc_stemmed))
 
 
-@dataclass(frozen=True)
-class MetricScores:
+class MetricScores(NamedTuple):
     precision: float
     recall: float
     f1: float
@@ -160,8 +159,7 @@ def f1_at_k(preds: KeyphraseSet, gold: KeyphraseSet, k: int = 5) -> MetricScores
     return _match(preds.deduped()[:k], set(gold.stemmed), k)
 
 
-@dataclass(frozen=True)
-class DocScores:
+class DocScores(NamedTuple):
     doc_id: str
     at_k: MetricScores
     at_m: MetricScores
@@ -182,7 +180,9 @@ class EvalReport:
     present: CategoryReport
     absent: CategoryReport
 
-    def to_dict(self, include_per_doc: bool = True) -> dict:
+    def to_dict(self) -> dict:
+        """The header and each category's means and counts, as ``spanmine eval`` prints them; no ``per_doc`` rows."""
+
         def cat(report: CategoryReport) -> dict:
             rows = report.per_doc
             n = len(rows)
@@ -190,7 +190,7 @@ class EvalReport:
             def mean(values) -> float:
                 return sum(values) / n if n else 0.0
 
-            out = {
+            return {
                 f"f1_at_{self.k}": mean(d.at_k.f1 for d in rows),
                 "f1_at_m": mean(d.at_m.f1 for d in rows),
                 f"precision_at_{self.k}": mean(d.at_k.precision for d in rows),
@@ -200,16 +200,6 @@ class EvalReport:
                 "docs_scored": n,
                 "docs_skipped": report.docs_skipped,
             }
-            if include_per_doc:
-                out["per_doc"] = [
-                    {
-                        "id": d.doc_id,
-                        f"at_{self.k}": vars(d.at_k).copy(),
-                        "at_m": vars(d.at_m).copy(),
-                    }
-                    for d in report.per_doc
-                ]
-            return out
 
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
@@ -273,61 +263,59 @@ def evaluate_file(
 ) -> EvalReport:
     """Evaluate a one-line-per-document predictions file; optionally write the JSON report.
 
-    The report at ``report_path`` is ``report.to_dict()``, formatted from its
-    fixed schema: its bytes are identical to what ``json.dump(record, fh,
-    indent=2)`` and a newline write. A NaN or infinity anywhere in it raises
-    DataError before anything is written.
+    The report at ``report_path`` is ``report.to_dict()`` with each
+    category's ``per_doc`` rows added, formatted from that fixed schema: its
+    bytes are identical to what ``json.dump(record, fh, indent=2)`` and a
+    newline write. A NaN or infinity anywhere in it raises DataError before
+    anything is written.
     """
     predictions = [line.rstrip("\n") for _, line in read_lines(preds_path)]
     while predictions and not predictions[-1].strip():
         predictions.pop()
     report = evaluate(predictions, gold_docs, sep=sep, k=k)
     if report_path is not None:
-        _write_report(report.to_dict(), report_path)
+        _write_report(report, report_path)
     return report
 
 
 # One score object of a per_doc row, as json.dumps(indent=2) lays it out at
-# its depth, and its values in order; to_dict writes the MetricScores fields
-# in declaration order.
-_SCORE_FIELDS = tuple(f.name for f in fields(MetricScores))
-_SCORES = "{\n" + ",\n".join(f'          "{name}": %r' for name in _SCORE_FIELDS) + "\n        }"
-_score_values = itemgetter(*_SCORE_FIELDS)
+# its depth: the MetricScores fields in declaration order.
+_SCORES = "{\n" + ",\n".join(f'          "{name}": %r' for name in MetricScores._fields) + "\n        }"
 
 
-def _write_report(record: dict, path) -> None:
-    """Write ``record``, an ``EvalReport.to_dict()``, to ``path`` as ``json.dumps(record, indent=2)`` and a newline.
+def _write_report(report: EvalReport, path) -> None:
+    """Write ``report.to_dict()`` and the ``per_doc`` rows to ``path`` as ``json.dumps(indent=2)`` and a newline.
 
-    The text is formatted from the report's fixed layout: three header
-    ints, then for each category its means and counts (written in the
-    record's key order) and one row per scored document. Ids are escaped
-    as ``ensure_ascii`` escapes them, floats and ints are written by their
-    ``repr``, and each row is one write. The record is checked as
-    ``write_json`` checks it, so a NaN or infinity raises DataError before
-    ``path`` is opened. The file is written whole.
+    Each category is the summary's means and counts (written in its key
+    order), then a ``per_doc`` list of one ``{"id", "at_<k>", "at_m"}``
+    object per scored document, each score object the ``MetricScores``
+    fields. Ids are escaped as ``ensure_ascii`` escapes them, floats and
+    ints are written by their ``repr``, and each row is one write. The
+    summary and every row are checked as ``write_json`` checks a record, so
+    a NaN or infinity raises DataError before ``path`` is opened. The file
+    is written whole.
     """
-    refuse_non_finite(record, f"report {path}")
-    at_k = f"at_{record['k']}"
+    summary = report.to_dict()
+    categories = {"present": report.present.per_doc, "absent": report.absent.per_doc}
+    refuse_non_finite([summary, *categories.values()], f"report {path}")
     with replacing(path) as fh:
         fh.write(
-            f'{{\n  "schema_version": {record["schema_version"]!r},\n  "k": {record["k"]!r},'
-            f'\n  "num_docs": {record["num_docs"]!r}'
+            f'{{\n  "schema_version": {summary["schema_version"]!r},\n  "k": {summary["k"]!r},'
+            f'\n  "num_docs": {summary["num_docs"]!r}'
         )
-        for name in ("present", "absent"):
-            category = record[name]
+        for name, rows in categories.items():
             fh.write(f',\n  "{name}": {{\n')
-            fh.write("".join(f'    "{key}": {value!r},\n' for key, value in category.items() if key != "per_doc"))
-            rows = category["per_doc"]
+            fh.write("".join(f'    "{key}": {value!r},\n' for key, value in summary[name].items()))
             if not rows:
                 fh.write('    "per_doc": []\n  }')
                 continue
             fh.write('    "per_doc": [')
             lead = "\n"
-            for row in rows:
+            for d in rows:
                 fh.write(
-                    f'{lead}      {{\n        "id": {quote(row["id"])},'
-                    f'\n        "{at_k}": {_SCORES % _score_values(row[at_k])},'
-                    f'\n        "at_m": {_SCORES % _score_values(row["at_m"])}\n      }}'
+                    f'{lead}      {{\n        "id": {quote(d.doc_id)},'
+                    f'\n        "at_{report.k}": {_SCORES % d.at_k},'
+                    f'\n        "at_m": {_SCORES % d.at_m}\n      }}'
                 )
                 lead = ",\n"
             fh.write("\n    ]\n  }")

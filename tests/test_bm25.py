@@ -253,8 +253,9 @@ class TestPersistence:
         before = path.read_bytes()
 
         full_disk()
-        with pytest.raises(OSError, match="No space left"):
+        with pytest.raises(OSError, match="No space left") as failure:
             save_index(toy_index, path)
+        assert str(failure.value) == f"[Errno 28] No space left on device: {str(path)!r}"
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["idx.spmi"]
 

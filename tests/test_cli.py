@@ -388,6 +388,30 @@ class TestSubcommands:
         assert f"I/O error: {flag.split()[-1]} {out}" in caplog.text and expected in caplog.text
         assert "Traceback" not in caplog.text and capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command", ["mine", "corrupt"])
+    def test_a_write_cut_short_names_the_output(self, corpus, tmp_path, caplog, capsys, full_disk, command):
+        index, spans, out = tmp_path / "idx.spmi", tmp_path / "spans.jsonl", tmp_path / "out.jsonl"
+        assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
+        common = ["--index", str(index), "--corpus", str(corpus), "--threads", "1"]
+        assert run(["-q", "mine", *common, "--thresholds", "1:0,2:0,3:0", "--out", str(spans)]) == EXIT_OK
+        capsys.readouterr()
+        full_disk()
+        extra = ["--objective", "ssr-m", "--spans", str(spans)] if command == "corrupt" else []
+        assert run(["-q", command, *common, *extra, "--out", str(out)]) == EXIT_IO
+        assert f"I/O error: [Errno 28] No space left on device: {str(out)!r}" in caplog.text
+        assert ".tmp" not in caplog.text and "Traceback" not in caplog.text and capsys.readouterr().out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "idx.spmi", "spans.jsonl"]
+
+    def test_eval_prints_the_summary_schema_version(self, corpus, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("spanmine.evaluation.REPORT_SCHEMA_VERSION", 7)
+        preds, report = tmp_path / "preds.txt", tmp_path / "report.json"
+        preds.write_text("sparse solvers\ngraph pruning\ncodec design\n", encoding="utf-8")
+        assert run(["-q", "eval", "--preds", str(preds), "--gold", str(corpus), "--report", str(report)]) == EXIT_OK
+        out = _json_out(capsys)
+        assert list(out)[:3] == ["schema_version", "command", "elapsed_sec"]
+        assert out["schema_version"] == cli.SUMMARY_SCHEMA_VERSION == 1
+        assert json.loads(report.read_text(encoding="utf-8"))["schema_version"] == 7
+
     def test_an_unwritable_output_wins_over_a_bad_threshold_spec(self, corpus, tmp_path, caplog, capsys):
         argv = ["-q", "mine", "--index", str(tmp_path / "idx.spmi"), "--corpus", str(corpus),
                 "--out", str(tmp_path / "missing" / "spans.jsonl"), "--thresholds", "1:5,1:5", "--threads", "1"]

@@ -447,8 +447,9 @@ class TestWholeFiles:
         out.parent.mkdir()
         out.write_bytes(b"the previous run's file\n")
         full_disk()
-        with pytest.raises(OSError, match="No space left"):
+        with pytest.raises(OSError, match="No space left") as failure:
             _writers()[writer](out, tmp_path)
+        assert str(failure.value) == f"[Errno 28] No space left on device: {str(out)!r}"  # the output, not its temp file
         assert out.read_bytes() == b"the previous run's file\n"
         assert [p.name for p in out.parent.iterdir()] == ["artifact"]
 

@@ -27,7 +27,7 @@ from spanmine import (
     plan_corruption,
     save_index,
 )
-from spanmine.corruption import OBJECTIVES, SPAN_OBJECTIVES, _poisson, locate_occurrences
+from spanmine.corruption import OBJECTIVES, SPAN_OBJECTIVES, _corrupt, _poisson, locate_occurrences
 from spanmine.demo import DEMO_SEED, generate_demo_corpus
 from spanmine.miner import DEFAULT_THRESHOLDS, MAX_NGRAM
 from tests.conftest import corrupt_one, oracle_locate_occurrences, oracle_ssp_target
@@ -325,6 +325,26 @@ class TestGenCorpus:
         record = json.loads(out.read_text().splitlines()[0])
         assert set(record) == {"id", "source", "target"}
         assert record["target"] == " ".join(docs[0].tokens)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_each_line_is_what_json_dumps_writes(self, tmp_path, objective, workers):
+        docs = [
+            doc_of(['say"hi', "back\\slash", "<sep>", "café", "東京", "line\u2028sep"], doc_id='q"1\\', title_len=2),
+            doc_of(["東京", "<sep>", "ctl\x01x", 'say"hi', "plain"], doc_id="é\u2028東\x00", title_len=1),
+            doc_of(["plain", "<sep>", "back\\slash", "café", "東京"], doc_id="p", title_len=1),
+        ]
+        spans = [SalientSpan(("東京",), 0), SalientSpan(('say"hi',), 1), SalientSpan(("line\u2028sep",), 2)]
+        spans_by_id = {doc.doc_id: spans for doc in docs} if objective in SPAN_OBJECTIVES else None
+        cfg = cfg_for(objective, k_s=0.5, k_o=0.3, seed=4)
+        out = tmp_path / "pairs.jsonl"
+        assert gen_corpus(docs, spans_by_id, cfg, out, workers=workers).examples_written == 3
+        expected = []
+        for doc in docs:
+            source, target, _ = _corrupt(doc, spans, cfg)
+            expected.append({"id": doc.doc_id, "source": " ".join(source), "target": " ".join(target)})
+        lines = out.read_bytes().decode("utf-8").split("\n")  # not splitlines(): ids and tokens hold U+2028
+        assert lines == [json.dumps(record, ensure_ascii=False) for record in expected] + [""]
 
     def test_skips_counted(self, tmp_path):
         docs = [doc_of(["t", "<sep>"], doc_id="only-title", title_len=1),

@@ -40,4 +40,5 @@ def test_readme_names_only_apis_that_exist():
     index_format = README[README.index("## Index file format") :].split("\n## ", 1)[0]
     names = _api_names(from_python) | _api_names(index_format)
     assert {"mine_corpus", "load_spans", "to_dict", "BM25Index.postings", "PostingList"} <= names
+    assert {"evaluate_file", "EvalReport.to_dict", "DocScores", "MetricScores", "_replace"} <= names
     assert sorted(name for name in names if not _resolves(name)) == []

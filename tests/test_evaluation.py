@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import re
@@ -25,7 +24,7 @@ from spanmine import (
     split_present_absent,
 )
 from spanmine.analysis import overlap_metrics, retrieval_success
-from spanmine.evaluation import EvalReport, StemMemo
+from spanmine.evaluation import DocScores, EvalReport, MetricScores, StemMemo
 
 
 class TestParsePredictions:
@@ -210,8 +209,8 @@ class TestEvaluate:
             Document("d2", "", "gamma delta", ("gamma", "delta")),
         ]
         preds = ["alpha", "gamma ; delta"]
-        forward = evaluate(preds, docs).to_dict(include_per_doc=False)
-        backward = evaluate(list(reversed(preds)), list(reversed(docs))).to_dict(include_per_doc=False)
+        forward = evaluate(preds, docs).to_dict()
+        backward = evaluate(list(reversed(preds)), list(reversed(docs))).to_dict()
         assert forward["present"]["f1_at_m"] == pytest.approx(backward["present"]["f1_at_m"])
         assert forward["absent"]["docs_skipped"] == backward["absent"]["docs_skipped"]
 
@@ -226,11 +225,19 @@ class TestEvaluate:
         assert written["present"]["f1_at_m"] == pytest.approx(2 / 3)
         assert written["present"]["per_doc"][0]["id"] == "g0"
 
+    def test_scores_equal_plain_tuples(self):
+        report = evaluate(["graph pruning ; dense solvers"], [self._gold_doc()])
+        row = report.present.per_doc[0]
+        assert row.at_m == MetricScores(1.0, 0.5, 2 / 3, 1, 2, 1) == (1.0, 0.5, 2 / 3, 1, 2, 1)
+        assert row == DocScores("g0", row.at_k, row.at_m) == ("g0", tuple(row.at_k), tuple(row.at_m))
+        assert MetricScores._fields == ("precision", "recall", "f1", "num_preds", "num_gold", "num_matches")
+        assert row._replace(doc_id="other") == ("other", row.at_k, row.at_m)
+
     def test_non_finite_report_is_refused_before_writing(self, tmp_path, monkeypatch):
         preds = tmp_path / "preds.txt"
         preds.write_text("graph pruning\n", encoding="utf-8")
         report_path = tmp_path / "report.json"
-        monkeypatch.setattr(EvalReport, "to_dict", lambda self, include_per_doc=True: {"f1": float("nan")})
+        monkeypatch.setattr(EvalReport, "to_dict", lambda self: {"f1": float("nan")})
         with pytest.raises(DataError, match="holds nan, which strict JSON cannot encode"):
             evaluate_file(preds, [self._gold_doc()], report_path=report_path)
         assert not report_path.exists()
@@ -250,7 +257,7 @@ class TestEvaluate:
 
 
 class TestReportWriter:
-    """The report file is byte for byte what json.dumps(indent=2) writes for ``report.to_dict()``."""
+    """The report file is byte for byte what json.dumps(indent=2) writes for ``report.to_dict()`` plus its rows."""
 
     LINES = ["graph pruning ; dense solvers ; spectral tools", "alpha ; zz ; alpha", "x ; y"]
     DOCS = [
@@ -270,7 +277,19 @@ class TestReportWriter:
 
     @staticmethod
     def _dumped(report) -> bytes:
-        return (json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n").encode("utf-8")
+        record = report.to_dict()
+        for name in ("present", "absent"):
+            record[name]["per_doc"] = [
+                {"id": d.doc_id, f"at_{report.k}": d.at_k._asdict(), "at_m": d.at_m._asdict()}
+                for d in getattr(report, name).per_doc
+            ]
+        return (json.dumps(record, indent=2, allow_nan=False) + "\n").encode("utf-8")
+
+    def test_summary_is_the_written_report_less_its_rows(self, tmp_path):
+        written, report = self._written(tmp_path, self.LINES, self.DOCS)
+        record = json.loads(written)
+        assert [len(record[name].pop("per_doc")) for name in ("present", "absent")] == [2, 2]
+        assert report.to_dict() == record
 
     @pytest.mark.parametrize("k", [1, 5, 10])
     def test_matches_json_dumps_for_each_k(self, tmp_path, k):
@@ -304,7 +323,7 @@ class TestReportWriter:
         def nan_on_the_third_call(*args):
             calls.append(args)
             scores = match(*args)
-            return dataclasses.replace(scores, f1=float("nan")) if len(calls) == 3 else scores
+            return scores._replace(f1=float("nan")) if len(calls) == 3 else scores
 
         monkeypatch.setattr(spanmine.evaluation, "_match", nan_on_the_third_call)
         report_path = tmp_path / "report.json"
