@@ -107,11 +107,25 @@ _INPUT_FLAGS = ("corpus", "index", "spans", "stoplist", "preds", "gold")
 _OUTPUT_FLAGS = ("out", "report")
 
 
-def _refuse_output_over_input(args) -> None:
-    """Refuse an output path that is the same file as one of the command's inputs."""
+def _check_paths(args) -> None:
+    """The checks every command line gets before its command reads any input.
+
+    An output path that is a directory, or whose directory does not exist,
+    is an I/O error; one that is the same file as an input is a data error.
+    ``demo --out`` names the directory the demo writes into, so it gets
+    neither directory check.
+    """
     for out_flag in _OUTPUT_FLAGS:
         out = getattr(args, out_flag, None)
-        if not out or not os.path.exists(out):
+        if not out:
+            continue
+        if args.func is not _cmd_demo:
+            if os.path.isdir(out):
+                raise IsADirectoryError(f"--{out_flag} {out} is a directory")
+            parent = os.path.dirname(out) or os.curdir
+            if not os.path.isdir(parent):
+                raise FileNotFoundError(f"--{out_flag} {out}: there is no directory {parent} to write it in")
+        if not os.path.exists(out):
             continue
         for in_flag in _INPUT_FLAGS:
             src = getattr(args, in_flag, None)
@@ -119,30 +133,6 @@ def _refuse_output_over_input(args) -> None:
                 raise DataError(
                     f"--{out_flag} {out} is the same file as --{in_flag} {src}; writing it would overwrite that input"
                 )
-
-
-def _refuse_unwritable_output(args) -> None:
-    """Refuse, as an I/O error, an output path that is a directory or whose directory does not exist.
-
-    ``demo --out`` names the directory the demo writes into, so it is not checked.
-    """
-    if args.func is _cmd_demo:
-        return
-    for out_flag in _OUTPUT_FLAGS:
-        out = getattr(args, out_flag, None)
-        if not out:
-            continue
-        if os.path.isdir(out):
-            raise IsADirectoryError(f"--{out_flag} {out} is a directory")
-        parent = os.path.dirname(out) or os.curdir
-        if not os.path.isdir(parent):
-            raise FileNotFoundError(f"--{out_flag} {out}: there is no directory {parent} to write it in")
-
-
-def _check_paths(args) -> None:
-    """The checks every command line gets before its command reads any input."""
-    _refuse_unwritable_output(args)
-    _refuse_output_over_input(args)
 
 
 def _cmd_stats(args) -> dict:

@@ -148,6 +148,23 @@ def _where_utf8_fails(path) -> str:
     return f"{path}: invalid UTF-8"
 
 
+def refuse_lone_surrogates(where: str, fields: Iterable[tuple[str, str]]) -> None:
+    """Raise DataError at ``where`` naming the first ``(field, text)`` that holds a lone surrogate.
+
+    Strict UTF-8 encoding fails on a lone surrogate and nothing else. Text
+    decoded as strict UTF-8 holds none, but ``json.loads`` decodes a ``\\u``
+    escape of one, so callers check only lines that hold ``\\u``.
+    """
+    for field, text in fields:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            code = ord(text[exc.start])
+            raise DataError(
+                f"{where}: field {field!r} holds a lone surrogate (U+{code:04X}), which UTF-8 cannot encode"
+            ) from None
+
+
 def contains(hay: tuple[str, ...], needle: tuple[str, ...]) -> bool:
     """True when ``needle`` occurs contiguously in ``hay``; never for an empty needle.
 
@@ -295,12 +312,12 @@ def load_corpus(
         if not title and not body:
             report(line_no, f"id {doc_id!r}: both title and body empty; record skipped")
             continue
-        yield Document(
-            id=doc_id,
-            title=title,
-            body=body,
-            keyphrases=_parse_keyphrases(record, schema["keyphrases"], path, line_no),
-        )
+        keyphrases = _parse_keyphrases(record, schema["keyphrases"], path, line_no)
+        if "\\" in line and "\\u" in line:  # most lines hold no "\\", and one character is a fast search
+            fields = [(schema["id"], doc_id), (schema["title"], title), (schema["body"], body)]
+            fields += [(schema["keyphrases"], phrase) for phrase in keyphrases or ()]
+            refuse_lone_surrogates(f"{path}: line {line_no}", fields)
+        yield Document(id=doc_id, title=title, body=body, keyphrases=keyphrases)
 
 
 def write_corpus(docs: Iterable[Document], path) -> int:

@@ -22,7 +22,7 @@ from operator import neg
 from typing import NamedTuple
 
 from .bm25 import BM25Index, check_term
-from .corpus import DIGIT_TOKEN, SEP_TOKEN, TokenizedDoc, read_lines, replacing
+from .corpus import DIGIT_TOKEN, SEP_TOKEN, TokenizedDoc, read_lines, refuse_lone_surrogates, replacing
 from .errors import DataError
 from .pool import map_shared
 from .stopwords import DEFAULT_STOPWORDS
@@ -389,6 +389,8 @@ def load_spans(path) -> dict[str, list[SalientSpan]]:
         except json.JSONDecodeError as exc:
             raise DataError(f"{where}: malformed JSON ({exc.msg})") from exc
         doc_id, spans = _parse_spans_record(record, where)
+        if "\\" in line and "\\u" in line:  # as in load_corpus: most lines hold no "\\"
+            refuse_lone_surrogates(where, [("id", doc_id), *(("text", " ".join(span.tokens)) for span in spans)])
         if doc_id in spans_by_id:
             raise DataError(f"{where}: duplicate id {doc_id!r}")
         spans_by_id[doc_id] = spans

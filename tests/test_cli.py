@@ -1,13 +1,18 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spanmine
 from spanmine import (
@@ -87,16 +92,28 @@ class TestSubcommands:
 
         preds = tmp_path / "preds.txt"
         preds.write_text("sparse solvers\ngraph pruning ; wrong\ncodec design\n", encoding="utf-8")
-        report = tmp_path / "report.json"
-        assert run([
-            "-q", "eval", "--preds", str(preds), "--gold", str(corpus), "--report", str(report),
-        ]) == EXIT_OK
-        out = _json_out(capsys)
-        assert out["present"]["docs_scored"] == 3
-        assert report.exists()
+        bom_preds = tmp_path / "bom-preds.txt"
+        bom_preds.write_text("\ufeff" + preds.read_text(encoding="utf-8"), encoding="utf-8")
+        eval_runs = {"report.json": [preds], "report-k3.json": [preds, "--k", "3"], "bom-report.json": [bom_preds]}
+        for name, args in eval_runs.items():
+            report = tmp_path / name
+            argv = ["-q", "eval", "--gold", str(corpus), "--preds", *map(str, args), "--report", str(report)]
+            assert run(argv) == EXIT_OK
+            out = _json_out(capsys)
+            assert out["present"]["docs_scored"] == 3 and out["k"] == (3 if "--k" in args else 5)
+            text = report.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+            written = json.loads(text)
+            for category in ("present", "absent"):
+                del written[category]["per_doc"]
+            assert {k: v for k, v in out.items() if k not in ("command", "elapsed_sec", "report")} == written
+        assert (tmp_path / "bom-report.json").read_bytes() == (tmp_path / "report.json").read_bytes()
 
-        assert run(["-q", "analyze", "success", "--gold", str(corpus), "--index", str(index), "--k", "3"]) == EXIT_OK
-        assert 0.0 <= _json_out(capsys)["success_rate_overall"] <= 1.0
+        rates = []
+        for k in ("3", "1000"):  # 1000 is more than the corpus holds
+            assert run(["-q", "analyze", "success", "--gold", str(corpus), "--index", str(index), "--k", k]) == EXIT_OK
+            rates.append(_json_out(capsys)["success_rate_overall"])
+        assert 0.0 <= rates[0] <= rates[1] <= 1.0
         assert run(["-q", "analyze", "overlap", "--gold", str(corpus), "--spans", str(spans)]) == EXIT_OK
         _json_out(capsys)
         assert run(["-q", "analyze", "spans", "--spans", str(spans)]) == EXIT_OK
@@ -112,10 +129,14 @@ class TestSubcommands:
             run(["-q", "frobnicate"])
         assert excinfo.value.code == 2
 
-    def test_data_error_exit_code(self, corpus, tmp_path, capsys):
+    def test_data_error_exit_code(self, corpus, tmp_path, caplog, capsys):
         preds = tmp_path / "preds.txt"
         preds.write_text("one\ntwo\n", encoding="utf-8")  # 2 preds vs 3 gold
         assert run(["-q", "eval", "--preds", str(preds), "--gold", str(corpus)]) == EXIT_DATA
+        corpus.write_text("{\n", encoding="utf-8")
+        assert run(["-q", "stats", "--corpus", str(corpus)]) == EXIT_DATA
+        assert f"data error: {corpus}: line 1: malformed JSON" in caplog.text and "Traceback" not in caplog.text
+        assert capsys.readouterr().out == ""
 
     def test_eval_empty_separator_is_data_error(self, corpus, tmp_path, caplog):
         preds = tmp_path / "preds.txt"
@@ -177,6 +198,32 @@ class TestSubcommands:
         spans.write_bytes(b'{"id": "a", "spans": [{"text": "caf\xe9", "rank": 0}]}\n')
         assert run(["-q", "analyze", "spans", "--spans", str(spans)]) == EXIT_DATA
 
+    # Line 3 of the corpus or of the spans file, escaping a lone surrogate in one field.
+    LONE_SURROGATE_LINES = {
+        "id": '{"id": "c3\\ud800", "title": "t", "abstract": "b"}',
+        "title": '{"id": "c3", "title": "x\\ud800y", "abstract": "b"}',
+        "text": '{"id": "c2", "spans": [{"text": "x\\ud800", "rank": 0}]}',
+    }
+
+    @pytest.mark.parametrize("field", list(LONE_SURROGATE_LINES))
+    def test_a_lone_surrogate_is_a_data_error(self, corpus, tmp_path, caplog, capsys, field):
+        index, spans, out = tmp_path / "idx.spmi", tmp_path / "spans.jsonl", tmp_path / "out.jsonl"
+        if field == "text":  # ssp-m writes span texts into its targets
+            assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
+            assert run(_window_argv("mine", index, corpus, spans)) == EXIT_OK
+            path = spans
+            argv = ["corrupt", "--objective", "ssp-m", "--index", str(index), "--corpus", str(corpus),
+                    "--spans", str(spans), "--threads", "1", "--out", str(out)]
+        else:  # the index holds ids and title tokens
+            path, out = corpus, index
+            argv = ["index", "--corpus", str(corpus), "--out", str(index)]
+        lines = path.read_text(encoding="utf-8").splitlines()[:2]
+        path.write_text("\n".join([*lines, self.LONE_SURROGATE_LINES[field]]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["-q", *argv]) == EXIT_DATA
+        assert f"data error: {path}: line 3: field {field!r} holds a lone surrogate (U+D800)" in caplog.text
+        assert "Traceback" not in caplog.text and capsys.readouterr().out == "" and not out.exists()
+
     @pytest.mark.parametrize("bad_file", ["preds", "gold"])
     def test_bad_utf8_eval_is_data_error(self, corpus, tmp_path, bad_file):
         preds = tmp_path / "preds.txt"
@@ -199,19 +246,25 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("command", ["stats", "mine"])
     def test_corpus_issue_warning_names_the_file(self, corpus, tmp_path, caplog, capsys, command):
-        index = tmp_path / "idx.spmi"
+        index, stoplist = tmp_path / "idx.spmi", tmp_path / "stop.txt"
         assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
         corpus.write_text(
             corpus.read_text(encoding="utf-8") + '{"title": "no id", "abstract": "x"}\n', encoding="utf-8"
         )
+        stoplist.write_text("the\nCOVID-19\n", encoding="utf-8")
         argv = {
             "stats": ["stats", "--corpus", str(corpus)],
-            "mine": ["mine", "--index", str(index), "--corpus", str(corpus),
+            "mine": ["mine", "--index", str(index), "--corpus", str(corpus), "--stoplist", str(stoplist),
                      "--out", str(tmp_path / "spans.jsonl"), "--threads", "1"],
         }[command]
         with caplog.at_level("WARNING", logger="spanmine"):
             assert run(["-q", *argv]) == EXIT_OK
         assert f"{corpus}: line 4: missing or empty 'id' field" in caplog.text
+        unmatchable = (
+            f"{stoplist}: 1 of the stop list's entries can never match a token; "
+            "the first, on line 2, tokenizes as 'covid - <digit>'"
+        )
+        assert (unmatchable in caplog.text) == (command == "mine")
         capsys.readouterr()
 
     @pytest.mark.parametrize(
@@ -272,8 +325,10 @@ class TestSubcommands:
         assert "Traceback" not in caplog.text
         assert not (tmp_path / "spans.jsonl").exists()
 
-    def test_io_error_exit_code(self, tmp_path):
+    def test_io_error_exit_code(self, tmp_path, caplog, capsys):
         assert run(["-q", "stats", "--corpus", str(tmp_path / "nope.jsonl")]) == EXIT_IO
+        assert f"I/O error: [Errno 2] No such file or directory: {str(tmp_path / 'nope.jsonl')!r}" in caplog.text
+        assert "Traceback" not in caplog.text and capsys.readouterr().out == ""
 
     def test_environment_supplies_no_path(self, corpus, tmp_path, capsys, monkeypatch):
         index = tmp_path / "idx.spmi"
@@ -476,6 +531,74 @@ def test_an_empty_keyword_list_is_labeled_and_null_is_not(tmp_path, caplog, caps
         assert "document 'u1' is unlabeled: it has no keyphrases field" in caplog.text
 
 
+def _fuzz_text(specials):
+    """Plain words, so that runs get past the loaders; or any code point, with ``specials`` drawn often."""
+    words = st.sampled_from(["graph", "cut", "sparse", "é", "東京", 'say"hi"', "back\\slash"])
+    chars = st.one_of(st.characters(exclude_categories=()), st.sampled_from(specials))
+    return st.one_of(st.lists(words, min_size=1, max_size=4).map(" ".join), st.lists(chars, max_size=8).map("".join))
+
+
+# Documents as (id, title, body, keyphrases, span text). Half the examples draw lone surrogates,
+# which make every loader refuse the file; the other half can get through the whole pipeline.
+_FUZZ_SPECIALS = ['"', "\\", "\x00", "\x1f", "\r", "\n", "\u2028", " ", "graph"]
+_FUZZ_DOCS = st.sampled_from([_FUZZ_SPECIALS, [*_FUZZ_SPECIALS, "\ud800", "\udfff"]]).flatmap(
+    lambda specials: st.lists(
+        st.tuples(*[_fuzz_text(specials)] * 3, st.lists(_fuzz_text(specials), max_size=3), _fuzz_text(specials)),
+        min_size=1,
+        max_size=4,
+        unique_by=lambda doc: doc[0],
+    )
+)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@settings(max_examples=40, deadline=None)
+@given(docs=_FUZZ_DOCS, ensure_ascii=st.booleans())
+def test_any_string_in_the_inputs_exits_0_or_1_with_strict_json(docs, ensure_ascii):
+    """Ids, titles, bodies, keyphrases and span texts from all of Unicode, written as JSON with and without escapes."""
+
+    def write(path, lines) -> None:  # a lone surrogate written unescaped is bytes that are not UTF-8
+        Path(path).write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogatepass"))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        names = ("corpus.jsonl", "spans.jsonl", "preds.txt", "idx.spmi", "mined.jsonl", "out.jsonl")
+        corpus, spans, preds, index, mined, out = (os.path.join(tmp, name) for name in names)
+        records = [{"id": doc_id, "title": title, "abstract": body, "keywords": keyphrases}
+                   for doc_id, title, body, keyphrases, _ in docs]
+        write(corpus, (json.dumps(record, ensure_ascii=ensure_ascii) for record in records))
+        span_records = [{"id": doc[0], "spans": [{"text": doc[4], "rank": 0}]} for doc in docs]
+        write(spans, (json.dumps(record, ensure_ascii=ensure_ascii) for record in span_records))
+        # One line per document, never blank: a blank last line would end the file early.
+        write(preds, ("graph;" + ";".join(doc[3]).replace("\r", " ").replace("\n", " ") for doc in docs))
+        stages = {
+            "index": ["index", "--corpus", corpus, "--out", index],
+            "mine": ["mine", "--index", index, "--corpus", corpus, "--out", mined, "--threads", "1"],
+            "corrupt": ["corrupt", "--objective", "ssp-m", "--index", index, "--corpus", corpus, "--spans", spans,
+                        "--out", out, "--threads", "1"],
+            "eval": ["eval", "--preds", preds, "--gold", corpus],
+            "analyze overlap": ["analyze", "overlap", "--gold", corpus, "--spans", spans],
+        }
+        status = {}
+        for stage, argv in stages.items():
+            if stage in ("mine", "corrupt") and status["index"] != EXIT_OK:
+                continue
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                status[stage] = run(["-q", *argv])
+            assert status[stage] in (EXIT_OK, EXIT_DATA), stage
+            if status[stage] == EXIT_OK:
+                assert json.loads(stdout.getvalue(), parse_constant=_refuse_constant)["command"] == stage.split()[0]
+            else:
+                assert stdout.getvalue() == "", stage
+        if status.get("mine") == EXIT_OK:
+            written = Path(mined).read_bytes().decode("utf-8").split("\n")  # not splitlines(): an id may hold U+2028
+            assert written.pop() == ""
+            assert written == [json.dumps(json.loads(line), ensure_ascii=False) for line in written]
+
+
 def _window_argv(command, index, corpus, out):
     """A `mine`, `corrupt --objective ti` or `analyze success` command line against ``index``."""
     if command == "analyze success":
@@ -563,6 +686,7 @@ class TestMineReadsTheIndex:
         corpus = str(demo_dir / "corpus.jsonl")
         assert run(["-q", "index", "--corpus", corpus, "--out", str(index)]) == EXIT_OK
         capsys.readouterr()
+        assert index.read_bytes() == (demo_dir / "index.spmi").read_bytes()
         argv = ["-q", "mine", "--index", str(index), "--corpus", corpus, "--out", str(spans), "--threads", "1"]
         assert run(argv) == EXIT_OK
         mine_summary = _json_out(capsys)

@@ -373,8 +373,11 @@ class TestBadUtf8:
 
     def test_escaped_surrogate_in_json_is_not_bad_utf8(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "a", "title": "x\\ud83d\\ude00", "abstract": "b"}\n', encoding="utf-8")
+        assert [d.title for d in load_corpus(path)] == ["x\U0001f600"]  # an escaped pair is one character
         path.write_text('{"id": "a", "title": "x\\udce9", "abstract": "b"}\n', encoding="utf-8")
-        assert [d.title for d in load_corpus(path)] == ["x\udce9"]
+        with pytest.raises(DataError, match=r"corpus\.jsonl: line 1: field 'title' holds a lone surrogate \(U\+DCE9\)"):
+            list(load_corpus(path))
 
 
 class TestByteOrderMark:
