@@ -267,10 +267,11 @@ def evaluate_file(
     category's ``per_doc`` rows added, formatted from that fixed schema: its
     bytes are identical to what ``json.dump(record, fh, indent=2)`` and a
     newline write. A NaN or infinity anywhere in it raises DataError before
-    anything is written.
+    anything is written. Trailing blank lines are dropped only past the
+    last gold document, so a blank last line still predicts nothing for it.
     """
     predictions = [line.rstrip("\n") for _, line in read_lines(preds_path)]
-    while predictions and not predictions[-1].strip():
+    while len(predictions) > len(gold_docs) and not predictions[-1].strip():
         predictions.pop()
     report = evaluate(predictions, gold_docs, sep=sep, k=k)
     if report_path is not None:

@@ -18,7 +18,8 @@ from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass
 from functools import partial
 from json.encoder import encode_basestring as quote  # the escaper of json.dumps(ensure_ascii=False)
-from operator import neg
+from itertools import compress
+from operator import and_, neg
 from typing import NamedTuple
 
 from .bm25 import BM25Index, check_term
@@ -131,32 +132,6 @@ class _Ownership(dict):
         return owned
 
 
-def _ngrams(
-    doc: TokenizedDoc, eligible: _Eligibility, owned: _Ownership | None = None
-) -> dict[tuple[str, ...], int]:
-    """Distinct eligible 1..3-grams of ``doc`` -> offset of their first occurrence.
-
-    With ``owned``, only n-grams whose first token it owns.
-    """
-    tokens = tuple(doc.tokens)
-    if not tokens:
-        raise DataError(f"document {doc.doc_id!r} has no tokens")
-    ok = [eligible[tok] for tok in tokens]
-    seen: dict[tuple[str, ...], int] = {}
-    n_tokens = len(tokens)
-    starts = range(n_tokens) if owned is None else [i for i, tok in enumerate(tokens) if owned[tok]]
-    for i in starts:
-        if not ok[i]:
-            continue
-        for n in range(1, MAX_NGRAM + 1):
-            if i + n > n_tokens or not ok[i + n - 1]:
-                break
-            gram = tokens[i : i + n]
-            if gram not in seen:
-                seen[gram] = i
-    return seen
-
-
 def candidates(
     doc: TokenizedDoc,
     stoplist: frozenset[str] | set[str] = DEFAULT_STOPWORDS,
@@ -167,8 +142,36 @@ def candidates(
     iteration); duplicates keep their earliest offset. n-grams never cross
     the title/body separator because the separator token is ineligible.
     """
-    grams = _ngrams(doc, _Eligibility(stoplist))
-    return [CandidateSpan(tokens=gram, first_occurrence=i) for gram, i in grams.items()]
+    tokens = tuple(doc.tokens)
+    if not tokens:
+        raise DataError(f"document {doc.doc_id!r} has no tokens")
+    eligible = _Eligibility(stoplist)
+    ok = [eligible[tok] for tok in tokens]
+    seen: dict[tuple[str, ...], int] = {}
+    for i in range(len(tokens)):
+        for n in range(1, min(MAX_NGRAM, len(tokens) - i) + 1):
+            if not ok[i + n - 1]:
+                break
+            seen.setdefault(tokens[i : i + n], i)
+    return [CandidateSpan(tokens=gram, first_occurrence=i) for gram, i in seen.items()]
+
+
+def _owned_ngrams(doc: TokenizedDoc, eligible: _Eligibility, owned: _Ownership | None) -> set[tuple[str, ...]]:
+    """The queries of ``candidates(doc)`` whose first token ``owned`` holds; all of them without ``owned``.
+
+    Built at C speed: one eligibility flag per token, then ``compress`` over
+    the zipped 1-, 2- and 3-token windows whose every token is eligible.
+    """
+    tokens = doc.tokens
+    if not tokens:
+        raise DataError(f"document {doc.doc_id!r} has no tokens")
+    ok = list(map(eligible.__getitem__, tokens))
+    starts = ok if owned is None else list(map(and_, ok, map(owned.__getitem__, tokens)))
+    pairs = list(map(and_, starts, ok[1:]))
+    grams = set(compress(zip(tokens), starts))
+    grams.update(compress(zip(tokens, tokens[1:]), pairs))
+    grams.update(compress(zip(tokens, tokens[1:], tokens[2:]), map(and_, pairs, ok[2:])))
+    return grams
 
 
 def _mine_shard(
@@ -187,8 +190,12 @@ def _mine_shard(
     query to the position of its first source, and ``more`` holds all the
     positions of only the queries with several sources. A query belongs to the
     shard that owns its first token (``_Ownership``), so a shard slices only
-    its own n-grams, and every process decides alike. ``weights`` is the
-    shard's memo: each of its terms is weighed once, and freed on return.
+    its own n-grams, and every process decides alike. Each document's
+    n-grams come as one set (``_owned_ngrams``), so queries are met in an
+    order that follows the string hash; nothing depends on it, as every
+    record is sorted on a total key and every score sums in query order.
+    ``weights`` is the shard's memo: each of its terms is weighed once, and
+    freed on return.
     Returns (position, query, rank) for every source document, by input
     position, whose rank clears the threshold, then the number of
     distinct queries and of documents fully scored.
@@ -208,13 +215,21 @@ def _mine_shard(
     non-negative and float addition is monotone, so a document that holds
     only non-essential terms scores at most that sum and cannot outscore a
     source. Every document of an essential term is scored in full.
+
+    Most queries keep one essential term, whose own weights are walked as
+    ``(slot, w)`` items, so only the other terms are looked up. A bigram
+    scores ``w + o``, bitwise ``a + b`` because one float addition
+    commutes. A trigram keeps ``(a + b) + c``: ``(a + b) + w`` when c is
+    essential, and ``(w + o) + c`` when a or b is, whose inner addition
+    commutes alike. With two or three essential terms, the union of their
+    slots is scored in query order.
     """
     eligible = _Eligibility(stoplist)
     owned = _Ownership(n_shards, shard) if n_shards > 1 else None
     first: dict[tuple[str, ...], int] = {}  # every query -> its first source's position
     more: dict[tuple[str, ...], list[int]] = {}  # a query with several sources -> their positions, ascending
     for pos, doc in enumerate(doc_list):
-        for gram in _ngrams(doc, eligible, owned):
+        for gram in _owned_ngrams(doc, eligible, owned):
             seen = first.setdefault(gram, pos)
             if seen != pos:
                 more.setdefault(gram, [seen]).append(pos)
@@ -250,16 +265,20 @@ def _mine_shard(
             else:
                 scores = [get_a(slots[p], 0.0) + get_b(slots[p], 0.0) for p in positions]
                 floor = min(scores)
-            if max_a + max_b <= floor:
-                keys = ()
-            elif min(max_a, max_b) > floor:
+            if min(max_a, max_b) > floor:
                 keys = by_a.keys() | by_b.keys()
-            else:  # ties make the lower query position non-essential first
-                keys = by_b if max_a <= max_b else by_a
-            if positions is None:
-                rank = len([1 for s in keys if get_a(s, 0.0) + get_b(s, 0.0) > floor])
-            else:
-                totals = [get_a(s, 0.0) + get_b(s, 0.0) for s in keys]
+                if positions is None:
+                    rank = len([1 for s in keys if get_a(s, 0.0) + get_b(s, 0.0) > floor])
+                else:
+                    totals = [get_a(s, 0.0) + get_b(s, 0.0) for s in keys]
+            else:  # one essential term, or none; ties make the lower query position non-essential first
+                keys, get_o = (by_b, get_a) if max_a <= max_b else (by_a, get_b)
+                if max_a + max_b <= floor:
+                    keys = {}
+                if positions is None:  # w + o is bitwise a + b: one float addition commutes
+                    rank = len([1 for s, w in keys.items() if w + get_o(s, 0.0) > floor])
+                else:
+                    totals = [w + get_o(s, 0.0) for s, w in keys.items()]
         else:
             terms = weights[query[0]], weights[query[1]], weights[query[2]]
             (by_a, get_a, max_a), (by_b, get_b, max_b), (by_c, get_c, max_c) = terms
@@ -270,6 +289,7 @@ def _mine_shard(
                 scores = [get_a(slots[p], 0.0) + get_b(slots[p], 0.0) + get_c(slots[p], 0.0) for p in positions]
                 floor = min(scores)
             maxes = max_a, max_b, max_c
+            single = None  # the query position of the only essential term, if one is
             if max_a + max_b + max_c <= floor:
                 keys = ()
             elif min(maxes) > floor:
@@ -279,11 +299,23 @@ def _mine_shard(
                 if (max_b + max_c, max_a + max_c, max_a + max_b)[k] > floor:  # all but k, in query order
                     keys = terms[3 - i - k][0].keys() | terms[k][0].keys()
                 else:
-                    keys = terms[k][0]
-            if positions is None:
-                rank = len([1 for s in keys if get_a(s, 0.0) + get_b(s, 0.0) + get_c(s, 0.0) > floor])
-            else:
-                totals = [get_a(s, 0.0) + get_b(s, 0.0) + get_c(s, 0.0) for s in keys]
+                    single, keys = k, terms[k][0]
+            if single is None:  # score the union
+                if positions is None:
+                    rank = len([1 for s in keys if get_a(s, 0.0) + get_b(s, 0.0) + get_c(s, 0.0) > floor])
+                else:
+                    totals = [get_a(s, 0.0) + get_b(s, 0.0) + get_c(s, 0.0) for s in keys]
+            elif single == 2:  # (a + b) + w, as in query order
+                if positions is None:
+                    rank = len([1 for s, w in keys.items() if get_a(s, 0.0) + get_b(s, 0.0) + w > floor])
+                else:
+                    totals = [get_a(s, 0.0) + get_b(s, 0.0) + w for s, w in keys.items()]
+            else:  # (w + o) + c is bitwise (a + b) + c: the inner addition commutes
+                get_o = get_b if single == 0 else get_a
+                if positions is None:
+                    rank = len([1 for s, w in keys.items() if w + get_o(s, 0.0) + get_c(s, 0.0) > floor])
+                else:
+                    totals = [w + get_o(s, 0.0) + get_c(s, 0.0) for s, w in keys.items()]
         docs_scored += len(keys)
         limit = limits[len(query)]
         if positions is None:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -224,6 +225,23 @@ class TestEvaluate:
         assert written["schema_version"] == 1
         assert written["present"]["f1_at_m"] == pytest.approx(2 / 3)
         assert written["present"]["per_doc"][0]["id"] == "g0"
+
+    @pytest.mark.parametrize(
+        "text, n_docs, kept",
+        [
+            ("graph\n\n", 2, 1),  # the last document predicts nothing
+            ("\n", 1, 0),  # the only document predicts nothing
+            ("graph\n\n\n\n", 2, 1),  # blank lines past the last document are dropped
+            ("graph\n \n", 1, 1),  # a line of spaces is blank too
+        ],
+    )
+    def test_trailing_blank_lines_past_the_gold_only_are_dropped(self, tmp_path, text, n_docs, kept):
+        preds = tmp_path / "preds.txt"
+        preds.write_text(text, encoding="utf-8")
+        docs = [dataclasses.replace(self._gold_doc(), id=f"g{i}") for i in range(n_docs)]
+        report = evaluate_file(preds, docs)
+        assert report.num_docs == n_docs
+        assert [d.at_m.num_preds for d in report.present.per_doc] == [1] * kept + [0] * (n_docs - kept)
 
     def test_scores_equal_plain_tuples(self):
         report = evaluate(["graph pruning ; dense solvers"], [self._gold_doc()])

@@ -1,10 +1,15 @@
 import functools
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spanmine
 from spanmine import (
     DataError,
     SalientSpan,
@@ -548,6 +553,38 @@ def test_demo_spans_golden_digest(tmp_path, thresholds, subset_step, max_spans, 
         from_file.total_spans,
         from_file.length_distribution,
     )
+
+
+# Mines the 400-document demo corpus and prints the sha256 of spans.jsonl and
+# the (distinct_queries, docs_scored) counters; argv[1] is the worker count.
+_MINE_DEMO = """
+import hashlib, sys, tempfile
+from pathlib import Path
+from spanmine import build_index, mine_corpus, model_input
+from spanmine.demo import generate_demo_corpus
+from spanmine.miner import DEFAULT_THRESHOLDS
+docs = [model_input(doc) for doc in generate_demo_corpus(n_docs=400, seed=1)]
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "spans.jsonl"
+    summary = mine_corpus(docs, build_index(docs), out, DEFAULT_THRESHOLDS.scaled_to(400), workers=int(sys.argv[1]))
+    print(hashlib.sha256(out.read_bytes()).hexdigest(), summary.distinct_queries, summary.docs_scored)
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    # Queries are grouped through sets of n-grams, whose order follows the
+    # string hash; the records and every float sum must not.
+    src = str(Path(spanmine.__file__).resolve().parent.parent)
+    results = set()
+    for hash_seed in ("0", "123"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        for workers in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _MINE_DEMO, workers], capture_output=True, text=True, env=env, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            results.add(proc.stdout)
+    assert results == {"2ce4d6746675228d0897b8438cbae7dcafa548074473cd054dba026c34d44e11 5318 154584\n"}
 
 
 def test_load_spans_reads_plain_tuples(tmp_path):
