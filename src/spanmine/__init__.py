@@ -38,6 +38,7 @@ from .errors import (
     SkipDocument,
 )
 from .evaluation import (
+    Phrase,
     evaluate,
     evaluate_file,
     f1_at_k,

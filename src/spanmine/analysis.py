@@ -86,15 +86,15 @@ def retrieval_success(
     total_hits = 0
     stems = StemMemo()
     for doc in gold_docs:
-        _, _, present, _ = gold_split(doc, stems)
+        _, present, _ = gold_split(doc, stems)
         slot = index.slot_of(doc.id)
-        for phrase in present.phrases:
+        for phrase in present:
             total += 1
-            sparse = index.scores(phrase)
+            sparse = index.scores(phrase.tokens)
             own = sparse.get(slot, 0.0)
             hit = own > 0.0 and sum(s > own or (s == own and ref < slot) for ref, s in sparse.items()) < k
             total_hits += hit
-            n = len(phrase)
+            n = len(phrase.tokens)
             if n in counts:
                 counts[n] += 1
                 hits[n] += hit
@@ -158,11 +158,11 @@ def overlap_metrics(
     length_rows: dict[int, list[tuple]] = {n: [] for n in range(1, MAX_NGRAM + 1)}
     stems = StemMemo()
     for doc in gold_docs:
-        _, gold, present, _ = gold_split(doc, stems)
+        _, present, absent = gold_split(doc, stems)
         if doc.id not in spans_by_id:
             raise DataError(f"spans file has no entry for document {doc.id!r}")
-        present_stemmed = list(present.stemmed)
-        all_gold_stemmed = list(gold.stemmed)
+        present_stemmed = [p.stems for p in present]
+        all_gold_stemmed = [p.stems for p in present + absent]
         span_stemmed = [stems.phrase(s.tokens) for s in spans_by_id[doc.id]]
         overall_rows.append(_doc_overlap(present_stemmed, all_gold_stemmed, span_stemmed))
         for n in length_rows:

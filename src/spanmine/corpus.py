@@ -354,13 +354,13 @@ def dataset_stats(corpus: Iterable[Document]) -> CorpusStats:
     total_doc_tokens = 0
     for doc in corpus:
         num_docs += 1
-        doc_stemmed, gold, _, absent = gold_split(doc, stems)
+        doc_stemmed, present, absent = gold_split(doc, stems)
         total_doc_tokens += len(doc_stemmed)
-        total_kp += len(gold.phrases)
-        total_kp_tokens += sum(len(p) for p in gold.phrases)
-        total_absent += len(absent.phrases)
+        total_kp += len(present) + len(absent)
+        total_kp_tokens += sum(len(p.tokens) for p in present + absent)
+        total_absent += len(absent)
     if num_docs == 0:
-        raise DataError("corpus contains no labeled documents")
+        raise DataError("corpus contains no documents")
     return CorpusStats(
         num_docs=num_docs,
         avg_kp_per_doc=total_kp / num_docs,

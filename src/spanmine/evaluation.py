@@ -51,72 +51,52 @@ class StemMemo(dict):
         return tuple(map(self.__getitem__, tokens))
 
 
-@dataclass(frozen=True)
-class KeyphraseSet:
-    """Phrases in generation order with their stemmed forms in parallel."""
+class Phrase(NamedTuple):
+    """A keyphrase: its tokens, and their stems in order."""
 
-    phrases: tuple[tuple[str, ...], ...]
-    stemmed: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
-        if len(self.phrases) != len(self.stemmed):
-            raise ValueError("phrases and stemmed views must stay parallel")
-
-    def __len__(self) -> int:
-        return len(self.phrases)
-
-    def deduped(self) -> list[tuple[str, ...]]:
-        """Stemmed phrases with later duplicates removed, order preserved."""
-        return list(dict.fromkeys(self.stemmed))
+    tokens: tuple[str, ...]
+    stems: tuple[str, ...]
 
 
-def keyphrase_set(raw_phrases: Iterable[str], stems: StemMemo | None = None) -> KeyphraseSet:
-    """Tokenize and stem raw phrase strings, dropping empties."""
+def keyphrase_set(raw_phrases: Iterable[str], stems: StemMemo | None = None) -> tuple[Phrase, ...]:
+    """Tokenize and stem raw phrase strings, in order, dropping empties."""
     stems = StemMemo() if stems is None else stems
-    phrases = []
-    for raw in raw_phrases:
-        tokens = tuple(text_tokens(raw))
-        if tokens:
-            phrases.append(tokens)
-    return KeyphraseSet(
-        phrases=tuple(phrases),
-        stemmed=tuple(stems.phrase(p) for p in phrases),
-    )
+    tokenized = (tuple(text_tokens(raw)) for raw in raw_phrases)
+    return tuple(Phrase(tokens, stems.phrase(tokens)) for tokens in tokenized if tokens)
 
 
-def parse_predictions(line: str, sep: str = ";", stems: StemMemo | None = None) -> KeyphraseSet:
-    """Split one generated line on the separator into a KeyphraseSet."""
+def parse_predictions(line: str, sep: str = ";", stems: StemMemo | None = None) -> tuple[Phrase, ...]:
+    """Split one generated line on the separator into its phrases."""
     return keyphrase_set((part for part in line.split(sep) if part.strip()), stems)
 
 
 def split_present_absent(
-    phrases: KeyphraseSet, doc_stemmed: tuple[str, ...]
-) -> tuple[KeyphraseSet, KeyphraseSet]:
-    """Partition phrases by contiguous occurrence in the stemmed document tokens."""
-    present: tuple[list, list] = ([], [])
-    absent: tuple[list, list] = ([], [])
-    for phrase, stemmed in zip(phrases.phrases, phrases.stemmed):
-        side = present if contains(doc_stemmed, stemmed) else absent
-        side[0].append(phrase)
-        side[1].append(stemmed)
-    return KeyphraseSet(*map(tuple, present)), KeyphraseSet(*map(tuple, absent))
+    phrases: Sequence[Phrase], doc_stemmed: tuple[str, ...]
+) -> tuple[tuple[Phrase, ...], tuple[Phrase, ...]]:
+    """Partition phrases, in order, by contiguous occurrence of their stems in the document's."""
+    present = tuple(p for p in phrases if contains(doc_stemmed, p.stems))
+    # equal phrases have equal stems, so a phrase equal to a present one is present
+    return present, tuple(p for p in phrases if p not in present)
 
 
-def gold_split(
-    doc: Document, stems: StemMemo
-) -> tuple[tuple[str, ...], KeyphraseSet, KeyphraseSet, KeyphraseSet]:
-    """``(document stems, gold, present gold, absent gold)`` of a labeled document.
+def gold_split(doc: Document, stems: StemMemo) -> tuple[tuple[str, ...], tuple[Phrase, ...], tuple[Phrase, ...]]:
+    """``(document stems, present gold, absent gold)`` of a labeled document.
 
     This is the one rule for "labeled": ``keyphrases is None`` raises
     ``DataError``, while an empty tuple is a labeled document with no gold
     phrases. The document is the untruncated ``title <sep> body``, so a
-    phrase past any model window still counts as present.
+    phrase past any model window still counts as present. ``present +
+    absent`` holds every gold phrase.
     """
     if doc.keyphrases is None:
         raise DataError(f"document {doc.id!r} is unlabeled: it has no keyphrases field")
     doc_stemmed = stems.phrase(model_input(doc, max_tokens=None).tokens)
-    gold = keyphrase_set(doc.keyphrases, stems)
-    return (doc_stemmed, gold, *split_present_absent(gold, doc_stemmed))
+    return (doc_stemmed, *split_present_absent(keyphrase_set(doc.keyphrases, stems), doc_stemmed))
+
+
+def _distinct_stems(phrases: Iterable[Phrase]) -> list[tuple[str, ...]]:
+    """The phrases' stems with later duplicates removed, order preserved."""
+    return list(dict.fromkeys(p.stems for p in phrases))
 
 
 class MetricScores(NamedTuple):
@@ -143,20 +123,20 @@ def _match(preds: list[tuple[str, ...]], gold: set[tuple[str, ...]], denominator
     return MetricScores(precision, recall, f1, len(preds), len(gold), matches)
 
 
-def f1_at_m(preds: KeyphraseSet, gold: KeyphraseSet) -> MetricScores:
+def f1_at_m(preds: Sequence[Phrase], gold: Sequence[Phrase]) -> MetricScores:
     """Precision/recall/F1 over all deduplicated predictions."""
-    dedup = preds.deduped()
-    return _match(dedup, set(gold.stemmed), len(dedup))
+    dedup = _distinct_stems(preds)
+    return _match(dedup, {p.stems for p in gold}, len(dedup))
 
 
-def f1_at_k(preds: KeyphraseSet, gold: KeyphraseSet, k: int = 5) -> MetricScores:
+def f1_at_k(preds: Sequence[Phrase], gold: Sequence[Phrase], k: int = 5) -> MetricScores:
     """Precision/recall/F1 over the first k deduplicated predictions.
 
     With fewer than k predictions the precision denominator stays k.
     """
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-    return _match(preds.deduped()[:k], set(gold.stemmed), k)
+    return _match(_distinct_stems(preds)[:k], {p.stems for p in gold}, k)
 
 
 class DocScores(NamedTuple):
@@ -233,18 +213,18 @@ def evaluate(
     absent_report = CategoryReport()
     stems = StemMemo()
     for line, doc in zip(predictions, gold_docs):
-        doc_stemmed, _, gold_present, gold_absent = gold_split(doc, stems)
+        doc_stemmed, gold_present, gold_absent = gold_split(doc, stems)
         pred_present, pred_absent = split_present_absent(parse_predictions(line, sep, stems), doc_stemmed)
         for report, pred_cat, gold_cat in (
             (present_report, pred_present, gold_present),
             (absent_report, pred_absent, gold_absent),
         ):
-            if not len(gold_cat):
+            if not gold_cat:
                 report.docs_skipped += 1
                 continue
             # what f1_at_k and f1_at_m score, de-duplicated once for both
-            preds = pred_cat.deduped()
-            gold_set = set(gold_cat.stemmed)
+            preds = _distinct_stems(pred_cat)
+            gold_set = {p.stems for p in gold_cat}
             report.per_doc.append(DocScores(doc.id, _match(preds[:k], gold_set, k), _match(preds, gold_set, len(preds))))
     return EvalReport(
         k=k,

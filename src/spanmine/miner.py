@@ -110,7 +110,7 @@ class _Eligibility(dict):
         ok = self[token] = (
             token not in (SEP_TOKEN, DIGIT_TOKEN)
             and token not in self.stoplist
-            and any(ch.isalnum() for ch in token)
+            and any(map(str.isalnum, token))
         )
         return ok
 

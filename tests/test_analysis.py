@@ -53,7 +53,7 @@ class TestRetrievalSuccess:
             present, _ = split_present_absent(
                 keyphrase_set(doc.keyphrases), StemMemo().phrase(model_input(doc, max_tokens=None).tokens)
             )
-            pairs.extend((slot, phrase) for phrase in present.phrases)
+            pairs.extend((slot, phrase.tokens) for phrase in present)
         for k in (1, 5, 1000):  # 1000 exceeds the 30-doc pool
             report = retrieval_success(docs, index, k=k)
             hits = [slot in {s for s, _ in brute.top_k(list(phrase), k)} for slot, phrase in pairs]

@@ -138,6 +138,13 @@ class TestSubcommands:
         assert f"data error: {corpus}: line 1: malformed JSON" in caplog.text and "Traceback" not in caplog.text
         assert capsys.readouterr().out == ""
 
+    def test_stats_on_an_empty_corpus_is_data_error(self, tmp_path, caplog, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        assert run(["-q", "stats", "--corpus", str(empty)]) == EXIT_DATA
+        assert "data error: corpus contains no documents" in caplog.text and "Traceback" not in caplog.text
+        assert capsys.readouterr().out == ""
+
     def test_eval_empty_separator_is_data_error(self, corpus, tmp_path, caplog):
         preds = tmp_path / "preds.txt"
         preds.write_text("sparse solvers\ngraph pruning\ncodec design\n", encoding="utf-8")

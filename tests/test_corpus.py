@@ -22,7 +22,8 @@ from spanmine import (
     write_corpus,
 )
 from spanmine.corpus import contains, normalize, text_tokens, tokenize, write_json
-from spanmine.demo import generate_demo_corpus, generate_demo_predictions
+from spanmine.demo import _CONTENT, _FILLER, generate_demo_corpus, generate_demo_predictions
+from spanmine.porter import stem
 
 
 class TestNormalize:
@@ -128,7 +129,7 @@ class TestChunkedTokenizer:
         assert out.tokens == (*_oracle(title), "<sep>", *_oracle(body))
         assert out.title_len == len(_oracle(title))
         expected = tuple(tuple(_oracle(p)) for p in phrases if _oracle(p))
-        assert keyphrase_set(phrases).phrases == expected
+        assert tuple(p.tokens for p in keyphrase_set(phrases)) == expected
 
     def test_every_bmp_code_point(self):
         for cp in range(0x10000):
@@ -278,7 +279,7 @@ class TestDatasetStats:
         assert (stats.num_docs, stats.avg_kp_per_doc, stats.pct_absent_kp) == (2, 0.5, 0.0)
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^corpus contains no documents$"):
             dataset_stats([])
 
     def test_stemmed_presence_counts(self):
@@ -378,6 +379,14 @@ class TestBadUtf8:
         path.write_text('{"id": "a", "title": "x\\udce9", "abstract": "b"}\n', encoding="utf-8")
         with pytest.raises(DataError, match=r"corpus\.jsonl: line 1: field 'title' holds a lone surrogate \(U\+DCE9\)"):
             list(load_corpus(path))
+
+
+def test_demo_vocabulary_is_stem_disjoint():
+    """No two words of the demo's content and filler pools share a stem, so a planted absent phrase stays absent."""
+    by_stem: dict[str, set[str]] = {}
+    for word in _CONTENT + _FILLER:
+        by_stem.setdefault(stem(word), set()).add(word)
+    assert sorted(sorted(words) for words in by_stem.values() if len(words) > 1) == []
 
 
 class TestByteOrderMark:

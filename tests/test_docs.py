@@ -9,6 +9,7 @@ from pathlib import Path
 import spanmine
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+FROM_PYTHON = README[README.index("From Python") :].split("\n\n", 1)[0]
 MODULES = [spanmine] + [importlib.import_module(f"spanmine.{info.name}") for info in pkgutil.iter_modules(spanmine.__path__)]
 CLASSES = [obj for m in MODULES for obj in vars(m).values() if isinstance(obj, type) and obj.__module__ == m.__name__]
 
@@ -36,9 +37,15 @@ def _api_names(section: str) -> set[str]:
 
 
 def test_readme_names_only_apis_that_exist():
-    from_python = README[README.index("From Python") :].split("\n\n", 1)[0]
     index_format = README[README.index("## Index file format") :].split("\n## ", 1)[0]
-    names = _api_names(from_python) | _api_names(index_format)
+    names = _api_names(FROM_PYTHON) | _api_names(index_format)
     assert {"mine_corpus", "load_spans", "to_dict", "BM25Index.postings", "PostingList"} <= names
     assert {"evaluate_file", "EvalReport.to_dict", "DocScores", "MetricScores", "_replace"} <= names
+    assert {"Phrase", "keyphrase_set", "gold_split", "StemMemo"} <= names
     assert sorted(name for name in names if not _resolves(name)) == []
+
+
+def test_readme_gives_the_keyphrase_shapes():
+    fields = ", ".join(spanmine.Phrase._fields)
+    assert f"`Phrase({fields})`" in FROM_PYTHON and f"plain tuple `({fields})`" in FROM_PYTHON
+    assert "returns `(doc_stems, present, absent)`" in FROM_PYTHON

@@ -25,41 +25,54 @@ from spanmine import (
     split_present_absent,
 )
 from spanmine.analysis import overlap_metrics, retrieval_success
-from spanmine.evaluation import DocScores, EvalReport, MetricScores, StemMemo
+from spanmine.corpus import contains
+from spanmine.evaluation import DocScores, EvalReport, MetricScores, StemMemo, _distinct_stems, gold_split
 
 
 class TestParsePredictions:
     def test_splits_on_separator(self):
         out = parse_predictions("short signatures ; pairing ;")
-        assert out.phrases == (("short", "signatures"), ("pairing",))
+        assert tuple(p.tokens for p in out) == (("short", "signatures"), ("pairing",))
 
     def test_only_separators_empty(self):
         assert len(parse_predictions(";;;")) == 0
 
     def test_raw_duplicates_survive_until_dedup(self):
         out = parse_predictions("a b;a b")
-        assert len(out.phrases) == 2
-        assert len(out.deduped()) == 1
+        assert len(out) == 2
+        assert len(_distinct_stems(out)) == 1
 
     def test_normalizes_digits_and_case(self):
         out = parse_predictions("Top 100 Models")
-        assert out.phrases == (("top", "<digit>", "models"),)
+        assert tuple(p.tokens for p in out) == (("top", "<digit>", "models"),)
 
     def test_custom_separator(self):
         out = parse_predictions("one | two", sep="|")
-        assert out.phrases == (("one",), ("two",))
+        assert tuple(p.tokens for p in out) == (("one",), ("two",))
+
+
+def test_a_phrase_is_a_plain_tokens_stems_tuple(labeled_doc):
+    assert keyphrase_set(["Neural Networks", "  ", "graph"]) == (
+        (("neural", "networks"), ("neural", "network")),
+        (("graph",), ("graph",)),
+    )
+    doc_stems, present, absent = gold_split(labeled_doc, StemMemo())
+    assert sorted(present + absent) == sorted(keyphrase_set(labeled_doc.keyphrases))
+    assert present and absent
+    assert all(contains(doc_stems, p.stems) for p in present)
+    assert not any(contains(doc_stems, p.stems) for p in absent)
 
 
 class TestPresentAbsentSplit:
     def test_structural_mechanics_document(self, labeled_doc, labeled_tokenized):
         gold = keyphrase_set(labeled_doc.keyphrases)
         present, absent = split_present_absent(gold, StemMemo().phrase(labeled_tokenized.tokens))
-        present_texts = {" ".join(p) for p in present.phrases}
-        absent_texts = {" ".join(p) for p in absent.phrases}
+        present_texts = {" ".join(p.tokens) for p in present}
+        absent_texts = {" ".join(p.tokens) for p in absent}
         assert "mixed finite elements" in present_texts
         assert "hybrid formulations" in absent_texts
         assert "plasticity" in absent_texts
-        assert present_texts | absent_texts == {" ".join(p) for p in gold.phrases}
+        assert present_texts | absent_texts == {" ".join(p.tokens) for p in gold}
         assert present_texts.isdisjoint(absent_texts)
 
     def test_stem_match_counts_as_present(self):
@@ -127,7 +140,7 @@ class TestF1AtM:
     @settings(max_examples=150)
     def test_perfect_score_iff_sets_equal(self, preds, gold):
         scores = f1_at_m(keyphrase_set(preds), keyphrase_set(gold))
-        sets_equal = set(keyphrase_set(preds).deduped()) == set(keyphrase_set(gold).deduped())
+        sets_equal = set(_distinct_stems(keyphrase_set(preds))) == set(_distinct_stems(keyphrase_set(gold)))
         assert (scores.f1 == 1.0) == sets_equal
 
 
