@@ -148,7 +148,7 @@ def _cmd_index(args) -> dict:
     save_index(index, args.out)
     return {
         "documents": index.num_docs,
-        "terms": len(index.postings),
+        "terms": len(index.dfs),
         "postings": len(index.refs),
         "avg_doc_len": index.avg_doc_len,
         "k1": index.k1,

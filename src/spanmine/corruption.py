@@ -73,9 +73,7 @@ def _poisson(rng: random.Random, lam: float) -> int:
         k += 1
 
 
-def locate_occurrences(
-    tokens: Sequence[str], spans: Sequence[SalientSpan]
-) -> list[tuple[Interval, SalientSpan]]:
+def locate_occurrences(tokens: Sequence[str], spans: Iterable[SalientSpan]) -> list[Interval]:
     """Find non-overlapping span occurrences, longest spans first.
 
     An index built per call, in one pass over the document, maps the
@@ -88,30 +86,29 @@ def locate_occurrences(
     tokens), and each span claims, in ascending order, every start none of
     whose positions is claimed yet. A start inside the same span's
     previous claim always fails that test, and a region claimed by a
-    longer span is never re-matched by a shorter one. Returned in
-    ascending start order.
+    longer span is never re-matched by a shorter one. Returns the claimed
+    (start, end) intervals in ascending order.
     """
     tokens = tuple(tokens)
-    unique: dict[tuple[str, ...], SalientSpan] = {}
-    # the key holds every field, so equal keys are equal spans; an empty span matches nothing
-    for span in sorted([s for s in spans if s.tokens], key=lambda s: (-len(s.tokens), s.rank, s.tokens)):
-        unique.setdefault(span.tokens, span)
-    starts: dict[str, list[int]] = {gram[0]: [] for gram in unique}
+    # distinct token tuples in claim order; an empty span matches nothing
+    ordered = sorted([s for s in spans if s.tokens], key=lambda s: (-len(s.tokens), s.rank, s.tokens))
+    grams = dict.fromkeys(span.tokens for span in ordered)
+    starts: dict[str, list[int]] = {gram[0]: [] for gram in grams}
     for i, token in enumerate(tokens):
         positions = starts.get(token)
         if positions is not None:
             positions.append(i)
     claimed = [False] * len(tokens)
-    found: list[tuple[Interval, SalientSpan]] = []
-    for gram, span in unique.items():
+    found: list[Interval] = []
+    for gram in grams:
         n = len(gram)
         for i in starts[gram[0]]:
             if n > 1 and tokens[i : i + n] != gram:
                 continue
             if not any(claimed[i : i + n]):
                 claimed[i : i + n] = [True] * n
-                found.append(((i, i + n), span))
-    found.sort(key=lambda item: item[0])
+                found.append((i, i + n))
+    found.sort()
     return found
 
 
@@ -127,31 +124,27 @@ def plan_corruption(
     draw = _doc_rng(cfg.seed, doc.doc_id).random
     occurrences = locate_occurrences(doc.tokens, spans)
     covered = [False] * len(doc.tokens)
-    for (start, end), _ in occurrences:
+    for start, end in occurrences:
         covered[start:end] = [True] * (end - start)
     k_s, k_o = cfg.k_s, cfg.k_o
-    marks = [interval for interval, _ in occurrences if draw() < k_s]
+    marks = [interval for interval in occurrences if draw() < k_s]
     marks += [(pos, pos + 1) for pos, hit in enumerate(covered) if not hit and draw() < k_o]
     marks.sort()
     return tuple(marks)
 
 
-def _check_plan(plan: Sequence[Interval]) -> None:
-    prev_end = -1
-    for start, end in plan:
-        if start > end:
-            raise ValueError(f"bad interval ({start}, {end})")
-        if start < prev_end:
-            raise ValueError(f"overlapping plan intervals at ({start}, {end})")
-        prev_end = max(prev_end, end)
-
-
 def _splice(tokens: Sequence[str], plan: Sequence[Interval], filler: tuple[str, ...]) -> list[str]:
-    """``tokens`` with each interval of ``plan`` replaced by ``filler``."""
-    _check_plan(plan)
+    """``tokens`` with each interval of ``plan`` replaced by ``filler``.
+
+    Raises ValueError unless every interval lies in the tokens after the
+    one before it: prev_end <= start <= end <= len(tokens).
+    """
     out: list[str] = []
     pos = 0
+    n = len(tokens)
     for start, end in plan:
+        if not pos <= start <= end <= n:
+            raise ValueError(f"plan interval ({start}, {end}) is not within [{pos}, {n}]")
         out += tokens[pos:start]
         out += filler
         pos = end
@@ -181,7 +174,7 @@ def build_ssp_target(spans: Sequence[SalientSpan]) -> list[str]:
     document: one set holds every shorter contiguous sub-sequence of each
     span, so the test is one lookup per span, not one scan per pair.
     """
-    ordered = sorted(spans, key=lambda s: s.rank)
+    ordered = sorted([s for s in spans if s.tokens], key=lambda s: s.rank)  # an empty span predicts nothing
     unique: list[SalientSpan] = []
     seen: set[tuple[str, ...]] = set()
     for span in ordered:
@@ -246,41 +239,6 @@ def _ti_plan(doc: TokenizedDoc, cfg: CorruptionConfig) -> tuple[Interval, ...]:
     return tuple(intervals)
 
 
-def _corrupt(
-    doc: TokenizedDoc, spans: Sequence[SalientSpan], cfg: CorruptionConfig
-) -> tuple[tuple[str, ...], tuple[str, ...], tuple[Interval, ...]]:
-    """(source, target, plan) of ``doc`` under the configured objective.
-
-    Raises SkipDocument when the document cannot yield an example (ssp
-    with no spans, tg with an empty title or body).
-    """
-    objective = cfg.objective
-    plan: tuple[Interval, ...] = ()
-    if objective in SPAN_OBJECTIVES:
-        target = tuple(build_ssp_target(spans)) if objective.startswith("ssp") else doc.tokens
-        plan = plan_corruption(doc, spans, cfg)
-        if objective in _MASK_OBJECTIVES:
-            source = tuple(apply_mask(doc.tokens, plan))
-        else:
-            source = tuple(apply_delete(doc.tokens, plan))
-            if not source:
-                logger.warning("document %s: corruption deleted every token", doc.doc_id)
-    elif objective == "ti":
-        plan = _ti_plan(doc, cfg)
-        source = tuple(apply_mask(doc.tokens, plan))
-        target = doc.tokens
-    elif objective == "tg":
-        # tokens = title ++ [<sep>] ++ body, cut to the window; a cut inside the title leaves no body
-        source, target = doc.tokens[doc.title_len + 1 :], doc.tokens[: doc.title_len]
-        if not target:
-            raise SkipDocument("empty title")
-        if not source:
-            raise SkipDocument("empty body")
-    else:  # pragma: no cover - config validation rules this out
-        raise DataError(f"unknown objective {objective!r}")
-    return source, target, plan
-
-
 @dataclass(frozen=True)
 class GenSummary:
     objective: str
@@ -294,19 +252,37 @@ class GenSummary:
 
 
 def _build_record(spans_by_id, cfg: CorruptionConfig, doc: TokenizedDoc):
-    """(skip reason, JSON line, token stats) of one document; the line is None on a skip."""
-    spans = ()
-    if cfg.objective in SPAN_OBJECTIVES:
-        if spans_by_id is None or doc.doc_id not in spans_by_id:
-            raise DataError(f"spans file has no entry for document {doc.doc_id!r}")
-        spans = spans_by_id[doc.doc_id]
+    """(skip reason, JSON line, token stats) of ``doc`` under the configured objective.
+
+    The line is None on a skip: ssp with no spans to predict, tg with an
+    empty title or body.
+    """
+    objective, tokens = cfg.objective, doc.tokens
     try:
-        source, target, plan = _corrupt(doc, spans, cfg)
+        if objective in SPAN_OBJECTIVES:
+            if spans_by_id is None or doc.doc_id not in spans_by_id:
+                raise DataError(f"spans file has no entry for document {doc.doc_id!r}")
+            spans = spans_by_id[doc.doc_id]
+            target = build_ssp_target(spans) if objective.startswith("ssp") else tokens
+            plan = plan_corruption(doc, spans, cfg)
+        elif objective == "ti":
+            target, plan = tokens, _ti_plan(doc, cfg)
+        else:  # tg: tokens = title ++ [<sep>] ++ body, cut to the window; a cut inside the title leaves no body
+            source, target, plan = tokens[doc.title_len + 1 :], tokens[: doc.title_len], ()
+            if not target:
+                raise SkipDocument("empty title")
+            if not source:
+                raise SkipDocument("empty body")
     except SkipDocument as skip:
-        return skip.reason, None, (len(doc.tokens), 0, 0, 0)
-    corrupted = sum(end - start for start, end in plan)
-    masks = len(plan) if cfg.objective in _MASK_OBJECTIVES else 0
-    stats = (len(doc.tokens), corrupted, masks, len(source))
+        return skip.reason, None, (len(tokens), 0, 0, 0)
+    masks = 0
+    if objective in _MASK_OBJECTIVES:
+        source, masks = apply_mask(tokens, plan), len(plan)
+    elif objective != "tg":
+        source = apply_delete(tokens, plan)
+        if not source:
+            logger.warning("document %s: corruption deleted every token", doc.doc_id)
+    stats = (len(tokens), sum(end - start for start, end in plan), masks, len(source))
     # {"id", "source", "target"}, byte for byte what json.dumps(record, ensure_ascii=False) writes
     line = f'{{"id": {quote(doc.doc_id)}, "source": {quote(" ".join(source))}, "target": {quote(" ".join(target))}}}'
     return None, line, stats

@@ -135,7 +135,10 @@ def oracle_mine(doc, index, thresholds, stoplist, max_spans=None):
 
 
 def oracle_locate_occurrences(tokens, spans):
-    """Reference span locator: slide a window over the document once per distinct span; an empty span matches nothing."""
+    """Reference span locator: slide a window over the document once per distinct span; an empty span matches nothing.
+
+    Returns the claimed (start, end) intervals in ascending order.
+    """
     claimed = [False] * len(tokens)
     found = []
     unique = {}
@@ -149,20 +152,20 @@ def oracle_locate_occurrences(tokens, spans):
             if tuple(tokens[i : i + n]) == span.tokens and not any(claimed[i : i + n]):
                 for j in range(i, i + n):
                     claimed[j] = True
-                found.append(((i, i + n), span))
+                found.append((i, i + n))
                 i += n
             else:
                 i += 1
-    found.sort(key=lambda item: item[0])
+    found.sort()
     return found
 
 
 def oracle_ssp_target(spans, sep=";"):
-    """Reference ssp target: prune by a pairwise containment test of every two spans."""
+    """Reference ssp target: prune by a pairwise containment test of every two spans; an empty span predicts nothing."""
     unique = []
     seen = set()
     for span in sorted(spans, key=lambda s: s.rank):
-        if span.tokens not in seen:
+        if span.tokens and span.tokens not in seen:
             seen.add(span.tokens)
             unique.append(span)
     kept = [

@@ -171,12 +171,12 @@ def test_c3_corruption_statistics(tmp_path):
     unit_variance = 0.0
     for doc in docs[::20]:  # per-doc layout is constant by construction; sample
         occ = locate_occurrences(doc.tokens, spans_by_id[doc.doc_id])
-        doc_covered = sum(end - start for (start, end), _ in occ)
+        doc_covered = sum(end - start for start, end in occ)
         covered += doc_covered
         total += len(doc.tokens)
         # Every marked unit is Bernoulli: variance len^2 p (1-p).
         unit_variance += sum(
-            (end - start) ** 2 * cfg.k_s * (1 - cfg.k_s) for (start, end), _ in occ
+            (end - start) ** 2 * cfg.k_s * (1 - cfg.k_s) for start, end in occ
         )
         unit_variance += (len(doc.tokens) - doc_covered) * cfg.k_o * (1 - cfg.k_o)
     coverage = covered / total

@@ -172,14 +172,14 @@ class TestSubcommands:
         assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
         capsys.readouterr()
 
-        corrupt = spanmine.corruption._corrupt
+        ti_plan = spanmine.corruption._ti_plan
 
-        def corrupt_all_but_the_last(doc, spans, cfg):  # c2 is in the forked worker's block
+        def plan_all_but_the_last(doc, cfg):  # c2 is in the forked worker's block
             if doc.doc_id == "c2":
                 raise DataError("planted failure in c2")
-            return corrupt(doc, spans, cfg)
+            return ti_plan(doc, cfg)
 
-        monkeypatch.setattr(spanmine.corruption, "_corrupt", corrupt_all_but_the_last)
+        monkeypatch.setattr(spanmine.corruption, "_ti_plan", plan_all_but_the_last)
         out = tmp_path / "out.jsonl"
         argv = ["-q", "corrupt", "--objective", "ti", "--index", str(index), "--corpus", str(corpus)]
         assert run([*argv, "--out", str(out), "--threads", "2"]) == EXIT_DATA

@@ -27,7 +27,7 @@ from spanmine import (
     plan_corruption,
     save_index,
 )
-from spanmine.corruption import OBJECTIVES, SPAN_OBJECTIVES, _corrupt, _poisson, locate_occurrences
+from spanmine.corruption import OBJECTIVES, SPAN_OBJECTIVES, _poisson, _ti_plan, locate_occurrences
 from spanmine.demo import DEMO_SEED, generate_demo_corpus
 from spanmine.miner import DEFAULT_THRESHOLDS, MAX_NGRAM
 from tests.conftest import corrupt_one, oracle_locate_occurrences, oracle_ssp_target
@@ -68,20 +68,17 @@ class TestPlanCorruption:
     def test_longest_span_claims_first(self):
         doc = doc_of(["a", "b", "c"])
         spans = spans_of("a b c", "b c", ranks=[5, 1])
-        occ = locate_occurrences(doc.tokens, spans)
-        assert [interval for interval, _ in occ] == [(0, 3)]
+        assert locate_occurrences(doc.tokens, spans) == [(0, 3)]
 
     def test_equal_length_lower_rank_claims_first(self):
-        occ = locate_occurrences(("a", "b", "c"), spans_of("a b", "b c", ranks=[1, 0]))
-        assert [interval for interval, _ in occ] == [(1, 3)]
+        assert locate_occurrences(("a", "b", "c"), spans_of("a b", "b c", ranks=[1, 0])) == [(1, 3)]
 
     def test_self_overlapping_span_claims_left_to_right(self):
-        occ = locate_occurrences(("a",) * 5, spans_of("a a"))
-        assert [interval for interval, _ in occ] == [(0, 2), (2, 4)]
+        assert locate_occurrences(("a",) * 5, spans_of("a a")) == [(0, 2), (2, 4)]
 
     def test_empty_span_matches_nothing(self):
         spans = [SalientSpan(tokens=(), rank=0), *spans_of("b", ranks=[1])]
-        assert locate_occurrences(("a", "b"), spans) == [((1, 2), spans[1])]
+        assert locate_occurrences(("a", "b"), spans) == [(1, 2)]
 
     def test_no_overlapping_marks(self):
         rng = random.Random(1)
@@ -123,6 +120,7 @@ class TestApplyMaskDelete:
 
     def test_zero_length_interval_inserts(self):
         assert apply_mask(["a", "b"], [(1, 1)]) == ["a", "<mask>", "b"]
+        assert apply_mask(["a", "b"], [(0, 1), (2, 2)]) == ["<mask>", "b", "<mask>"]  # at len(tokens) too, as ti places them
 
     def test_delete(self):
         assert apply_delete(["a", "b", "c", "d"], [(1, 3)]) == ["a", "d"]
@@ -133,9 +131,16 @@ class TestApplyMaskDelete:
     def test_delete_full_coverage(self):
         assert apply_delete(["a", "b"], [(0, 2)]) == []
 
-    def test_overlap_rejected(self):
+    @pytest.mark.parametrize("apply", [apply_mask, apply_delete])
+    @pytest.mark.parametrize(
+        "plan",
+        [[(0, 2), (1, 3)], [(2, 1)], [(-1, 0)], [(-1, 1)], [(5, 5)], [(2, 4)]],
+        ids=["overlap", "reversed", "before-start", "across-start", "past-end", "across-end"],
+    )
+    def test_interval_outside_the_rule_rejected(self, apply, plan):
+        # every interval must satisfy prev_end <= start <= end <= len(tokens)
         with pytest.raises(ValueError):
-            apply_mask(["a", "b", "c"], [(0, 2), (1, 3)])
+            apply(("a", "b", "c"), plan)
 
     @given(
         st.lists(st.sampled_from("abcdef"), min_size=1, max_size=40),
@@ -188,6 +193,11 @@ class TestSspTarget:
     def test_empty_raises_skip(self):
         with pytest.raises(SkipDocument):
             build_ssp_target([])
+        with pytest.raises(SkipDocument, match="no salient spans to predict"):
+            build_ssp_target([SalientSpan((), 0)])  # an empty span predicts nothing
+
+    def test_empty_span_is_dropped(self):
+        assert build_ssp_target([SalientSpan((), 0), SalientSpan(("a",), 1)]) == ["a"]
 
     def test_rank_orders_output(self):
         spans = spans_of("late", "early", ranks=[7, 1])
@@ -270,6 +280,7 @@ class TestBuildExample:
     def test_ssp_without_spans_skips(self):
         doc = doc_of(["a"], doc_id="s")
         assert corrupt_one(doc, [], cfg_for("ssp-m")) == "no salient spans to predict"
+        assert corrupt_one(doc, [SalientSpan((), 0)], cfg_for("ssp-d")) == "no salient spans to predict"
 
     def test_full_coverage_delete_warns_but_emits(self, caplog):
         doc = doc_of(["a", "b"], doc_id="w")
@@ -341,7 +352,12 @@ class TestGenCorpus:
         assert gen_corpus(docs, spans_by_id, cfg, out, workers=workers).examples_written == 3
         expected = []
         for doc in docs:
-            source, target, _ = _corrupt(doc, spans, cfg)
+            if objective == "tg":
+                source, target = doc.tokens[doc.title_len + 1 :], doc.tokens[: doc.title_len]
+            else:
+                plan = _ti_plan(doc, cfg) if objective == "ti" else plan_corruption(doc, spans, cfg)
+                source = (apply_mask if objective in ("ssr-m", "ssp-m", "ti") else apply_delete)(doc.tokens, plan)
+                target = build_ssp_target(spans) if objective.startswith("ssp") else doc.tokens
             expected.append({"id": doc.doc_id, "source": " ".join(source), "target": " ".join(target)})
         lines = out.read_bytes().decode("utf-8").split("\n")  # not splitlines(): ids and tokens hold U+2028
         assert lines == [json.dumps(record, ensure_ascii=False) for record in expected] + [""]
@@ -372,7 +388,7 @@ class TestGenCorpus:
         total = 0
         for doc in docs:
             occ = locate_occurrences(doc.tokens, spans[doc.doc_id])
-            covered += sum(end - start for (start, end), _ in occ)
+            covered += sum(end - start for start, end in occ)
             total += len(doc.tokens)
         coverage = covered / total
         expected = cfg.k_s * coverage + cfg.k_o * (1 - coverage)
@@ -421,6 +437,8 @@ class TestAgainstOracles:
     @given(doc_and_spans())
     @example(([], []))
     @example(([], spans_of("a a", "a", "a a a", "a a", ranks=[3, 0, 5, 1])))
+    @example(([], [SalientSpan((), 0), *spans_of("a b", "a", ranks=[2, 1])]))  # an empty span predicts nothing
+    @example(([], [SalientSpan((), 0)]))
     @settings(max_examples=300)
     def test_ssp_target_matches_pairwise_pruning(self, case):
         _, spans = case

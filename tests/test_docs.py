@@ -42,6 +42,7 @@ def test_readme_names_only_apis_that_exist():
     assert {"mine_corpus", "load_spans", "to_dict", "BM25Index.postings", "PostingList"} <= names
     assert {"evaluate_file", "EvalReport.to_dict", "DocScores", "MetricScores", "_replace"} <= names
     assert {"Phrase", "keyphrase_set", "gold_split", "StemMemo"} <= names
+    assert {"locate_occurrences", "plan_corruption", "apply_mask", "apply_delete"} <= names
     assert sorted(name for name in names if not _resolves(name)) == []
 
 
@@ -49,3 +50,9 @@ def test_readme_gives_the_keyphrase_shapes():
     fields = ", ".join(spanmine.Phrase._fields)
     assert f"`Phrase({fields})`" in FROM_PYTHON and f"plain tuple `({fields})`" in FROM_PYTHON
     assert "returns `(doc_stems, present, absent)`" in FROM_PYTHON
+
+
+def test_readme_gives_the_interval_shapes():
+    prose = " ".join(FROM_PYTHON.split())
+    assert "`locate_occurrences(tokens, spans)` returns the ascending `(start, end)` intervals" in prose
+    assert "`prev_end <= start <= end <= len(tokens)`, or both raise ValueError" in prose
