@@ -28,15 +28,7 @@ from .corruption import (
     gen_corpus,
     plan_corruption,
 )
-from .errors import (
-    AlignmentError,
-    ChecksumError,
-    CorpusFormatError,
-    DataError,
-    DuplicateIdError,
-    IndexFormatError,
-    SkipDocument,
-)
+from .errors import DataError
 from .evaluation import (
     Phrase,
     evaluate,

@@ -34,7 +34,7 @@ from operator import ge
 from typing import NamedTuple
 
 from .corpus import TokenizedDoc, replacing
-from .errors import ChecksumError, DataError, DuplicateIdError, IndexFormatError
+from .errors import DataError
 
 _MAGIC = b"SPMI"
 _VERSION = 3
@@ -194,7 +194,7 @@ def build_index(
     seen: set[str] = set()
     for slot, doc in enumerate(docs):
         if doc.doc_id in seen:
-            raise DuplicateIdError(f"duplicate document id {doc.doc_id!r} while indexing")
+            raise DataError(f"duplicate document id {doc.doc_id!r} while indexing")
         seen.add(doc.doc_id)
         doc_ids.append(doc.doc_id)
         doc_lens.append(len(doc.tokens))
@@ -206,6 +206,8 @@ def build_index(
             else:
                 column.append(slot)
                 term_tfs[term].append(tf)
+    if not doc_lens:
+        raise DataError("cannot build an index from a corpus with no documents")
     if not sum(doc_lens):
         raise DataError("cannot build an index from a corpus with no tokens")
     # Concatenate the per-term columns, freeing each once it is copied.
@@ -245,7 +247,7 @@ def _decode(blob: bytes, lens: array, what: str) -> list[str]:
     try:
         return [blob[start:end].decode("utf-8") for start, end in zip(offsets, offsets[1:])]
     except UnicodeDecodeError as exc:
-        raise IndexFormatError(f"index file corrupt (invalid UTF-8 in a {what})") from exc
+        raise DataError(f"index file corrupt (invalid UTF-8 in a {what})") from exc
 
 
 def save_index(index: BM25Index, path) -> None:
@@ -270,59 +272,59 @@ def save_index(index: BM25Index, path) -> None:
 def load_index(path) -> BM25Index:
     """Load a saved index; scores reproduce bit-identically.
 
-    Any file that is not a consistent v3 index raises IndexFormatError
-    (ChecksumError for a checksum mismatch or a truncated file).
+    Any file that is not a consistent v3 index raises DataError, a
+    checksum mismatch or a truncated file included.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != _MAGIC:
-        raise IndexFormatError("not an index file (bad magic bytes)")
+        raise DataError("not an index file (bad magic bytes)")
     if len(data) < 6:
-        raise ChecksumError("index file truncated")
+        raise DataError("index file truncated")
     version = int.from_bytes(data[4:6], "little")
     if version != _VERSION:
-        raise IndexFormatError(
+        raise DataError(
             f"unsupported index version {version} (expected {_VERSION}); rebuild it with spanmine index"
         )
     if len(data) < _HEADER.size + 4 or zlib.crc32(memoryview(data)[:-4]) != int.from_bytes(data[-4:], "little"):
-        raise ChecksumError("index file corrupt (checksum mismatch)")
+        raise DataError("index file corrupt (checksum mismatch)")
     _, _, k1, b, num_docs, num_terms, num_postings = _HEADER.unpack_from(data)
     if not (math.isfinite(k1) and k1 > 0 and 0 <= b <= 1):
-        raise IndexFormatError(f"index file corrupt (k1={k1}, b={b})")
+        raise DataError(f"index file corrupt (k1={k1}, b={b})")
     # Counts are checked against the body before anything is sized by them.
     counts = (num_docs, num_docs, num_terms, num_terms, num_postings, num_postings)
     width = 4 * sum(counts)
     if len(data) - _HEADER.size - 4 < width:
-        raise IndexFormatError("index file corrupt (body shorter than its header counts)")
+        raise DataError("index file corrupt (body shorter than its header counts)")
     id_lens, doc_lens, term_lens, dfs, refs, tfs = _columns(memoryview(data)[_HEADER.size :], counts)
     text = data[_HEADER.size + width : -4]
     del data
     id_bytes = sum(id_lens)
     if id_bytes + sum(term_lens) != len(text) or sum(dfs) != num_postings:
-        raise IndexFormatError("index file corrupt (section sizes disagree with the header counts)")
+        raise DataError("index file corrupt (section sizes disagree with the header counts)")
     doc_ids = _decode(text[:id_bytes], id_lens, "document id")
     terms = _decode(text[id_bytes:], term_lens, "term")
     del text
     if not sum(doc_lens):
-        raise IndexFormatError("index file corrupt (document lengths sum to 0)")
+        raise DataError("index file corrupt (document lengths sum to 0)")
     for what, names in (("document id", doc_ids), ("term", terms)):
         if len(set(names)) != len(names):
             repeated = Counter(names).most_common(1)[0][0]
-            raise IndexFormatError(f"index file corrupt ({what} {repeated!r} appears twice)")
+            raise DataError(f"index file corrupt ({what} {repeated!r} appears twice)")
     if 0 in dfs:
-        raise IndexFormatError(f"index file corrupt (term {terms[dfs.index(0)]!r} has no postings)")
+        raise DataError(f"index file corrupt (term {terms[dfs.index(0)]!r} has no postings)")
     ends = list(accumulate(dfs))
     doc_ref = max(refs, default=0)
     if doc_ref >= num_docs:
         term = terms[bisect_right(ends, refs.index(doc_ref))]
-        raise IndexFormatError(f"index file corrupt (term {term!r} posts to document {doc_ref} of {num_docs})")
+        raise DataError(f"index file corrupt (term {term!r} posts to document {doc_ref} of {num_docs})")
     # Doc refs ascend strictly within a term: a ref not above its
     # predecessor may only start the next term's list.
     unordered = set(compress(count(1), map(ge, refs, islice(refs, 1, None)))).difference(ends)
     if unordered:
         pos = min(unordered)
         term = terms[bisect_right(ends, pos)]
-        raise IndexFormatError(f"index file corrupt (term {term!r} repeats or reorders document {refs[pos]})")
+        raise DataError(f"index file corrupt (term {term!r} repeats or reorders document {refs[pos]})")
     if 0 in tfs:
-        raise IndexFormatError("index file corrupt (a posting has term frequency 0)")
+        raise DataError("index file corrupt (a posting has term frequency 0)")
     return BM25Index(doc_ids, doc_lens.tolist(), terms, dfs, refs, tfs, k1, b)

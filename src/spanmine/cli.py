@@ -33,7 +33,7 @@ from .corpus import (
     write_json,
 )
 from .corruption import OBJECTIVES, SPAN_OBJECTIVES, CorruptionConfig, gen_corpus
-from .errors import DataError, SpanmineError
+from .errors import DataError
 from .evaluation import evaluate_file
 from .miner import DEFAULT_THRESHOLDS, load_spans, mine_corpus, parse_thresholds
 from .pool import usable_cpus
@@ -327,7 +327,7 @@ def _cmd_demo(args) -> dict:
     }
 
 
-class UsageError(SpanmineError):
+class UsageError(Exception):
     pass
 
 

@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 
-from .errors import CorpusFormatError, DataError, DuplicateIdError
+from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
@@ -244,7 +244,7 @@ def _text_field(record: dict, key: str, path, line_no: int) -> str:
     if value is None:
         return ""
     if not isinstance(value, str):
-        raise CorpusFormatError(
+        raise DataError(
             f"{path}: line {line_no}: field {key!r} must be a string or null, got {type(value).__name__}"
         )
     return value
@@ -260,11 +260,11 @@ def _parse_keyphrases(record: dict, key: str, path, line_no: int) -> tuple[str, 
         parts = raw
         for item in parts:
             if not isinstance(item, str):
-                raise CorpusFormatError(
+                raise DataError(
                     f"{path}: line {line_no}: field {key!r} must list only strings, got {type(item).__name__}"
                 )
     else:
-        raise CorpusFormatError(
+        raise DataError(
             f"{path}: line {line_no}: keyphrase field must be a list or string, got {type(raw).__name__}"
         )
     return tuple(p.strip() for p in parts if p.strip())
@@ -290,19 +290,19 @@ def load_corpus(
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{path}: line {line_no}: malformed JSON ({exc.msg})") from exc
+            raise DataError(f"{path}: line {line_no}: malformed JSON ({exc.msg})") from exc
         if not isinstance(record, dict):
-            raise CorpusFormatError(f"{path}: line {line_no}: line is not a JSON object")
+            raise DataError(f"{path}: line {line_no}: line is not a JSON object")
         doc_id = record.get(schema["id"])
         if doc_id is not None and not isinstance(doc_id, str):
-            raise CorpusFormatError(
+            raise DataError(
                 f"{path}: line {line_no}: field {schema['id']!r} must be a string, got {type(doc_id).__name__}"
             )
         if not doc_id:
             report(line_no, f"missing or empty {schema['id']!r} field; record skipped")
             continue
         if doc_id in seen:
-            raise DuplicateIdError(f"{path}: line {line_no}: duplicate document id {doc_id!r}")
+            raise DataError(f"{path}: line {line_no}: duplicate document id {doc_id!r}")
         seen.add(doc_id)
         missing = [name for name in ("title", "body") if schema[name] not in record]
         if missing:

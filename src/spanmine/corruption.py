@@ -22,7 +22,7 @@ from functools import partial
 from json.encoder import encode_basestring as quote  # the escaper of json.dumps(ensure_ascii=False)
 
 from .corpus import TokenizedDoc, replacing
-from .errors import DataError, SkipDocument
+from .errors import DataError
 from .miner import SalientSpan
 from .pool import map_shared
 
@@ -173,6 +173,7 @@ def build_ssp_target(spans: Sequence[SalientSpan]) -> list[str]:
     appears contiguously inside a strictly longer span of the same
     document: one set holds every shorter contiguous sub-sequence of each
     span, so the test is one lookup per span, not one scan per pair.
+    The target is [] when no span is left to predict.
     """
     ordered = sorted([s for s in spans if s.tokens], key=lambda s: s.rank)  # an empty span predicts nothing
     unique: list[SalientSpan] = []
@@ -188,8 +189,6 @@ def build_ssp_target(spans: Sequence[SalientSpan]) -> list[str]:
         for i in range(len(span.tokens) - n + 1)
     }
     kept = [span for span in unique if span.tokens not in inside_longer]
-    if not kept:
-        raise SkipDocument("no salient spans to predict")
     out: list[str] = []
     for i, span in enumerate(kept):
         if i:
@@ -254,27 +253,29 @@ class GenSummary:
 def _build_record(spans_by_id, cfg: CorruptionConfig, doc: TokenizedDoc):
     """(skip reason, JSON line, token stats) of ``doc`` under the configured objective.
 
-    The line is None on a skip: ssp with no spans to predict, tg with an
-    empty title or body.
+    The line and the stats are None on a skip: ssp with no spans to
+    predict, tg with an empty title or body.
     """
     objective, tokens = cfg.objective, doc.tokens
-    try:
-        if objective in SPAN_OBJECTIVES:
-            if spans_by_id is None or doc.doc_id not in spans_by_id:
-                raise DataError(f"spans file has no entry for document {doc.doc_id!r}")
-            spans = spans_by_id[doc.doc_id]
-            target = build_ssp_target(spans) if objective.startswith("ssp") else tokens
-            plan = plan_corruption(doc, spans, cfg)
-        elif objective == "ti":
-            target, plan = tokens, _ti_plan(doc, cfg)
-        else:  # tg: tokens = title ++ [<sep>] ++ body, cut to the window; a cut inside the title leaves no body
-            source, target, plan = tokens[doc.title_len + 1 :], tokens[: doc.title_len], ()
+    if objective in SPAN_OBJECTIVES:
+        if spans_by_id is None or doc.doc_id not in spans_by_id:
+            raise DataError(f"spans file has no entry for document {doc.doc_id!r}")
+        spans = spans_by_id[doc.doc_id]
+        if objective.startswith("ssp"):
+            target = build_ssp_target(spans)
             if not target:
-                raise SkipDocument("empty title")
-            if not source:
-                raise SkipDocument("empty body")
-    except SkipDocument as skip:
-        return skip.reason, None, (len(tokens), 0, 0, 0)
+                return "no salient spans to predict", None, None
+        else:
+            target = tokens
+        plan = plan_corruption(doc, spans, cfg)
+    elif objective == "ti":
+        target, plan = tokens, _ti_plan(doc, cfg)
+    else:  # tg: tokens = title ++ [<sep>] ++ body, cut to the window; a cut inside the title leaves no body
+        source, target, plan = tokens[doc.title_len + 1 :], tokens[: doc.title_len], ()
+        if not target:
+            return "empty title", None, None
+        if not source:
+            return "empty body", None, None
     masks = 0
     if objective in _MASK_OBJECTIVES:
         source, masks = apply_mask(tokens, plan), len(plan)
@@ -306,10 +307,11 @@ def gen_corpus(
     examples = original = corrupted = masks = source = 0
     skipped: dict[str, int] = {}
     with replacing(out_path) as fh:
-        for skip_reason, line, (n_original, n_corrupted, n_masks, n_source) in results:
+        for skip_reason, line, stats in results:
             if skip_reason is not None:
                 skipped[skip_reason] = skipped.get(skip_reason, 0) + 1
                 continue
+            n_original, n_corrupted, n_masks, n_source = stats
             fh.write(line + "\n")
             examples += 1
             original += n_original

@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii as quote  # the escaper of json
 from typing import NamedTuple
 
 from .corpus import Document, contains, model_input, read_lines, refuse_non_finite, replacing, text_tokens
-from .errors import AlignmentError, DataError
+from .errors import DataError
 from .porter import stem
 
 logger = logging.getLogger(__name__)
@@ -206,9 +206,7 @@ def evaluate(
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
     if len(predictions) != len(gold_docs):
-        raise AlignmentError(
-            f"{len(predictions)} prediction lines vs {len(gold_docs)} gold documents"
-        )
+        raise DataError(f"{len(predictions)} prediction lines vs {len(gold_docs)} gold documents")
     present_report = CategoryReport()
     absent_report = CategoryReport()
     stems = StemMemo()

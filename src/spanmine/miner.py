@@ -435,7 +435,7 @@ def _parse_spans_record(record, where: str) -> tuple[str, list[SalientSpan]]:
     doc_id = record.get("id")
     if not doc_id or not isinstance(doc_id, str):
         raise DataError(f"{where}: missing or non-string 'id'")
-    items = record.get("spans", [])
+    items = record.get("spans")
     if not isinstance(items, list):
         raise DataError(f"{where}: 'spans' must be a list")
     spans = []

@@ -17,7 +17,6 @@ from spanmine import (
     DEFAULT_THRESHOLDS,
     Document,
     SalientSpan,
-    SkipDocument,
     TokenizedDoc,
     build_index,
     gen_corpus,
@@ -173,8 +172,6 @@ def oracle_ssp_target(spans, sep=";"):
         for span in unique
         if not any(len(other.tokens) > len(span.tokens) and contains(other.tokens, span.tokens) for other in unique)
     ]
-    if not kept:
-        raise SkipDocument("no salient spans to predict")
     out = []
     for i, span in enumerate(kept):
         if i:

@@ -145,6 +145,14 @@ class TestSubcommands:
         assert "data error: corpus contains no documents" in caplog.text and "Traceback" not in caplog.text
         assert capsys.readouterr().out == ""
 
+    def test_index_of_a_corpus_whose_records_were_all_skipped_is_data_error(self, tmp_path, caplog, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"title": "sparse solvers"}\n{"title": "graph pruning"}\n', encoding="utf-8")
+        index = tmp_path / "idx.spmi"
+        assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_DATA
+        assert "data error: cannot build an index from a corpus with no documents" in caplog.text
+        assert capsys.readouterr().out == "" and not index.exists()
+
     def test_eval_empty_separator_is_data_error(self, corpus, tmp_path, caplog):
         preds = tmp_path / "preds.txt"
         preds.write_text("sparse solvers\ngraph pruning\ncodec design\n", encoding="utf-8")
@@ -153,8 +161,8 @@ class TestSubcommands:
 
     @pytest.mark.parametrize(
         "record",
-        [{"spans": []}, [1, 2], {"id": "b", "spans": [{"rank": 0}]}, {"id": "b", "spans": [{"text": "x"}]}],
-        ids=["missing-id", "non-object-line", "item-missing-text", "item-missing-rank"],
+        [{"spans": []}, {"id": "b"}, [1, 2], {"id": "b", "spans": [{"rank": 0}]}, {"id": "b", "spans": [{"text": "x"}]}],
+        ids=["missing-id", "missing-spans", "non-object-line", "item-missing-text", "item-missing-rank"],
     )
     def test_analyze_malformed_spans_is_data_error(self, tmp_path, record):
         spans = tmp_path / "spans.jsonl"
@@ -375,6 +383,16 @@ class TestSubcommands:
         }[command]
         assert run(["-q", *argv]) == EXIT_DATA
         assert f"{corpus}: document 'c2' has no entry in the spans file {spans} (1 of 3 missing)" in caplog.text
+        assert capsys.readouterr().out == "" and not out.exists()
+
+    def test_a_corpus_read_as_spans_is_data_error(self, corpus, tmp_path, caplog, capsys):
+        index = tmp_path / "idx.spmi"
+        out = tmp_path / "out.jsonl"
+        assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["-q", "corrupt", "--objective", "ssp-m", "--index", str(index), "--corpus", str(corpus),
+                    "--spans", str(corpus), "--out", str(out), "--threads", "1"]) == EXIT_DATA
+        assert f"data error: {corpus}: line 1: 'spans' must be a list" in caplog.text
         assert capsys.readouterr().out == "" and not out.exists()
 
     @pytest.mark.parametrize(

@@ -3,11 +3,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spanmine import (
-    CorpusFormatError,
     CorruptionConfig,
     DataError,
     Document,
-    DuplicateIdError,
     ThresholdFn,
     build_index,
     dataset_stats,
@@ -158,12 +156,12 @@ class TestLoadCorpus:
             tmp_path,
             ['{"id":"a1","title":"T","abstract":"B"}', '{"id":"a1","title":"U","abstract":"C"}'],
         )
-        with pytest.raises(DuplicateIdError, match=r"corpus\.jsonl: line 2: duplicate document id 'a1'"):
+        with pytest.raises(DataError, match=r"corpus\.jsonl: line 2: duplicate document id 'a1'"):
             list(load_corpus(path))
 
     def test_malformed_line_carries_number(self, tmp_path):
         path = self._write(tmp_path, ['{"id":"a1","title":"T","abstract":"B"}', "{broken"])
-        with pytest.raises(CorpusFormatError, match=r"corpus\.jsonl: line 2: malformed JSON"):
+        with pytest.raises(DataError, match=r"corpus\.jsonl: line 2: malformed JSON"):
             list(load_corpus(path))
 
     @pytest.mark.parametrize(
@@ -199,7 +197,7 @@ class TestLoadCorpus:
     )
     def test_bad_record_names_file_and_line(self, tmp_path, line, message):
         path = self._write(tmp_path, ['{"id":"a1","title":"T","abstract":"B"}', line])
-        with pytest.raises(CorpusFormatError, match=rf"corpus\.jsonl: line 2: {message}"):
+        with pytest.raises(DataError, match=rf"corpus\.jsonl: line 2: {message}"):
             list(load_corpus(path))
 
     def test_null_title_or_body_loads_as_empty(self, tmp_path):

@@ -43,6 +43,7 @@ def test_readme_names_only_apis_that_exist():
     assert {"evaluate_file", "EvalReport.to_dict", "DocScores", "MetricScores", "_replace"} <= names
     assert {"Phrase", "keyphrase_set", "gold_split", "StemMemo"} <= names
     assert {"locate_occurrences", "plan_corruption", "apply_mask", "apply_delete"} <= names
+    assert {"DataError", "build_ssp_target"} <= names
     assert sorted(name for name in names if not _resolves(name)) == []
 
 
@@ -56,3 +57,9 @@ def test_readme_gives_the_interval_shapes():
     prose = " ".join(FROM_PYTHON.split())
     assert "`locate_occurrences(tokens, spans)` returns the ascending `(start, end)` intervals" in prose
     assert "`prev_end <= start <= end <= len(tokens)`, or both raise ValueError" in prose
+
+
+def test_readme_gives_the_refusal_and_skip_contracts():
+    prose = " ".join(FROM_PYTHON.split())
+    assert "Every refusal of bad input raises `DataError`, whose message names the file, the line or the document" in prose
+    assert "`build_ssp_target(spans)`, which returns `[]` when no span is left to predict" in prose

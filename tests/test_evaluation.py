@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import spanmine.evaluation
 from spanmine import (
-    AlignmentError,
     DataError,
     Document,
     SalientSpan,
@@ -204,7 +203,7 @@ class TestEvaluate:
 
     def test_misalignment_rejected(self):
         docs = [self._gold_doc()]
-        with pytest.raises(AlignmentError, match="2 .*1"):
+        with pytest.raises(DataError, match="2 .*1"):
             evaluate(["a", "b"], docs)
 
     def test_macro_average_is_mean_over_scored_docs(self):

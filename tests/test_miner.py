@@ -599,6 +599,7 @@ def test_load_spans_reads_plain_tuples(tmp_path):
 
 MALFORMED_SPANS = {
     "missing-id": {"spans": []},
+    "missing-spans": {"id": "b"},
     "duplicate-id": {"id": "a", "spans": []},
     "empty-id": {"id": "", "spans": []},
     "non-string-id": {"id": 7, "spans": []},
