@@ -1,10 +1,11 @@
 """Diagnostics relating salient spans to gold keyphrases.
 
-Three studies: can a document's present keyphrases retrieve it from the
-pooled index (success rate by keyphrase length), how much do mined spans
-overlap with present keyphrases (phrase/word recall, word precision), and
-what does the mined span population look like (spans per document, length
-mix).
+Two studies: can a document's present keyphrases retrieve it from the
+pooled index (success rate by keyphrase length), and how much do mined spans
+overlap with present keyphrases (phrase/word recall, word precision).
+``span_characteristics`` (spans per document, length mix) is not a study:
+``mine`` reports those numbers for the file it writes, and the function
+stays only because the benchmark in ``bench/`` times it.
 
 Overlap matching is done on stemmed tokens, consistent with evaluation;
 per-document proportions are macro-averaged over documents that have a

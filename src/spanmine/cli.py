@@ -3,7 +3,8 @@
 Subcommands: stats, index, mine, corrupt, eval, analyze, demo. Every run
 prints a machine-readable JSON summary to stdout and logs parameters and
 wall time to stderr. Exit codes: 0 ok, 1 data error, 2 usage error, 3 I/O
-error, 4 internal error (a bug; the traceback is logged).
+error, 4 internal error (a bug; the traceback is logged), 130 and 143 for a
+run stopped by SIGINT and SIGTERM.
 
 ``demo`` writes a synthetic corpus and predictions, then runs the other
 subcommands on them in order, each parsed and checked as on the command line.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import signal
 import sys
 import time
 from dataclasses import asdict
@@ -48,6 +50,8 @@ EXIT_DATA = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
+EXIT_SIGINT = 128 + signal.SIGINT
+EXIT_SIGTERM = 128 + signal.SIGTERM
 
 
 def _schema_from_args(args) -> dict[str, str]:
@@ -255,18 +259,15 @@ def _cmd_eval(args) -> dict:
 
 
 def _cmd_analyze(args) -> dict:
+    docs, _ = _load_docs(args, args.gold)
     if args.study == "success":
-        docs, _ = _load_docs(args, args.gold)
         index = load_index(args.index)
         for doc in docs:
             _slot_in_index(args, args.gold, index, doc.id)
         result = analysis.retrieval_success(docs, index, k=args.k).to_dict()
-    elif args.study == "overlap":
-        docs, _ = _load_docs(args, args.gold)
+    else:
         spans_by_id = _spans_covering(args, [doc.id for doc in docs], args.gold)
         result = analysis.overlap_metrics(docs, spans_by_id).to_dict()
-    else:
-        result = analysis.span_characteristics(load_spans(args.spans)).to_dict()
     if args.report:
         write_json(result, args.report, f"report {args.report}")
     return result
@@ -313,7 +314,6 @@ def _cmd_demo(args) -> dict:
     analyses = {
         "retrieval_success": stage("analyze", "success", f"--gold={corpus}", f"--index={index}", "--k=20"),
         "overlap": stage("analyze", "overlap", f"--gold={corpus}", f"--spans={spans}"),
-        "span_characteristics": stage("analyze", "spans", f"--spans={spans}"),
     }
     return {
         "out_dir": str(out),
@@ -329,6 +329,14 @@ def _cmd_demo(args) -> dict:
 
 class UsageError(Exception):
     pass
+
+
+class _Terminated(BaseException):
+    """SIGTERM as an exception: every ``finally`` on the way out runs, and ``except Exception`` lets it pass."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,10 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--report", default=None)
     _add_schema_flags(s)
     s.set_defaults(func=_cmd_analyze)
-    s = study.add_parser("spans", help="span population statistics")
-    s.add_argument("--spans", required=True, help="spans file")
-    s.add_argument("--report", default=None)
-    s.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("demo", help="full pipeline on a bundled synthetic corpus")
     p.add_argument("--out", default="spanmine-demo")
@@ -434,6 +438,7 @@ def run(argv=None) -> int:
     params = {k: v for k, v in vars(args).items() if k not in ("func", "quiet", "command")}
     logger.info("%s parameters: %s", args.command, params)
     started = time.perf_counter()
+    caller_sigterm = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         _check_paths(args)
         result = args.func(args)
@@ -456,6 +461,14 @@ def run(argv=None) -> int:
     except Exception:
         logger.exception("internal error in %s; please report this traceback", args.command)
         return EXIT_INTERNAL
+    except KeyboardInterrupt:
+        logger.error("%s interrupted by SIGINT", args.command)
+        return EXIT_SIGINT
+    except _Terminated:
+        logger.error("%s terminated by SIGTERM", args.command)
+        return EXIT_SIGTERM
+    finally:
+        signal.signal(signal.SIGTERM, caller_sigterm)
     logger.info("%s finished in %.2fs", args.command, elapsed)
     return EXIT_OK
 

@@ -422,7 +422,7 @@ def load_spans(path) -> dict[str, list[SalientSpan]]:
             raise DataError(f"{where}: malformed JSON ({exc.msg})") from exc
         doc_id, spans = _parse_spans_record(record, where)
         if "\\" in line and "\\u" in line:  # as in load_corpus: most lines hold no "\\"
-            refuse_lone_surrogates(where, [("id", doc_id), *(("text", " ".join(span.tokens)) for span in spans)])
+            refuse_lone_surrogates(where, [("id", doc_id), *(("text", item["text"]) for item in record["spans"])])
         if doc_id in spans_by_id:
             raise DataError(f"{where}: duplicate id {doc_id!r}")
         spans_by_id[doc_id] = spans
@@ -448,5 +448,5 @@ def _parse_spans_record(record, where: str) -> tuple[str, list[SalientSpan]]:
             raise DataError(f"{where}: span {item!r} needs a non-empty 'text'")
         if type(rank) is not int or rank < 0:
             raise DataError(f"{where}: span {item!r} needs a non-negative integer 'rank'")
-        spans.append(SalientSpan(tokens=tokens, rank=rank))
+        spans.append(SalientSpan(tokens, rank))
     return doc_id, spans

@@ -5,9 +5,10 @@ callable, such as a ``functools.partial`` or a closure) and ``items`` through
 ``os.fork``, so nothing is pickled on the way in. It maps its block, pickles
 the results, or the exception it raised, into its own pipe and leaves with
 ``os._exit``. The parent reads the pipes in block order and reaps every child,
-on every exit path. Where ``os.fork`` does not exist there is one block, which
-this process maps. Call ``map_shared`` only from a process without other
-threads, as the CLI is.
+on every exit path; SIGINT and SIGTERM wait out each fork and each reap, so an
+interrupt cannot leave a child unrecorded. Where ``os.fork`` does not exist
+there is one block, which this process maps. Call ``map_shared`` only from a
+process without other threads, as the CLI is.
 
 Before it maps its block, each block's process moves once to its own CPU of
 the set this process may run on (block ``b`` to the ``b``-th, wrapping) and is
@@ -59,12 +60,30 @@ class _ChildTraceback(Exception):
     """The formatted traceback of an exception raised in a child, attached as its cause."""
 
 
-def _map_block(fn: Callable, block: Sequence, write_fd: int, b: int, cpus: Sequence[int]) -> None:
-    """Child side: move once as block ``b``, then pickle ``(results, None)`` or
-    ``(None, (exception, traceback))`` into the pipe; never returns."""
+@contextlib.contextmanager
+def _interrupts_held():
+    """Hold SIGINT and SIGTERM back for the block, and yield the signal mask to restore.
+
+    An interrupt then cannot land between a fork or a reap and the entry in
+    ``children`` that records it; it is delivered once the block ends.
+    """
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+    try:
+        yield mask
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _map_block(
+    fn: Callable, block: Sequence, write_fd: int, b: int, cpus: Sequence[int], mask: set[signal.Signals]
+) -> None:
+    """Child side: restore SIGTERM's default action and the signal ``mask``, move once as block ``b``,
+    then pickle ``(results, None)`` or ``(None, (exception, traceback))`` into the pipe; never returns."""
     status = 1
     try:
         try:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)  # the parent may turn it into an exception
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # the fork held interrupts back
             _move_once(b, cpus)
             payload = pickle.dumps(([fn(item) for item in block], None), pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
@@ -111,25 +130,27 @@ def map_shared(fn: Callable, items: Sequence, workers: int) -> list:
     try:
         for b, (start, stop) in enumerate(zip(bounds[1:-1], bounds[2:]), start=1):
             read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
+            with _interrupts_held() as mask:
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise
+                if pid == 0:
+                    os.close(read_fd)
+                    _map_block(fn, items[start:stop], write_fd, b, cpus, mask)
                 os.close(write_fd)
-                raise
-            if pid == 0:
-                os.close(read_fd)
-                _map_block(fn, items[start:stop], write_fd, b, cpus)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb")))
+                children.append((pid, open(read_fd, "rb")))
         _move_once(0, cpus)
         results = [fn(item) for item in items[: bounds[1]]]
         while children:
             pid, pipe = children[0]
             with pipe:
                 payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del children[0]
+            with _interrupts_held():
+                _, status = os.waitpid(pid, 0)
+                del children[0]
             results.extend(_block_result(pid, payload, status))
         return results
     finally:

@@ -418,8 +418,8 @@ def test_c7_kp20k_reproduction(tmp_path):
     pipeline completion is asserted, since the reference numbers came from
     a different retrieval stack.
     """
-    from spanmine import dataset_stats, load_corpus, load_spans, mine_corpus, model_input
-    from spanmine.analysis import overlap_metrics, retrieval_success, span_characteristics
+    from spanmine import DEFAULT_THRESHOLDS, dataset_stats, load_corpus, load_spans, mine_corpus, model_input
+    from spanmine.analysis import overlap_metrics, retrieval_success
 
     base = Path(_KP20K)
     if (base / "test.jsonl").exists():
@@ -433,11 +433,11 @@ def test_c7_kp20k_reproduction(tmp_path):
     tokenized = [model_input(d) for d in train]
     index = build_index(tokenized)
     spans_path = tmp_path / "kp20k_spans.jsonl"
-    mine_corpus(tokenized, index, spans_path, thresholds=ThresholdFn({1: 0, 2: 0, 3: 0}),
-                workers=usable_cpus())
-    stats = span_characteristics(load_spans(spans_path))
-    print(f"[acceptance] c7 spans/doc: {stats.avg_spans_per_doc:.2f} (reference 9.83 +/-15%)")
-    print(f"[acceptance] c7 length mix: {stats.length_distribution} (reference 12/30/58 +/-5)")
+    # The paper's thresholds, scaled to this index as `spanmine mine` scales them.
+    mining = mine_corpus(tokenized, index, spans_path, thresholds=DEFAULT_THRESHOLDS.scaled_to(index.num_docs),
+                         workers=usable_cpus())
+    print(f"[acceptance] c7 spans/doc: {mining.avg_spans_per_doc:.2f} (reference 9.83 +/-15%)")
+    print(f"[acceptance] c7 length mix: {mining.length_distribution} (reference 12/30/58 +/-5)")
 
     pool_docs = train
     for extra in ("valid.jsonl", "test.jsonl"):

@@ -5,9 +5,11 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -116,8 +118,6 @@ class TestSubcommands:
         assert 0.0 <= rates[0] <= rates[1] <= 1.0
         assert run(["-q", "analyze", "overlap", "--gold", str(corpus), "--spans", str(spans)]) == EXIT_OK
         _json_out(capsys)
-        assert run(["-q", "analyze", "spans", "--spans", str(spans)]) == EXIT_OK
-        assert _json_out(capsys)["documents"] == 3
 
     def test_missing_required_flag_is_usage_error(self, corpus):
         with pytest.raises(SystemExit) as excinfo:
@@ -160,14 +160,22 @@ class TestSubcommands:
         assert "the prediction separator must not be empty" in caplog.text
 
     @pytest.mark.parametrize(
-        "record",
-        [{"spans": []}, {"id": "b"}, [1, 2], {"id": "b", "spans": [{"rank": 0}]}, {"id": "b", "spans": [{"text": "x"}]}],
+        "record,message",
+        [
+            ({"spans": []}, "missing or non-string 'id'"),
+            ({"id": "b"}, "'spans' must be a list"),
+            ([1, 2], "expected a JSON object, got list"),
+            ({"id": "b", "spans": [{"rank": 0}]}, "span {'rank': 0} needs a non-empty 'text'"),
+            ({"id": "b", "spans": [{"text": "x"}]}, "span {'text': 'x'} needs a non-negative integer 'rank'"),
+        ],
         ids=["missing-id", "missing-spans", "non-object-line", "item-missing-text", "item-missing-rank"],
     )
-    def test_analyze_malformed_spans_is_data_error(self, tmp_path, record):
+    def test_analyze_malformed_spans_is_data_error(self, corpus, tmp_path, caplog, capsys, record, message):
         spans = tmp_path / "spans.jsonl"
         spans.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        assert run(["-q", "analyze", "spans", "--spans", str(spans)]) == EXIT_DATA
+        assert run(["-q", "analyze", "overlap", "--gold", str(corpus), "--spans", str(spans)]) == EXIT_DATA
+        assert f"data error: {spans}: line 1: {message}" in caplog.text
+        assert "Traceback" not in caplog.text and capsys.readouterr().out == ""
 
     def test_non_finite_summary_is_data_error(self, corpus, capsys, caplog, monkeypatch):
         monkeypatch.setattr(cli, "_cmd_stats", lambda args: {"documents": float("nan")})
@@ -193,13 +201,15 @@ class TestSubcommands:
         assert run([*argv, "--out", str(out), "--threads", "2"]) == EXIT_DATA
         assert "planted failure in c2" in caplog.text
 
-    def test_non_finite_analyze_report_is_data_error(self, tmp_path, capsys, caplog, monkeypatch):
+    def test_non_finite_analyze_report_is_data_error(self, corpus, tmp_path, capsys, caplog, monkeypatch):
         spans = tmp_path / "spans.jsonl"
-        spans.write_text(json.dumps({"id": "a", "spans": []}) + "\n", encoding="utf-8")
+        spans.write_text("".join(json.dumps({"id": doc_id, "spans": []}) + "\n" for doc_id in ("c0", "c1", "c2")),
+                         encoding="utf-8")
         report = tmp_path / "report.json"
-        stats = argparse.Namespace(to_dict=lambda: {"avg_span_len": float("inf")})
-        monkeypatch.setattr(spanmine.analysis, "span_characteristics", lambda spans_by_id: stats)
-        assert run(["-q", "analyze", "spans", "--spans", str(spans), "--report", str(report)]) == EXIT_DATA
+        overlap = argparse.Namespace(to_dict=lambda: {"word_precision": float("inf")})
+        monkeypatch.setattr(spanmine.analysis, "overlap_metrics", lambda docs, spans_by_id: overlap)
+        argv = ["-q", "analyze", "overlap", "--gold", str(corpus), "--spans", str(spans), "--report", str(report)]
+        assert run(argv) == EXIT_DATA
         assert capsys.readouterr().out == "" and not report.exists()
         assert f"data error: report {report} holds inf, which strict JSON cannot encode" in caplog.text
 
@@ -208,10 +218,19 @@ class TestSubcommands:
         bad.write_bytes(corpus.read_bytes() + b'{"id": "c9", "title": "caf\xe9", "abstract": "x"}\n')
         assert run(["-q", "stats", "--corpus", str(bad)]) == EXIT_DATA
 
-    def test_bad_utf8_spans_is_data_error(self, tmp_path):
+    def test_bad_utf8_spans_is_data_error(self, corpus, tmp_path, caplog, capsys):
         spans = tmp_path / "spans.jsonl"
         spans.write_bytes(b'{"id": "a", "spans": [{"text": "caf\xe9", "rank": 0}]}\n')
-        assert run(["-q", "analyze", "spans", "--spans", str(spans)]) == EXIT_DATA
+        assert run(["-q", "analyze", "overlap", "--gold", str(corpus), "--spans", str(spans)]) == EXIT_DATA
+        assert f"data error: {spans}: line 1: invalid UTF-8 (byte 0xE9)" in caplog.text
+        assert "Traceback" not in caplog.text and capsys.readouterr().out == ""
+
+    def test_analyze_spans_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["-q", "analyze", "spans", "--spans", str(tmp_path / "spans.jsonl")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'spans'" in err and "Traceback" not in err
 
     # Line 3 of the corpus or of the spans file, escaping a lone surrogate in one field.
     LONE_SURROGATE_LINES = {
@@ -404,7 +423,7 @@ class TestSubcommands:
             ("eval", "preds"),
             ("analyze success", "index"),
             ("analyze overlap", "gold"),
-            ("analyze spans", "spans"),
+            ("analyze overlap", "spans"),
         ],
     )
     def test_output_naming_an_input_is_refused(self, corpus, tmp_path, caplog, capsys, command, victim):
@@ -426,7 +445,6 @@ class TestSubcommands:
             "eval": ["eval", "--preds", str(preds), "--gold", str(corpus)],
             "analyze success": ["analyze", "success", "--gold", str(corpus), "--index", str(index)],
             "analyze overlap": ["analyze", "overlap", "--gold", str(corpus), "--spans", str(spans)],
-            "analyze spans": ["analyze", "spans", "--spans", str(spans)],
         }[command]
         assert run(["-q", *argv, out_flag, str(path)]) == EXIT_DATA
         assert f"{out_flag} {path} is the same file as --{victim} {path}" in caplog.text
@@ -448,7 +466,6 @@ class TestSubcommands:
         "eval --report": (["eval", "--preds", "{corpus}", "--gold", "{corpus}"], "_cmd_eval"),
         "analyze success --report": (["analyze", "success", "--gold", "{corpus}", "--index", "{index}"], "_cmd_analyze"),
         "analyze overlap --report": (["analyze", "overlap", "--gold", "{corpus}", "--spans", "{corpus}"], "_cmd_analyze"),
-        "analyze spans --report": (["analyze", "spans", "--spans", "{corpus}"], "_cmd_analyze"),
     }
 
     @pytest.mark.parametrize("unwritable", ["missing directory", "a directory"])
@@ -749,7 +766,7 @@ class TestDemoDeterminism:
 
     # sha256 of the demo's stdout less elapsed_sec and out_dir, re-serialized in its own key order:
     # pins the keys, order and values of every stage's summary.
-    DEMO_SUMMARY_DIGEST = "8582f9f7eb4bb595cf3d56466175c707c5ea56cbadf542d4d1eabf990754275e"
+    DEMO_SUMMARY_DIGEST = "0835dba04844b45c14ebeb817961b2af8272bda848fdd3af402d15a1aa854a29"
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_demo_artifacts_golden_digest(self, tmp_path, capsys, threads):
@@ -768,11 +785,15 @@ class TestDemoDeterminism:
         assert notes.read_text(encoding="utf-8") == "kept\n"
 
 
+def _checkout_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout's spanmine."""
+    src = str(Path(spanmine.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _python(*argv: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports this checkout's spanmine."""
-    src = str(Path(spanmine.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=_checkout_env(), timeout=60)
 
 
 def test_python_m_spanmine_version():
@@ -795,6 +816,99 @@ def test_internal_error_exits_4_with_its_traceback(corpus):
     assert proc.returncode == 4, proc.stderr
     assert proc.stdout == ""
     assert "Traceback" in proc.stderr and "RuntimeError: boom" in proc.stderr
+
+
+# Driver scripts for `mine --threads 2`, each blocking at one point while a forked worker is alive.
+# Two CPUs are claimed so --threads 2 forks on any box, and SIGINT raises KeyboardInterrupt
+# even where the test runner's shell started this interpreter with SIGINT ignored.
+_BLOCKING_MINE = {
+    "mining": "miner._mine_shard = lambda *args: time.sleep(60)\n",  # in the parent's and the worker's shard
+    "writing": (  # inside the spans file's `replacing` block, once part of it is written
+        "real_replacing = miner.replacing\n"
+        "@contextlib.contextmanager\n"
+        "def replacing(path):\n"
+        "    with real_replacing(path) as fh:\n"
+        "        fh.write('partial')\n"
+        "        fh.flush()\n"
+        "        map_shared(lambda item: time.sleep(60), range(2), 2)\n"
+        "        yield fh\n"
+        "miner.replacing = replacing\n"
+    ),
+}
+
+
+# Each signal's exit code and the one line a run it stops logs.
+_STOPPED = {
+    "SIGINT": (130, "ERROR spanmine: mine interrupted by SIGINT"),
+    "SIGTERM": (143, "ERROR spanmine: mine terminated by SIGTERM"),
+}
+
+
+def _children(pid: int) -> list[int]:
+    return [int(child) for child in Path(f"/proc/{pid}/task/{pid}/children").read_text().split()]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="needs os.fork and /proc/<pid>/task/<pid>/children",
+)
+@pytest.mark.parametrize("stage", list(_BLOCKING_MINE))
+@pytest.mark.parametrize("signame", list(_STOPPED))
+def test_a_signal_to_mine_ends_it_clean(corpus, tmp_path, capsys, stage, signame):
+    index, out = tmp_path / "idx.spmi", tmp_path / "spans.jsonl"
+    assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
+    capsys.readouterr()
+    out.write_text("previous\n", encoding="utf-8")
+    argv = ["-q", "mine", "--index", str(index), "--corpus", str(corpus), "--out", str(out), "--threads", "2"]
+    script = (
+        "import contextlib, signal, sys, time\n"
+        "from spanmine import cli, miner\n"
+        "from spanmine.pool import map_shared\n"
+        "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+        "cli.usable_cpus = lambda: 2\n"
+        f"{_BLOCKING_MINE[stage]}"
+        f"sys.exit(cli.run({argv!r}))\n"
+    )
+    # Files, not pipes: an orphaned worker would hold a pipe open after the parent exits.
+    with tempfile.TemporaryFile("w+") as stdout, tempfile.TemporaryFile("w+") as stderr:
+        proc = subprocess.Popen([sys.executable, "-c", script], stdout=stdout, stderr=stderr, env=_checkout_env())
+        children = []
+        try:
+            deadline = time.monotonic() + 30
+            # A worker of the blocking stage: in "writing", the temporary file exists once mining's worker is reaped.
+            while not children or (stage == "writing" and not list(tmp_path.glob("*.tmp"))):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+                children = _children(proc.pid)
+            proc.send_signal(getattr(signal, signame))
+            proc.wait(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+            alive = []
+            for child in children:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(child, signal.SIGKILL)
+                    alive.append(child)
+        stdout.seek(0)
+        stderr.seek(0)
+        code, line = _STOPPED[signame]
+        assert (proc.returncode, stdout.read(), stderr.read().splitlines()) == (code, "", [line])
+    assert alive == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.jsonl", "idx.spmi", "spans.jsonl"]
+    assert out.read_text(encoding="utf-8") == "previous\n"
+
+
+def test_run_restores_the_callers_sigterm_handler(corpus, capsys):
+    def handler(signum, frame):
+        pass
+
+    caller = signal.signal(signal.SIGTERM, handler)
+    try:
+        assert run(["-q", "stats", "--corpus", str(corpus)]) == EXIT_OK
+        assert signal.getsignal(signal.SIGTERM) is handler
+    finally:
+        signal.signal(signal.SIGTERM, caller)
 
 
 def _options(parser: argparse.ArgumentParser) -> set[str]:

@@ -1,5 +1,6 @@
-"""The README names only APIs that exist."""
+"""The README names only APIs and commands that exist."""
 
+import argparse
 import dataclasses
 import importlib
 import pkgutil
@@ -7,6 +8,7 @@ import re
 from pathlib import Path
 
 import spanmine
+from spanmine.cli import build_parser
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 FROM_PYTHON = README[README.index("From Python") :].split("\n\n", 1)[0]
@@ -63,3 +65,14 @@ def test_readme_gives_the_refusal_and_skip_contracts():
     prose = " ".join(FROM_PYTHON.split())
     assert "Every refusal of bad input raises `DataError`, whose message names the file, the line or the document" in prose
     assert "`build_ssp_target(spans)`, which returns `[]` when no span is left to predict" in prose
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_readme_names_every_subcommand_and_study_and_no_other():
+    commands = _subparsers(build_parser())
+    assert re.findall(r"^\d+\. \*\*(\w+)\*\*", README, re.MULTILINE) == list(commands)  # the pipeline stages
+    assert set(re.findall(r"spanmine ([a-z]+)", README)) <= set(commands)
+    assert set(re.findall(r"analyze ([a-z]+)", README)) == set(_subparsers(commands["analyze"]))

@@ -1,4 +1,6 @@
 import os
+import signal
+import time
 from functools import partial
 
 import pytest
@@ -207,3 +209,30 @@ def test_placement_is_a_hint(monkeypatch, platform, workers):
     assert map_shared(partial(_affine_padded, 3, 1, 1), items, workers) == [(3 * item + 1, bytes(1)) for item in items]
     if platform == "lacks":
         assert fake.gets == 0
+
+
+@pytest.mark.parametrize("call,items", [("fork", [0, 30]), ("waitpid", [0, 0])], ids=["fork", "waitpid"])
+def test_an_interrupt_as_a_fork_or_a_reap_returns_still_reaps_the_child(monkeypatch, call, items):
+    """SIGTERM, raised as an exception, lands the moment ``os.<call>`` returns in the parent."""
+
+    class Stop(BaseException):
+        pass
+
+    def stop(signum, frame):
+        raise Stop
+
+    real = getattr(os, call)
+
+    def interrupted(*args):
+        result = real(*args)
+        if result:  # in the parent
+            os.kill(os.getpid(), signal.SIGTERM)
+        return result
+
+    monkeypatch.setattr(os, call, interrupted)
+    caller = signal.signal(signal.SIGTERM, stop)
+    try:
+        with pytest.raises(Stop):
+            map_shared(time.sleep, items, 2)
+    finally:
+        signal.signal(signal.SIGTERM, caller)
