@@ -33,8 +33,6 @@ from .evaluation import (
     Phrase,
     evaluate,
     evaluate_file,
-    f1_at_k,
-    f1_at_m,
     keyphrase_set,
     parse_predictions,
     split_present_absent,

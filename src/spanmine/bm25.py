@@ -55,9 +55,8 @@ class PostingList:
 
     __slots__ = ("_refs", "_tfs", "_start", "_stop")
 
-    def __init__(self, refs: array, tfs: array, start: int = 0, stop: int | None = None):
-        self._refs, self._tfs = refs, tfs
-        self._start, self._stop = start, len(refs) if stop is None else stop
+    def __init__(self, refs: array, tfs: array, start: int, stop: int):
+        self._refs, self._tfs, self._start, self._stop = refs, tfs, start, stop
 
     def __len__(self) -> int:
         return self._stop - self._start

@@ -18,7 +18,6 @@ import os
 import signal
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, analysis, demo
@@ -47,7 +46,6 @@ SUMMARY_SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_DATA = 1
-EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 EXIT_SIGINT = 128 + signal.SIGINT
@@ -142,7 +140,7 @@ def _check_paths(args) -> None:
 def _cmd_stats(args) -> dict:
     docs, issues = _load_docs(args, args.corpus)
     stats = dataset_stats(docs)
-    return {"documents": len(docs), "load_issues": issues, "stats": asdict(stats)}
+    return {"documents": len(docs), "load_issues": issues, "stats": stats.to_dict()}
 
 
 def _cmd_index(args) -> dict:

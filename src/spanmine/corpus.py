@@ -13,7 +13,7 @@ import os
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import contextmanager, nullcontext, suppress
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DataError
 
@@ -63,6 +63,8 @@ class CorpusStats:
     avg_kp_len: float
     pct_absent_kp: float
     avg_doc_len: float
+
+    to_dict = asdict  # field names are the JSON keys, in output order
 
 
 _DIGIT_RUN = re.compile(r"[0-9]+")
@@ -320,10 +322,9 @@ def load_corpus(
         yield Document(id=doc_id, title=title, body=body, keyphrases=keyphrases)
 
 
-def write_corpus(docs: Iterable[Document], path) -> int:
+def write_corpus(docs: Iterable[Document], path) -> None:
     """Serialize Documents back to JSONL under the default schema, written whole; inverse of load_corpus."""
     schema = DEFAULT_SCHEMA
-    n = 0
     with replacing(path) as fh:
         for doc in docs:
             record = {
@@ -334,8 +335,6 @@ def write_corpus(docs: Iterable[Document], path) -> int:
             if doc.keyphrases is not None:
                 record[schema["keyphrases"]] = list(doc.keyphrases)
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-            n += 1
-    return n
 
 
 def dataset_stats(corpus: Iterable[Document]) -> CorpusStats:

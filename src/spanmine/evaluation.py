@@ -94,11 +94,6 @@ def gold_split(doc: Document, stems: StemMemo) -> tuple[tuple[str, ...], tuple[P
     return (doc_stemmed, *split_present_absent(keyphrase_set(doc.keyphrases, stems), doc_stemmed))
 
 
-def _distinct_stems(phrases: Iterable[Phrase]) -> list[tuple[str, ...]]:
-    """The phrases' stems with later duplicates removed, order preserved."""
-    return list(dict.fromkeys(p.stems for p in phrases))
-
-
 class MetricScores(NamedTuple):
     precision: float
     recall: float
@@ -109,34 +104,15 @@ class MetricScores(NamedTuple):
 
 
 def _match(preds: list[tuple[str, ...]], gold: set[tuple[str, ...]], denominator: int) -> MetricScores:
-    """Score deduplicated stemmed ``preds`` against the distinct stemmed ``gold`` phrases.
+    """Score deduplicated stemmed ``preds`` against the distinct stemmed ``gold`` phrases, which are not empty.
 
-    Precision divides by ``denominator``. The one matcher behind ``f1_at_k``,
-    ``f1_at_m`` and ``evaluate``.
+    Precision divides by ``denominator``.
     """
-    if not gold:
-        raise DataError("empty gold set; skip this document for the category instead")
     matches = len(gold.intersection(preds))  # preds hold no duplicates
     precision = matches / denominator if denominator else 0.0
     recall = matches / len(gold)
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return MetricScores(precision, recall, f1, len(preds), len(gold), matches)
-
-
-def f1_at_m(preds: Sequence[Phrase], gold: Sequence[Phrase]) -> MetricScores:
-    """Precision/recall/F1 over all deduplicated predictions."""
-    dedup = _distinct_stems(preds)
-    return _match(dedup, {p.stems for p in gold}, len(dedup))
-
-
-def f1_at_k(preds: Sequence[Phrase], gold: Sequence[Phrase], k: int = 5) -> MetricScores:
-    """Precision/recall/F1 over the first k deduplicated predictions.
-
-    With fewer than k predictions the precision denominator stays k.
-    """
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
-    return _match(_distinct_stems(preds)[:k], {p.stems for p in gold}, k)
 
 
 class DocScores(NamedTuple):
@@ -220,8 +196,8 @@ def evaluate(
             if not gold_cat:
                 report.docs_skipped += 1
                 continue
-            # what f1_at_k and f1_at_m score, de-duplicated once for both
-            preds = _distinct_stems(pred_cat)
+            # F1@k scores the first k distinct stemmed predictions, F1@M all of them
+            preds = list(dict.fromkeys(p.stems for p in pred_cat))
             gold_set = {p.stems for p in gold_cat}
             report.per_doc.append(DocScores(doc.id, _match(preds[:k], gold_set, k), _match(preds, gold_set, len(preds))))
     return EvalReport(

@@ -5,10 +5,10 @@ callable, such as a ``functools.partial`` or a closure) and ``items`` through
 ``os.fork``, so nothing is pickled on the way in. It maps its block, pickles
 the results, or the exception it raised, into its own pipe and leaves with
 ``os._exit``. The parent reads the pipes in block order and reaps every child,
-on every exit path; SIGINT and SIGTERM wait out each fork and each reap, so an
-interrupt cannot leave a child unrecorded. Where ``os.fork`` does not exist
-there is one block, which this process maps. Call ``map_shared`` only from a
-process without other threads, as the CLI is.
+on every exit path; SIGINT and SIGTERM wait out each fork, each reap and the
+cleanup, so an interrupt cannot leave a child unrecorded or unreaped. Where
+``os.fork`` does not exist there is one block, which this process maps. Call
+``map_shared`` only from a process without other threads, as the CLI is.
 
 Before it maps its block, each block's process moves once to its own CPU of
 the set this process may run on (block ``b`` to the ``b``-th, wrapping) and is
@@ -65,7 +65,8 @@ def _interrupts_held():
     """Hold SIGINT and SIGTERM back for the block, and yield the signal mask to restore.
 
     An interrupt then cannot land between a fork or a reap and the entry in
-    ``children`` that records it; it is delivered once the block ends.
+    ``children`` that records it, nor cut the kill and reap of the children
+    left short; it is delivered once the block ends.
     """
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
     try:
@@ -154,7 +155,9 @@ def map_shared(fn: Callable, items: Sequence, workers: int) -> list:
             results.extend(_block_result(pid, payload, status))
         return results
     finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if children:  # only after a fork, so only where pthread_sigmask exists
+            with _interrupts_held():  # a second interrupt cannot cut the cleanup short
+                for pid, pipe in children:
+                    pipe.close()
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)

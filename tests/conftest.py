@@ -351,6 +351,31 @@ def oracle_stem(token: str) -> str:
     return w
 
 
+def oracle_f1(preds, gold, k):
+    """Reference F1@k and F1@M of one category of one document, from plain sets.
+
+    ``preds`` are the stemmed predictions in rank order, repeats allowed, and
+    ``gold`` the stemmed gold phrases, at least one. Returns ``(at_k, at_m)``,
+    each ``(precision, recall, f1, num_preds, num_gold, num_matches)``: F1@M
+    scores every distinct prediction, F1@k the first k distinct ones with
+    precision over k even when fewer exist.
+    """
+    distinct = []
+    for phrase in preds:
+        if phrase not in distinct:
+            distinct.append(phrase)
+    gold = set(gold)
+
+    def scores(kept, denominator):
+        hits = len(gold & set(kept))
+        precision = hits / denominator if denominator else 0.0
+        recall = hits / len(gold)
+        f1 = 2 * precision * recall / (precision + recall) if hits else 0.0
+        return precision, recall, f1, len(kept), len(gold), hits
+
+    return scores(distinct[:k], k), scores(distinct, len(distinct))
+
+
 def random_token_corpus(rng: random.Random, min_docs=5, max_docs=50, max_vocab=30, max_len=40):
     vocab = [f"w{i}" for i in range(rng.randint(2, max_vocab))]
     n_docs = rng.randint(min_docs, max_docs)

@@ -1,6 +1,7 @@
-"""The README names only APIs and commands that exist."""
+"""The README names only APIs and commands that exist, and spanmine exports only APIs that code uses."""
 
 import argparse
+import ast
 import dataclasses
 import importlib
 import pkgutil
@@ -10,7 +11,8 @@ from pathlib import Path
 import spanmine
 from spanmine.cli import build_parser
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+REPO = Path(__file__).resolve().parents[1]
+README = (REPO / "README.md").read_text(encoding="utf-8")
 FROM_PYTHON = README[README.index("From Python") :].split("\n\n", 1)[0]
 MODULES = [spanmine] + [importlib.import_module(f"spanmine.{info.name}") for info in pkgutil.iter_modules(spanmine.__path__)]
 CLASSES = [obj for m in MODULES for obj in vars(m).values() if isinstance(obj, type) and obj.__module__ == m.__name__]
@@ -65,6 +67,36 @@ def test_readme_gives_the_refusal_and_skip_contracts():
     prose = " ".join(FROM_PYTHON.split())
     assert "Every refusal of bad input raises `DataError`, whose message names the file, the line or the document" in prose
     assert "`build_ssp_target(spans)`, which returns `[]` when no span is left to predict" in prose
+
+
+def _loaded_or_imported(node: ast.AST, enclosing: frozenset = frozenset()) -> set[str]:
+    """Names that ``node`` loads, as a name or an attribute, or imports, outside the body of a def or class of that name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing |= {node.name}
+    names = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        names.add(node.id)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        names.add(node.attr)
+    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        names.update(alias.name for alias in node.names)
+    names -= enclosing
+    for child in ast.iter_child_nodes(node):
+        names |= _loaded_or_imported(child, enclosing)
+    return names
+
+
+def test_every_export_is_used_by_code_or_named_in_the_readme():
+    """A test's use alone does not keep a name in ``spanmine``: the library or the bench must use it, or the
+    README's "From Python" paragraph name it. Docstrings and comments are not uses."""
+    src = REPO / "src" / "spanmine"
+    init = ast.parse((src / "__init__.py").read_text(encoding="utf-8"))
+    exports = {alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    code = [path for path in src.glob("*.py") if path.name != "__init__.py"]
+    code += [path for path in (REPO / "bench").rglob("*.py") if "tests" not in path.relative_to(REPO / "bench").parts]
+    used = set().union(*(_loaded_or_imported(ast.parse(path.read_text(encoding="utf-8"))) for path in code))
+    assert {"mine_corpus", "evaluate_file", "DataError"} <= exports
+    assert sorted(exports - used - _api_names(FROM_PYTHON)) == []
 
 
 def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:

@@ -16,8 +16,6 @@ from spanmine import (
     dataset_stats,
     evaluate,
     evaluate_file,
-    f1_at_k,
-    f1_at_m,
     keyphrase_set,
     model_input,
     parse_predictions,
@@ -25,7 +23,8 @@ from spanmine import (
 )
 from spanmine.analysis import overlap_metrics, retrieval_success
 from spanmine.corpus import contains
-from spanmine.evaluation import DocScores, EvalReport, MetricScores, StemMemo, _distinct_stems, gold_split
+from spanmine.evaluation import DocScores, EvalReport, MetricScores, StemMemo, gold_split
+from tests.conftest import oracle_f1, oracle_stem
 
 
 class TestParsePredictions:
@@ -39,7 +38,7 @@ class TestParsePredictions:
     def test_raw_duplicates_survive_until_dedup(self):
         out = parse_predictions("a b;a b")
         assert len(out) == 2
-        assert len(_distinct_stems(out)) == 1
+        assert len({p.stems for p in out}) == 1
 
     def test_normalizes_digits_and_case(self):
         out = parse_predictions("Top 100 Models")
@@ -100,36 +99,34 @@ class TestPresentAbsentSplit:
         assert counts_present()
 
 
+def _absent_row(preds, gold, k=5) -> DocScores:
+    """``evaluate``'s row for one document whose text holds none of the phrases, so every phrase is absent."""
+    report = evaluate([" ; ".join(preds)], [Document("d", "", "nothing here", tuple(gold))], k=k)
+    assert report.present.per_doc == [] and len(report.absent.per_doc) == 1
+    return report.absent.per_doc[0]
+
+
 class TestF1AtM:
     def test_arithmetic(self):
-        preds = keyphrase_set(["a", "c", "d"])
-        gold = keyphrase_set(["a", "b"])
-        scores = f1_at_m(preds, gold)
+        scores = _absent_row(["a", "c", "d"], ["a", "b"]).at_m
         assert scores.precision == pytest.approx(1 / 3)
         assert scores.recall == pytest.approx(1 / 2)
         assert scores.f1 == pytest.approx(0.4)
 
     def test_exact_match_is_one(self):
-        preds = keyphrase_set(["x y", "z"])
-        scores = f1_at_m(preds, keyphrase_set(["z", "x y"]))
+        scores = _absent_row(["x y", "z"], ["z", "x y"]).at_m
         assert scores.f1 == 1.0
 
     def test_no_predictions(self):
-        scores = f1_at_m(keyphrase_set([]), keyphrase_set(["a"]))
+        scores = _absent_row([], ["a"]).at_m
         assert (scores.precision, scores.recall, scores.f1) == (0.0, 0.0, 0.0)
 
-    def test_empty_gold_rejected(self):
-        with pytest.raises(DataError):
-            f1_at_m(keyphrase_set(["a"]), keyphrase_set([]))
-
     def test_duplicates_never_change_scores(self):
-        preds_dup = keyphrase_set(["a", "a", "b"])
-        preds = keyphrase_set(["a", "b"])
-        gold = keyphrase_set(["a", "c"])
-        assert f1_at_m(preds_dup, gold) == f1_at_m(preds, gold)
+        gold = ["a", "c"]
+        assert _absent_row(["a", "a", "b"], gold) == _absent_row(["a", "b"], gold)
 
     def test_stemmed_matching(self):
-        scores = f1_at_m(keyphrase_set(["neural networks"]), keyphrase_set(["neural network"]))
+        scores = _absent_row(["neural networks"], ["neural network"]).at_m
         assert scores.f1 == 1.0
 
     @given(
@@ -138,30 +135,24 @@ class TestF1AtM:
     )
     @settings(max_examples=150)
     def test_perfect_score_iff_sets_equal(self, preds, gold):
-        scores = f1_at_m(keyphrase_set(preds), keyphrase_set(gold))
-        sets_equal = set(_distinct_stems(keyphrase_set(preds))) == set(_distinct_stems(keyphrase_set(gold)))
+        scores = _absent_row(preds, gold).at_m
+        sets_equal = {p.stems for p in keyphrase_set(preds)} == {p.stems for p in keyphrase_set(gold)}
         assert (scores.f1 == 1.0) == sets_equal
 
 
 class TestF1AtK:
     def test_padded_denominator(self):
-        preds = keyphrase_set(["hit", "miss1", "miss2"])
-        gold = keyphrase_set(["hit", "other"])
-        scores = f1_at_k(preds, gold, k=5)
+        scores = _absent_row(["hit", "miss1", "miss2"], ["hit", "other"], k=5).at_k
         assert scores.precision == pytest.approx(1 / 5)
         assert scores.recall == pytest.approx(1 / 2)
         assert scores.f1 == pytest.approx(2 / 7)
 
     def test_exactly_five_used(self):
-        preds = keyphrase_set(["ga", "gb", "gc", "gd", "ge", "gf", "gg"])
-        gold = keyphrase_set(["gf", "gg"])
-        scores = f1_at_k(preds, gold, k=5)
+        scores = _absent_row(["ga", "gb", "gc", "gd", "ge", "gf", "gg"], ["gf", "gg"], k=5).at_k
         assert scores.precision == 0.0  # hits sit beyond position 5
 
     def test_perfect_short_output(self):
-        preds = keyphrase_set(["a", "b"])
-        gold = keyphrase_set(["a", "b"])
-        scores = f1_at_k(preds, gold, k=2)
+        scores = _absent_row(["a", "b"], ["a", "b"], k=2).at_k
         assert scores.f1 == 1.0
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=12))
@@ -169,8 +160,42 @@ class TestF1AtK:
     def test_invariant_to_tail_beyond_k(self, k, extra):
         base = [f"p{chr(97 + i)}" for i in range(k)]
         tail = [f"tail{chr(97 + i)}" for i in range(extra)]
-        gold = keyphrase_set(["pa", "pb"])
-        assert f1_at_k(keyphrase_set(base), gold, k) == f1_at_k(keyphrase_set(base + tail), gold, k)
+        gold = ["pa", "pb"]
+        assert _absent_row(base, gold, k).at_k == _absent_row(base + tail, gold, k).at_k
+
+
+# Words whose stems collide in pairs, so repeats and stem matches both occur.
+_VOCAB = ["graph", "graphs", "prune", "pruning", "network", "networks", "tool"]
+_PHRASES = st.lists(st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=3).map(" ".join), max_size=6)
+_TEXT = st.lists(st.sampled_from(_VOCAB), max_size=8).map(" ".join)
+
+
+def _by_presence(phrases, texts) -> dict[bool, list[tuple[str, ...]]]:
+    """The stems of ``phrases``, in order, under True where they occur contiguously in one of ``texts``, else False."""
+    split = {True: [], False: []}
+    for phrase in phrases:
+        stems = tuple(map(oracle_stem, phrase.split()))
+        split[any(text[i : i + len(stems)] == stems for text in texts for i in range(len(text)))].append(stems)
+    return split
+
+
+@given(st.lists(st.tuples(_TEXT, _TEXT, _PHRASES, _PHRASES), min_size=1, max_size=4), st.integers(1, 6))
+@settings(max_examples=150)
+def test_every_row_equals_the_oracle(docs, k):
+    """Each document is (title, body, gold, predictions); a phrase is present when its stems occur
+    contiguously in the stemmed title or the stemmed body."""
+    gold_docs = [Document(f"d{i}", title, body, tuple(gold)) for i, (title, body, gold, _) in enumerate(docs)]
+    report = evaluate([" ; ".join(preds) for *_, preds in docs], gold_docs, k=k)
+    expected = {"present": [], "absent": []}
+    for doc, (title, body, gold, preds) in zip(gold_docs, docs):
+        texts = [tuple(map(oracle_stem, text.split())) for text in (title, body)]
+        gold_by, preds_by = _by_presence(gold, texts), _by_presence(preds, texts)
+        for name, present in (("present", True), ("absent", False)):
+            if gold_by[present]:
+                expected[name].append((doc.id, *oracle_f1(preds_by[present], gold_by[present], k)))
+    for name in ("present", "absent"):
+        assert getattr(report, name).per_doc == expected[name]
+        assert getattr(report, name).docs_skipped == len(docs) - len(expected[name])
 
 
 class TestEvaluate:
@@ -277,7 +302,7 @@ class TestEvaluate:
             evaluate(["graph pruning"], [self._gold_doc()], sep="")
 
     def test_k_below_one_rejected_without_gold(self):
-        # No category has gold, so f1_at_k never runs; k is still checked.
+        # No category has gold, so nothing is scored; k is still checked.
         with pytest.raises(DataError, match="k must be >= 1"):
             evaluate(["x"], [Document("d", "t", "b", ())], k=0)
 

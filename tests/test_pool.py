@@ -236,3 +236,69 @@ def test_an_interrupt_as_a_fork_or_a_reap_returns_still_reaps_the_child(monkeypa
             map_shared(time.sleep, items, 2)
     finally:
         signal.signal(signal.SIGTERM, caller)
+
+
+class _Stop(BaseException):
+    """What a SIGTERM handler raises here, as ``cli.run``'s does."""
+
+
+def _raise_stop(signum, frame):
+    raise _Stop
+
+
+def _reap_left(pids) -> list[int]:
+    """Kill and reap each of ``pids`` that is still a child of this process, and return those."""
+    left = []
+    for pid in pids:
+        try:
+            done, _ = os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:  # already reaped
+            continue
+        left.append(pid)
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return left
+
+
+@pytest.mark.parametrize(
+    ("signum", "handler", "error"),
+    [(signal.SIGINT, signal.default_int_handler, KeyboardInterrupt), (signal.SIGTERM, _raise_stop, _Stop)],
+    ids=["SIGINT", "SIGTERM"],
+)
+def test_a_second_interrupt_during_the_cleanup_still_reaps_every_child(monkeypatch, signum, handler, error):
+    """The parent's block is interrupted while two children block on a pipe; the same signal
+    lands again the moment the cleanup's first SIGKILL returns."""
+    real_fork, real_kill = os.fork, os.kill
+    forked, resent = [], []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def kill(pid, sig):
+        real_kill(pid, sig)
+        if sig == signal.SIGKILL and not resent:
+            resent.append(pid)
+            real_kill(os.getpid(), signum)
+
+    def block_or_interrupt(item):
+        return os.read(read_fd, 1) if item else real_kill(os.getpid(), signum)
+
+    read_fd, write_fd = os.pipe()
+    caller = signal.signal(signum, handler)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fork", fork)
+            patch.setattr(os, "kill", kill)
+            with pytest.raises(error):
+                map_shared(block_or_interrupt, range(3), 3)
+        assert len(forked) == 2 and resent
+    finally:
+        signal.signal(signum, caller)
+        left = _reap_left(forked)
+        os.close(read_fd)
+        os.close(write_fd)
+    assert left == []
