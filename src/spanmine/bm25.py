@@ -12,10 +12,13 @@ term byte lengths, dfs, doc refs, term frequencies), the UTF-8 ids and
 terms in the order build_index first met them, and a trailing CRC32.
 
 In memory, BM25Index holds the same columns, the dfs, doc refs and term
-frequencies as u32 arrays, and each term's PostingList is its slice of
-the last two. So saving writes each column whole and loading slices them
-out of the file's bytes. No Python object is made per posting, so the
-cyclic garbage collector never walks them.
+frequencies as u32 arrays, plus a term -> term id dict in the file's term
+order and one u32 array of run starts: term id t owns the slice
+[starts[t], starts[t + 1]) of the doc refs and term frequencies. So saving
+writes each column whole and loading slices them out of the file's bytes.
+No Python object is made per term or per posting, so the cyclic garbage
+collector never walks them. ``BM25Index.postings``, a PostingList per term
+made on lookup, is a view derived from these columns for ``bench/``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import zlib
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import InitVar, dataclass, field
 from itertools import accumulate, chain, compress, count, islice
 from operator import ge
@@ -50,7 +53,7 @@ class PostingList:
 
     They are the slice [start, stop) of two u32 columns that the index's
     terms share; len() is the document frequency. ``refs`` and ``tfs``
-    return copies of the slice.
+    return copies of the slice. Only ``BM25Index.postings`` makes one.
     """
 
     __slots__ = ("_refs", "_tfs", "_start", "_stop")
@@ -73,6 +76,29 @@ class PostingList:
         return f"PostingList(refs={self.refs!r}, tfs={self.tfs!r})"
 
 
+class _Postings(Mapping):
+    """Each term of ``index`` -> a new PostingList of its run, made on lookup; nothing is stored per term."""
+
+    __slots__ = ("_index",)
+
+    def __init__(self, index: BM25Index):
+        self._index = index
+
+    def __getitem__(self, term: str) -> PostingList:
+        index = self._index
+        term_id = index.term_id[term]
+        return PostingList(index.refs, index.tfs, index.starts[term_id], index.starts[term_id + 1])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index.term_id)
+
+    def __len__(self) -> int:
+        return len(self._index.term_id)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 class TermWeights(NamedTuple):
     """A term's score contribution to each document that holds it, by slot."""
 
@@ -88,11 +114,13 @@ def check_term(term: str) -> None:
 
 @dataclass
 class BM25Index:
-    """The columns of an index file, and each term's PostingList view of them.
+    """The columns of an index file, keyed by term id.
 
     Slot i is document ``doc_ids[i]``, ``doc_lens[i]`` tokens long. The
     ``terms``, in order, own consecutive runs of ``dfs`` postings in ``refs``
-    and ``tfs``; ``postings`` maps each term to its run.
+    and ``tfs``: ``term_id`` maps each term to its position t, and its run
+    is ``[starts[t], starts[t + 1])``. ``postings`` is a view derived from
+    these, kept until ``bench/`` stops reading it.
     """
 
     doc_ids: list[str]
@@ -103,17 +131,17 @@ class BM25Index:
     tfs: array
     k1: float
     b: float
-    postings: dict[str, PostingList] = field(init=False, repr=False)
+    term_id: dict[str, int] = field(init=False, repr=False)
+    starts: array = field(init=False, repr=False)
     avg_doc_len: float = field(init=False)
     _slot_by_id: dict[str, int] = field(init=False, repr=False)
     _norms: list[float] = field(init=False, repr=False)
 
     def __post_init__(self, terms: Sequence[str]):
-        ends = list(accumulate(self.dfs))
-        runs = zip(terms, chain((0,), ends), ends)
-        self.postings = {term: PostingList(self.refs, self.tfs, start, end) for term, start, end in runs}
+        self.term_id = dict(zip(terms, range(len(terms))))
+        self.starts = array("I", accumulate(self.dfs, initial=0))
         self.avg_doc_len = sum(self.doc_lens) / len(self.doc_lens)
-        self._slot_by_id = {doc_id: slot for slot, doc_id in enumerate(self.doc_ids)}
+        self._slot_by_id = dict(zip(self.doc_ids, range(len(self.doc_ids))))
         # Length normalization is per document and query-independent.
         self._norms = [
             self.k1 * (1.0 - self.b + self.b * doc_len / self.avg_doc_len)
@@ -124,6 +152,11 @@ class BM25Index:
     def num_docs(self) -> int:
         return len(self.doc_lens)
 
+    @property
+    def postings(self) -> Mapping[str, PostingList]:
+        """Each term -> a PostingList of its run, made on lookup; read-only, and read by nothing in the toolkit."""
+        return _Postings(self)
+
     def slot_of(self, doc_id: str) -> int:
         try:
             return self._slot_by_id[doc_id]
@@ -131,7 +164,8 @@ class BM25Index:
             raise DataError(f"document {doc_id!r} is not in the index") from None
 
     def idf(self, term: str) -> float:
-        df = len(self.postings.get(term, ()))
+        term_id = self.term_id.get(term)
+        df = 0 if term_id is None else self.dfs[term_id]
         return math.log(1.0 + (self.num_docs - df + 0.5) / (df + 0.5))
 
     def term_weights(self, term: str) -> TermWeights:
@@ -140,13 +174,15 @@ class BM25Index:
         Computed on each call; a caller that reuses terms keeps its own
         memo. A term the index lacks weighs nothing.
         """
-        plist = self.postings.get(term)
-        if not plist:
+        term_id = self.term_id.get(term)
+        if term_id is None:
             return TermWeights({}, 0.0)
+        start, stop = self.starts[term_id], self.starts[term_id + 1]
         idf = self.idf(term)
         norms = self._norms
         k1p1 = self.k1 + 1.0
-        by_slot = {ref: idf * tf * k1p1 / (tf + norms[ref]) for ref, tf in zip(plist.refs, plist.tfs)}
+        postings = zip(self.refs[start:stop], self.tfs[start:stop])
+        by_slot = {ref: idf * tf * k1p1 / (tf + norms[ref]) for ref, tf in postings}
         return TermWeights(by_slot, max(by_slot.values()))
 
     def scores(self, query: Sequence[str]) -> dict[int, float]:
@@ -256,7 +292,7 @@ def save_index(index: BM25Index, path) -> None:
     a failed save leaves ``path`` as it was.
     """
     ids = [doc_id.encode("utf-8") for doc_id in index.doc_ids]
-    words = [term.encode("utf-8") for term in index.postings]
+    words = [term.encode("utf-8") for term in index.term_id]
     lens = array("I", chain(map(len, ids), index.doc_lens, map(len, words)))
     header = _HEADER.pack(_MAGIC, _VERSION, index.k1, index.b, index.num_docs, len(words), len(index.refs))
     parts = [header, *map(_little_endian, (lens, index.dfs, index.refs, index.tfs)), b"".join(ids), b"".join(words)]
@@ -306,24 +342,28 @@ def load_index(path) -> BM25Index:
     del text
     if not sum(doc_lens):
         raise DataError("index file corrupt (document lengths sum to 0)")
-    for what, names in (("document id", doc_ids), ("term", terms)):
-        if len(set(names)) != len(names):
+    index = BM25Index(doc_ids, doc_lens.tolist(), terms, dfs, refs, tfs, k1, b)
+    # A repeated name leaves its map smaller than the header count.
+    for what, names, by_name in (("document id", doc_ids, index._slot_by_id), ("term", terms, index.term_id)):
+        if len(by_name) != len(names):
             repeated = Counter(names).most_common(1)[0][0]
             raise DataError(f"index file corrupt ({what} {repeated!r} appears twice)")
     if 0 in dfs:
         raise DataError(f"index file corrupt (term {terms[dfs.index(0)]!r} has no postings)")
-    ends = list(accumulate(dfs))
+    # With no df of 0 the run starts ascend strictly, and position p is in
+    # the run of term id bisect_right(starts, p) - 1.
+    starts = index.starts
     doc_ref = max(refs, default=0)
     if doc_ref >= num_docs:
-        term = terms[bisect_right(ends, refs.index(doc_ref))]
+        term = terms[bisect_right(starts, refs.index(doc_ref)) - 1]
         raise DataError(f"index file corrupt (term {term!r} posts to document {doc_ref} of {num_docs})")
     # Doc refs ascend strictly within a term: a ref not above its
     # predecessor may only start the next term's list.
-    unordered = set(compress(count(1), map(ge, refs, islice(refs, 1, None)))).difference(ends)
+    unordered = set(compress(count(1), map(ge, refs, islice(refs, 1, None)))).difference(starts)
     if unordered:
         pos = min(unordered)
-        term = terms[bisect_right(ends, pos)]
+        term = terms[bisect_right(starts, pos) - 1]
         raise DataError(f"index file corrupt (term {term!r} repeats or reorders document {refs[pos]})")
     if 0 in tfs:
         raise DataError("index file corrupt (a posting has term frequency 0)")
-    return BM25Index(doc_ids, doc_lens.tolist(), terms, dfs, refs, tfs, k1, b)
+    return index

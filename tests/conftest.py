@@ -9,6 +9,7 @@ import random
 import tempfile
 from bisect import bisect_left
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,13 @@ class BruteBM25:
         return scored[:k]
 
 
+def term_run(index, term_id):
+    """The (refs, tfs) run of term id ``term_id``, found from the dfs alone: its run starts after the dfs of the ids before it."""
+    start = sum(islice(index.dfs, term_id))
+    stop = start + index.dfs[term_id]
+    return index.refs[start:stop], index.tfs[start:stop]
+
+
 def oracle_score(index, query, slot):
     """One document's score by the index's own weight expression, tf found by binary search.
 
@@ -110,13 +118,13 @@ def oracle_score(index, query, slot):
     """
     total = 0.0
     for term in query:
-        plist = index.postings.get(term)
-        if plist is None:
+        term_id = index.term_id.get(term)
+        if term_id is None:
             continue
-        refs = plist.refs
+        refs, tfs = term_run(index, term_id)
         i = bisect_left(refs, slot)
         if i < len(refs) and refs[i] == slot:
-            tf = plist.tfs[i]
+            tf = tfs[i]
             total += index.idf(term) * tf * (index.k1 + 1.0) / (tf + index._norms[slot])
     return total
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import mmap
 import pickle
 import random
 import struct
@@ -19,6 +20,7 @@ from spanmine import (
     save_index,
 )
 from spanmine.analysis import retrieval_success
+from spanmine.bm25 import PostingList
 from spanmine.demo import generate_demo_corpus
 from tests.conftest import (
     V1_INDEX,
@@ -29,6 +31,7 @@ from tests.conftest import (
     as_tokenized,
     oracle_score,
     random_token_corpus,
+    term_run,
 )
 
 HEADER = struct.Struct("<4sHddIII")  # magic, version, k1, b, documents, terms, postings
@@ -56,8 +59,7 @@ class TestBuildIndex:
 
     def test_term_frequency(self):
         index = build_index(as_tokenized([["x", "y", "x"]]))
-        x = index.postings["x"]
-        assert (x.refs, x.tfs) == (array("I", [0]), array("I", [2]))
+        assert term_run(index, index.term_id["x"]) == (array("I", [0]), array("I", [2]))
 
     def test_empty_stream(self):
         with pytest.raises(DataError, match="^cannot build an index from a corpus with no documents$"):
@@ -65,13 +67,23 @@ class TestBuildIndex:
         with pytest.raises(DataError, match="^cannot build an index from a corpus with no tokens$"):
             build_index(as_tokenized([[], []]))
 
+    def test_postings_view_repr_is_the_dict_of_runs(self, toy_index):
+        # bench/ compares indexes by this repr, so it must show every run.
+        assert repr(toy_index.postings) == (
+            "{'a': PostingList(refs=array('I', [0, 1]), tfs=array('I', [1, 2])), "
+            "'b': PostingList(refs=array('I', [0]), tfs=array('I', [1])), "
+            "'c': PostingList(refs=array('I', [1, 2]), tfs=array('I', [1, 1]))}"
+        )
+        assert len(toy_index.postings) == 3 and "zzz" not in toy_index.postings
+
     def test_postings_sorted_unique(self):
         rng = random.Random(0)
         docs = as_tokenized(random_token_corpus(rng))
         index = build_index(docs)
-        for plist in index.postings.values():
-            assert list(plist.refs) == sorted(set(plist.refs))
-            assert len(plist.tfs) == len(plist) and all(tf >= 1 for tf in plist.tfs)
+        for term_id in index.term_id.values():
+            refs, tfs = term_run(index, term_id)
+            assert list(refs) == sorted(set(refs))
+            assert len(tfs) == len(refs) and all(tf >= 1 for tf in tfs)
 
     def test_param_validation(self):
         docs = as_tokenized([["a"]])
@@ -198,7 +210,7 @@ class TestOracleEquivalence:
         for doc in corpus:
             doc.append(everywhere)
         index = build_index(as_tokenized(corpus))
-        for term in list(index.postings) + ["oov"]:
+        for term in [*index.term_id, "oov"]:
             assert index.idf(term) >= 0.0
 
     def test_tf_monotonicity(self):
@@ -222,11 +234,10 @@ class TestPersistence:
         assert loaded.doc_ids == index.doc_ids
         assert loaded.doc_lens == index.doc_lens
         assert loaded.avg_doc_len == index.avg_doc_len
-        assert [(t, p.refs, p.tfs) for t, p in loaded.postings.items()] == [
-            (t, p.refs, p.tfs) for t, p in index.postings.items()
-        ]
+        assert list(loaded.term_id.items()) == list(index.term_id.items())
+        assert (loaded.dfs, loaded.starts, loaded.refs, loaded.tfs) == (index.dfs, index.starts, index.refs, index.tfs)
         assert repr(loaded.postings) == repr(index.postings)
-        vocab = sorted(index.postings)
+        vocab = sorted(index.term_id)
         for _ in range(25):
             query = [rng.choice(vocab) for _ in range(rng.randint(1, 3))]
             slot = rng.randrange(index.num_docs)
@@ -238,11 +249,11 @@ class TestPersistence:
         # First-seen order is not sorted order: "zeta" comes before "alpha".
         docs = as_tokenized([["zeta", "mid"], ["alpha", "zeta"], ["mid", "é"]])
         index = build_index(docs)
-        assert list(index.postings) == ["zeta", "mid", "alpha", "é"]
+        assert index.term_id == {"zeta": 0, "mid": 1, "alpha": 2, "é": 3}
         path, again = tmp_path / "idx.spmi", tmp_path / "again.spmi"
         save_index(index, path)
         loaded = load_index(path)
-        assert list(loaded.postings) == list(index.postings)
+        assert list(loaded.term_id.items()) == list(index.term_id.items())
         save_index(loaded, again)
         assert again.read_bytes() == path.read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["again.spmi", "idx.spmi"]
@@ -261,8 +272,8 @@ class TestPersistence:
 
     def test_no_tracked_object_per_posting(self, tmp_path):
         # 20 documents holding all 60 terms: 1,200 postings, 20 per term.
-        # Building or loading may add GC-tracked objects per term and per
-        # document, but not per posting.
+        # Building or loading may add GC-tracked objects per document, but
+        # not per term or per posting.
         docs = as_tokenized([[f"t{j}" for j in range(60) for _ in range(1 + (i + j) % 3)] for i in range(20)])
         path = tmp_path / "idx.spmi"
         save_index(build_index(docs), path)
@@ -277,7 +288,7 @@ class TestPersistence:
 
         for make in (lambda: build_index(docs), lambda: load_index(path)):
             added, index = tracked_objects_added(make)
-            assert added < len(index.postings) + index.num_docs + 20
+            assert added < index.num_docs + 20
 
     def test_truncated_file_checksum_error(self, tmp_path, toy_index):
         path = tmp_path / "idx.spmi"
@@ -443,49 +454,63 @@ def _fuzz_load(path, data: bytes) -> None:
             return
         raise
     assert len(set(loaded.doc_ids)) == loaded.num_docs and sum(loaded.doc_lens) > 0
-    for term, plist in loaded.postings.items():
-        refs = list(plist.refs)
-        assert refs and refs == sorted(set(refs)) and len(plist.tfs) == len(refs) and all(tf >= 1 for tf in plist.tfs)
+    # Each term has the id of its position, once; the runs tile refs from 0, in term order.
+    assert list(loaded.term_id.values()) == list(range(len(loaded.dfs)))
+    starts = loaded.starts
+    assert len(starts) == len(loaded.dfs) + 1 and starts[0] == 0 and starts[-1] == len(loaded.refs) == len(loaded.tfs)
+    assert all(start < stop for start, stop in zip(starts, starts[1:]))
+    for term, term_id in loaded.term_id.items():
+        refs, tfs = term_run(loaded, term_id)
+        run = slice(starts[term_id], starts[term_id + 1])
+        assert (refs, tfs) == (loaded.refs[run], loaded.tfs[run])
+        assert list(refs) == sorted(set(refs)) and refs[-1] < loaded.num_docs and all(tf >= 1 for tf in tfs)
         assert set(loaded.term_weights(term).by_slot) == set(refs)
+
+
+# Up to three edits to an index body, and optionally new header counts; edited_index applies them.
+INDEX_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["truncate", "flip", "splice", "copy"]),
+        st.integers(min_value=0, max_value=2**16),
+        st.integers(min_value=0, max_value=2**16),
+        st.integers(min_value=1, max_value=255),
+    ),
+    min_size=1,
+    max_size=3,
+)
+HEADER_COUNTS = st.none() | st.tuples(*[st.integers(min_value=0, max_value=2**32 - 1)] * 3)
+
+
+def edited_index(header: bytes, body: bytes, edits, counts) -> bytes:
+    """An index file of ``body`` with ``edits`` applied behind ``header``
+    with ``counts``, re-checksummed so that the parser and not the CRC
+    meets the edits."""
+    if counts is not None:
+        header = header[:-12] + struct.pack("<III", *counts)
+    for op, i, j, k in edits:
+        i, j = i % (len(body) + 1), j % (len(body) + 1)
+        if op == "truncate":
+            body = body[:i]
+        elif op == "flip" and i < len(body):
+            body = body[:i] + bytes([body[i] ^ k]) + body[i + 1 :]
+        elif op == "splice":  # insert up to k bytes from j at i
+            body = body[:i] + body[j : j + k] + body[i:]
+        elif op == "copy":  # one u32 over another: the section sizes still agree
+            i, j = i - i % 4, j - j % 4
+            chunk = body[j : j + 4][: len(body) - i]
+            body = body[:i] + chunk + body[i + len(chunk) :]
+    out = header + body
+    return out + struct.pack("<I", zlib.crc32(out))
 
 
 class TestLoadFuzz:
     """Malformed files end as a load_index DataError, never struct/Index/Overflow/MemoryError."""
 
-    @given(
-        edits=st.lists(
-            st.tuples(
-                st.sampled_from(["truncate", "flip", "splice", "copy"]),
-                st.integers(min_value=0, max_value=2**16),
-                st.integers(min_value=0, max_value=2**16),
-                st.integers(min_value=1, max_value=255),
-            ),
-            min_size=1,
-            max_size=3,
-        ),
-        counts=st.none() | st.tuples(*[st.integers(min_value=0, max_value=2**32 - 1)] * 3),
-    )
+    @given(edits=INDEX_EDITS, counts=HEADER_COUNTS)
     @settings(max_examples=300, deadline=None)
     def test_edited_body(self, fuzz_base, edits, counts):
-        # Edits go to the body (and optionally the header counts), which
-        # is then re-checksummed, so the parser and not the CRC meets them.
         path, header, body = fuzz_base
-        if counts is not None:
-            header = header[:-12] + struct.pack("<III", *counts)
-        for op, i, j, k in edits:
-            i, j = i % (len(body) + 1), j % (len(body) + 1)
-            if op == "truncate":
-                body = body[:i]
-            elif op == "flip" and i < len(body):
-                body = body[:i] + bytes([body[i] ^ k]) + body[i + 1 :]
-            elif op == "splice":  # insert up to k bytes from j at i
-                body = body[:i] + body[j : j + k] + body[i:]
-            elif op == "copy":  # one u32 over another: the section sizes still agree
-                i, j = i - i % 4, j - j % 4
-                chunk = body[j : j + 4][: len(body) - i]
-                body = body[:i] + chunk + body[i + len(chunk) :]
-        out = header + body
-        _fuzz_load(path, out + struct.pack("<I", zlib.crc32(out)))
+        _fuzz_load(path, edited_index(header, body, edits, counts))
 
     @given(st.binary(max_size=200), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -507,7 +532,7 @@ def test_term_weights_are_single_term_scores():
     rng = random.Random(13)
     docs = as_tokenized(random_token_corpus(rng, min_docs=8, max_docs=8, max_vocab=5, max_len=9))
     index = build_index(docs)
-    for term in index.postings:
+    for term in index.term_id:
         weights = index.term_weights(term)
         assert weights.by_slot == {
             slot: oracle_score(index, [term], slot)
@@ -530,3 +555,32 @@ def test_scoring_leaves_the_index_unchanged(tmp_path):
     index.rank(query, 0)
     retrieval_success(docs, index, k=5)
     assert pickle.dumps(index) == before
+
+
+def test_the_data_path_makes_no_posting_list(tmp_path, monkeypatch):
+    # The count lives in shared memory, so a forked mining worker's
+    # constructions count too (a lost update cannot bring it to 0).
+    made = mmap.mmap(-1, 8)
+    construct = PostingList.__init__
+
+    def counted(self, *args):
+        made[:] = (int.from_bytes(made, "little") + 1).to_bytes(8, "little")
+        construct(self, *args)
+
+    monkeypatch.setattr(PostingList, "__init__", counted)
+    docs = generate_demo_corpus(n_docs=30)
+    tokenized = [model_input(doc) for doc in docs]
+    path = tmp_path / "idx.spmi"
+    save_index(build_index(tokenized), path)
+    index = load_index(path)
+    save_index(index, path)
+    for term in {token for doc in tokenized for token in doc.tokens}:
+        index.term_weights(term)
+        index.idf(term)
+    index.scores(list(tokenized[0].tokens[:3]))
+    for workers in (1, 2):
+        mine_corpus(tokenized, index, tmp_path / f"spans-{workers}.jsonl", workers=workers)
+    retrieval_success(docs, index, k=5)
+    assert int.from_bytes(made, "little") == 0
+    index.postings[tokenized[0].tokens[0]]  # the view bench/ reads makes one per lookup
+    assert int.from_bytes(made, "little") == 1

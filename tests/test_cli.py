@@ -38,6 +38,7 @@ from spanmine.corruption import OBJECTIVES
 from spanmine.demo import generate_demo_corpus
 from spanmine.pool import usable_cpus
 from tests.conftest import V1_INDEX, V1_REFUSAL, V2_INDEX, V2_REFUSAL
+from tests.test_bm25 import HEADER, HEADER_COUNTS, INDEX_EDITS, edited_index
 from tests.test_corruption import CORRUPTION_DIGESTS
 
 
@@ -72,8 +73,8 @@ class TestSubcommands:
         index = tmp_path / "idx.spmi"
         assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
         out = _json_out(capsys)
-        dfs = [len(plist) for plist in spanmine.load_index(index).postings.values()]
-        assert (out["documents"], out["terms"], out["postings"]) == (3, len(dfs), sum(dfs))
+        loaded = spanmine.load_index(index)
+        assert (out["documents"], out["terms"], out["postings"]) == (3, len(loaded.term_id), sum(loaded.dfs))
         assert out["postings"] > out["terms"]  # some term is in two documents
 
         spans = tmp_path / "spans.jsonl"
@@ -647,6 +648,36 @@ def _window_argv(command, index, corpus, out):
         return ["-q", "analyze", "success", "--index", str(index), "--gold", str(corpus)]
     head = ["mine"] if command == "mine" else ["corrupt", "--objective", "ti"]
     return ["-q", *head, "--index", str(index), "--corpus", str(corpus), "--out", str(out), "--threads", "1"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_index_base(tmp_path_factory):
+    """A directory, the 3-document corpus in it, and the header and body of the index `spanmine index` writes for it."""
+    tmp = tmp_path_factory.mktemp("index-fuzz")
+    corpus, index = tmp / "corpus.jsonl", tmp / "idx.spmi"
+    corpus.write_text("".join(json.dumps(record) + "\n" for record in _corpus_lines()), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["-q", "index", "--corpus", str(corpus), "--out", str(index)]) == EXIT_OK
+    data = index.read_bytes()
+    return tmp, corpus, data[: HEADER.size], data[HEADER.size : -4]
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=INDEX_EDITS, counts=HEADER_COUNTS)
+def test_an_edited_index_file_exits_0_or_1_with_strict_json(fuzz_index_base, edits, counts):
+    """Index files edited as TestLoadFuzz edits them, with a valid checksum, read by each command that reads an index."""
+    tmp, corpus, header, body = fuzz_index_base
+    index = tmp / "edited.spmi"
+    index.write_bytes(edited_index(header, body, edits, counts))
+    for command in ("mine", "analyze success"):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            status = run(_window_argv(command, index, corpus, tmp / "spans.jsonl"))
+        assert status in (EXIT_OK, EXIT_DATA), command
+        if status == EXIT_OK:
+            assert json.loads(stdout.getvalue(), parse_constant=_refuse_constant)["command"] == command.split()[0]
+        else:
+            assert stdout.getvalue() == "", command
 
 
 class TestMineReadsTheIndex:

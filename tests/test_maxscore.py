@@ -13,7 +13,7 @@ import pytest
 
 from spanmine import DataError, ThresholdFn, TokenizedDoc, build_index, mine_corpus
 from spanmine.miner import candidates
-from tests.conftest import as_tokenized
+from tests.conftest import as_tokenized, term_run
 
 STOP = frozenset({"z"})
 FILLER = ["z"] * 3
@@ -83,7 +83,7 @@ def test_each_branch_ranks_as_bm25_rank(tmp_path, case, n_sources, workers):
     scored = 0
     for q in queries:
         terms = [q[i] for i in _essential(index, q, index.scores(q)[0])]
-        scored += len({ref for term in terms for ref in index.postings[term].refs})
+        scored += len({ref for term in terms for ref in term_run(index, index.term_id[term])[0]})
     assert (summary.distinct_queries, summary.docs_scored) == (len(queries), scored)
 
 

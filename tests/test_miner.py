@@ -26,7 +26,7 @@ from spanmine.analysis import span_characteristics
 from spanmine.demo import generate_demo_corpus
 from spanmine.miner import DEFAULT_THRESHOLDS, candidates, parse_thresholds
 from spanmine.stopwords import DEFAULT_STOPWORDS
-from tests.conftest import BruteBM25, as_tokenized, mine_one, oracle_mine, random_token_corpus
+from tests.conftest import BruteBM25, as_tokenized, mine_one, oracle_mine, random_token_corpus, term_run
 
 
 def doc_of(tokens, doc_id="d", title_len=0):
@@ -437,7 +437,7 @@ class TestPrunedMining:
         summary = mine_corpus(mined, index, out, thresholds, stoplist, workers=workers)
         _assert_matches_oracles(out, mined, index, _cached_brute(indexed), thresholds, stoplist)
         queries = _distinct_queries(mined, stoplist)
-        unions = [{ref for t in q if t in index.postings for ref in index.postings[t].refs} for q in queries]
+        unions = [{ref for t in q if t in index.term_id for ref in term_run(index, index.term_id[t])[0]} for q in queries]
         assert (summary.distinct_queries, summary.docs_scored) == (len(unions), sum(map(len, unions)))
 
     @pytest.mark.parametrize("source, docs_scored", [(["a", "b"], 11), (["b", "a"], 7)], ids=["a-b-c", "b-a-c"])
@@ -524,7 +524,7 @@ class TestPrunedMining:
             serial, parallel = summaries
             assert serial == parallel
             assert serial.distinct_queries == len(queries)
-            assert serial.docs_scored <= sum(len(index.postings.get(t, ())) for q in queries for t in q)
+            assert serial.docs_scored <= sum(index.dfs[index.term_id[t]] for q in queries for t in q if t in index.term_id)
 
 
 # sha256 of spans.jsonl for the 200-document demo corpus, mined against a
